@@ -8,25 +8,39 @@ length-prefixed word bytes; the all-ones offset marks an empty slot.
 
 Probing starts at poly_hash(word) mod capacity and scans circularly until
 the word or an empty slot is found.  Every table keeps at least one empty
-slot, so scans terminate.  Compaction replaces each slot array with an
-occupancy bit vector plus a dense payload and freezes the structure.
+slot, so scans terminate; loading rejects a table that has none.  Compaction replaces each slot
+array with an occupancy bit vector (succinct.py) plus a dense payload, the
+occupied slots in slot order, and freezes the structure; probes compute
+the home slot's rank inline from the bit vector's word and rank arrays.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from fractions import Fraction
+from itertools import compress
 
-from .errors import CompactedError, ValidationError
+from .errors import CompactedError, IndexFormatError, ValidationError
 from .hashing import poly_hash
-from .succinct import RankBitVector
-from .util import capacity_for, check_headroom, validate_word, validate_words
+from .succinct import RankBitVector, read_occupancy, run_of_ones
+from .util import (capacity_for, check_headroom, check_loaded_table, take,
+                   validate_word, validate_words)
 
 EMPTY_OFFSET = 0xFFFFFFFF
 
 # Capacity of a per-length table created on demand by insert_word for a
 # length unseen at build time.  Tables are never grown.
 NEW_TABLE_CAPACITY = 16
+
+
+def _holds(dense, word, lo: int, hi: int, width: int) -> bool:
+    """True if word fills one of the width-byte slots of dense[lo:hi];
+    lo is a multiple of width."""
+    i = dense.find(word, lo, hi)
+    while i >= 0 and i % width:
+        i = dense.find(word, i + 1, hi)
+    return i >= 0
 
 
 class _ShortTable:
@@ -59,24 +73,26 @@ class _ShortTable:
                 s += 1
                 if s == t:
                     s = 0
+        # Compacted: a stored word whose probe passed the home slot lies in
+        # the run of ones from there, whose slots sit back to back in dense
+        # from byte w * rank1(s) on.
         occ = self.occupancy
-        storage = occ.storage
-        word_pos = occ.word_pos
-        if not (storage[word_pos[s >> 5]] >> (s & 31)) & 1:
+        bits = occ.words
+        i = s >> 5
+        off = s & 31
+        x = bits[i] >> off
+        if not x & 1:
             return False
+        run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word i
+        if off + run == 32 or s + run == t:
+            run = run_of_ones(bits, t, s, t)
+        lo = w * (occ.ranks[i] + (bits[i] & ((1 << off) - 1)).bit_count())
+        hi = lo + w * run
         dense = self.dense
-        j = occ.rank1(s)
-        while True:
-            off = j * w
-            if dense[off] == first and dense[off : off + w] == word:
-                return True
-            s += 1
-            j += 1
-            if s == t:
-                s = 0
-                j = 0
-            if not (storage[word_pos[s >> 5]] >> (s & 31)) & 1:
-                return False
+        n = len(dense)
+        if hi <= n:
+            return _holds(dense, word, lo, hi, w)
+        return _holds(dense, word, lo, n, w) or _holds(dense, word, 0, hi - n, w)
 
     def insert(self, word, h: int) -> bool:
         """Insert unless present; returns True if the word was new."""
@@ -101,14 +117,11 @@ class _ShortTable:
     def compact(self, delta: int) -> None:
         w = self.width
         slots = self.slots
-        dense = bytearray()
-        flags = bytearray(self.capacity)
-        for s in range(self.capacity):
-            off = s * w
-            if slots[off] != 0:
-                flags[s] = 1
-                dense += slots[off : off + w]
-        self.occupancy = RankBitVector.from_bits(flags, delta)
+        firsts = slots[0::w]  # 0 marks an empty slot
+        dense = bytearray(self.count * w)
+        for i in range(w):
+            dense[i::w] = bytes(compress(slots[i::w], firsts))
+        self.occupancy = RankBitVector.from_flags(firsts, delta)
         self.dense = bytes(dense)
         self.slots = None
 
@@ -122,22 +135,26 @@ class _ShortTable:
     def from_bytes(cls, buf, offset: int, compacted: bool, delta: int):
         width, capacity, count = struct.unpack_from("<BQQ", buf, offset)
         offset += 17
+        what = f"word table (length {width})"
+        if width == 0:
+            raise IndexFormatError(f"{what}: words cannot be empty")
         table = cls.__new__(cls)
         table.width = width
         table.capacity = capacity
         table.count = count
         if compacted:
             table.slots = None
-            table.occupancy, offset = RankBitVector.from_bytes(buf, offset)
-            end = offset + count * width
-            table.dense = bytes(buf[offset:end])
-            offset = end
+            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, what)
+            table.dense = bytes(take(buf, offset, count * width, what))
+            offset += count * width
+            empty_slot = count < capacity
         else:
-            end = offset + capacity * width
-            table.slots = bytearray(buf[offset:end])
+            table.slots = bytearray(take(buf, offset, capacity * width, what))
             table.occupancy = None
             table.dense = None
-            offset = end
+            offset += capacity * width
+            empty_slot = 0 in table.slots[0::width]
+        check_loaded_table(what, count, capacity, empty_slot)
         return table, offset
 
 
@@ -152,7 +169,7 @@ class _LongTable:
         self.offsets: list[int] | None = [EMPTY_OFFSET] * capacity
         self.arena = bytearray()
         self.occupancy: RankBitVector | None = None
-        self.dense: list[int] | None = None
+        self.dense: array | None = None
 
     def _matches(self, o: int, word) -> bool:
         arena = self.arena
@@ -176,23 +193,23 @@ class _LongTable:
                 if s == t:
                     s = 0
         occ = self.occupancy
-        storage = occ.storage
-        word_pos = occ.word_pos
-        if not (storage[word_pos[s >> 5]] >> (s & 31)) & 1:
+        bits = occ.words
+        i = s >> 5
+        off = s & 31
+        x = bits[i] >> off
+        if not x & 1:
             return False
-        j = occ.rank1(s)
+        run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word i
+        if off + run == 32 or s + run == t:
+            run = run_of_ones(bits, t, s, t)
+        j = occ.ranks[i] + (bits[i] & ((1 << off) - 1)).bit_count()
         dense = self.dense
-        while True:
-            o = dense[j]
+        end = j + run
+        n = len(dense)
+        for o in dense[j:end] if end <= n else dense[j:] + dense[: end - n]:
             if (arena[o] | (arena[o + 1] << 8)) == m and arena[o + 2 : o + 2 + m] == word:
                 return True
-            s += 1
-            j += 1
-            if s == t:
-                s = 0
-                j = 0
-            if not (storage[word_pos[s >> 5]] >> (s & 31)) & 1:
-                return False
+        return False
 
     def insert(self, word, h: int) -> bool:
         t = self.capacity
@@ -218,10 +235,9 @@ class _LongTable:
 
     def compact(self, delta: int) -> None:
         offsets = self.offsets
-        self.dense = [o for o in offsets if o != EMPTY_OFFSET]
-        self.occupancy = RankBitVector.from_bits(
-            (0 if o == EMPTY_OFFSET else 1 for o in offsets), delta
-        )
+        flags = bytes(map(EMPTY_OFFSET.__ne__, offsets))
+        self.dense = array("I", compress(offsets, flags))
+        self.occupancy = RankBitVector.from_flags(flags, delta)
         self.offsets = None
 
     def to_bytes(self) -> bytes:
@@ -236,22 +252,26 @@ class _LongTable:
     def from_bytes(cls, buf, offset: int, compacted: bool, delta: int):
         capacity, count = struct.unpack_from("<QQ", buf, offset)
         offset += 16
+        what = "long-word table"
         table = cls.__new__(cls)
         table.capacity = capacity
         table.count = count
         if compacted:
             table.offsets = None
-            table.occupancy, offset = RankBitVector.from_bytes(buf, offset)
-            table.dense = list(struct.unpack_from(f"<{count}I", buf, offset))
+            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, what)
+            table.dense = array("I", struct.unpack_from(f"<{count}I", buf, offset))
             offset += 4 * count
+            empty_slot = count < capacity
         else:
             table.offsets = list(struct.unpack_from(f"<{capacity}I", buf, offset))
             table.occupancy = None
             table.dense = None
             offset += 4 * capacity
+            empty_slot = EMPTY_OFFSET in table.offsets
+        check_loaded_table(what, count, capacity, empty_slot)
         (arena_len,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
-        table.arena = bytearray(buf[offset : offset + arena_len])
+        table.arena = bytearray(take(buf, offset, arena_len, what))
         offset += arena_len
         return table, offset
 
@@ -419,10 +439,4 @@ def build_exact(words, alpha: Fraction, beta: int = 16, seed: int = 1,
         table.insert(w, h)
     d.word_count = len(words)
     d.total_length = sum(len(w) for w in words)
-    return d
-
-
-def compact_exact(d: ExactDictionary, delta: int = 4) -> ExactDictionary:
-    """Compact in place and return the same dictionary."""
-    d.compact(delta)
     return d

@@ -24,7 +24,19 @@ With signatures the slots are packed two to a block of 3 bytes: character
 of the even slot, one byte holding both 4-bit signatures (even slot in the
 low nibble, odd slot in the high nibble), character of the odd slot.
 Without signatures a slot is a single character byte.  Byte 0 marks an
-empty slot either way.
+empty slot either way.  A plain (not compacted) store has this one slot
+array both in memory and on disk.
+
+Compaction freezes a store and drops its empty slots.  On disk, a
+compacted store holds the occupancy bits in the interleaved count/data
+layout of succinct.py, then the payload: the entries of the occupied
+slots in slot order, packed as above (3 bytes per two entries with
+signatures, 1 byte per entry without).  In memory, the payload is the
+same bytes and the occupancy bits are flat arrays of 32-bit data words
+and per-word ranks.  A compacted scan tests the home bit, measures the
+run of ones one word at a time with a trailing-ones bit trick, decides
+the cap from the run length alone, and only then computes the home slot's
+rank inline and reads that run's entries.
 """
 
 from __future__ import annotations
@@ -33,18 +45,33 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import or_
 
-from .errors import CompactedError
+from .errors import CompactedError, IndexFormatError
 from .hashing import MODULUS, WILDCARD, HashContext
-from .succinct import RankBitVector
-from .util import capacity_for, check_headroom, validate_words
+from .succinct import RankBitVector, read_occupancy, run_of_ones
+from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
 _EMPTY: tuple[int, ...] = ()
+
+# Byte translation tables for splitting and joining signature nibbles.
+_LOW_NIBBLE = bytes(b & 15 for b in range(256))
+_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
+_TO_HIGH_NIBBLE = bytes((b << 4) & 0xFF for b in range(256))
 
 # Fixed seeds for list_histogram key fingerprints; any two distinct values
 # in [1, MODULUS - 2] work, these are arbitrary odd constants.
 _HIST_SEED_A = 0x1F3D5B79
 _HIST_SEED_B = 0x6A4C2E97
+
+
+def _interleave(even, odd) -> bytes:
+    """even[0], odd[0], even[1], odd[1], ...; len(even) == len(odd)."""
+    out = bytearray(2 * len(even))
+    out[0::2] = even
+    out[1::2] = odd
+    return bytes(out)
 
 
 def entries_for(word_length: int, level: int) -> int:
@@ -217,78 +244,65 @@ class SubstStore:
                         s = 0
             return (out if out is not None else _EMPTY), False
         occ = self.occupancy
+        bits = occ.words
+        w = s >> 5
+        off = s & 31
+        x = bits[w] >> off
+        if not x & 1 and sigma:  # an empty home slot: most scans end here
+            return _EMPTY, False
+        run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word w
+        if off + run == 32 or s + run == t:
+            run = run_of_ones(bits, t, s, sigma)
+        if run >= sigma:
+            return range(1, sigma + 1), True
+        j = occ.ranks[w] + (bits[w] & ((1 << off) - 1)).bit_count()
         dense = self.dense
-        storage = occ.storage
-        word_pos = occ.word_pos
-        j = None
-        sig_on = self.use_signatures
-        while True:
-            steps += 1
-            if steps > sigma:
-                return range(1, sigma + 1), True
-            if not (storage[word_pos[s >> 5]] >> (s & 31)) & 1:
-                break
-            if j is None:
-                j = occ.rank1(s)
-            if sig_on:
-                base = 3 * (j >> 1)
-                odd = j & 1
-                char = dense[base + (odd << 1)]
-                sig = (dense[base + 1] >> (odd << 2)) & 15
-                if sig == key_sig:
-                    if out is None:
-                        out = [char]
-                    else:
-                        out.append(char)
-            else:
-                char = dense[j]
-                if out is None:
-                    out = [char]
-                else:
-                    out.append(char)
-            s += 1
-            j += 1
-            if s == t:
-                s = 0
-                j = 0
-        return (out if out is not None else _EMPTY), False
+        n = self.entry_count
+        if not self.use_signatures:
+            if j + run <= n:
+                return list(dense[j : j + run]), False
+            return list(dense[j:] + dense[: j + run - n]), False
+        out = []
+        for j in range(j, j + run):
+            if j >= n:
+                j -= n
+            base = 3 * (j >> 1)
+            if j & 1:
+                if dense[base + 1] >> 4 == key_sig:
+                    out.append(dense[base + 2])
+            elif dense[base + 1] & 15 == key_sig:
+                out.append(dense[base])
+        return (out or _EMPTY), False
 
     # -- compaction and serialization --------------------------------------
-
-    def _entry_at(self, s: int) -> tuple[int, int]:
-        """(char, sig) of slot s in the non-compacted layout; char 0 if empty."""
-        if self.use_signatures:
-            base = 3 * (s >> 1)
-            odd = s & 1
-            return self.slots[base + (odd << 1)], (self.slots[base + 1] >> (odd << 2)) & 15
-        return self.slots[s], 0
 
     def compact(self, delta: int = 4) -> None:
         """Replace the slot array with occupancy bits plus packed payload."""
         if self.compacted:
             return
-        t = self.capacity
-        flags = bytearray(t)
-        entries = []
-        for s in range(t):
-            char, sig = self._entry_at(s)
-            if char:
-                flags[s] = 1
-                entries.append((char, sig))
-        if self.use_signatures:
-            dense = bytearray(3 * ((len(entries) + 1) // 2))
-            for j, (char, sig) in enumerate(entries):
-                base = 3 * (j >> 1)
-                odd = j & 1
-                dense[base + (odd << 1)] = char
-                if odd:
-                    dense[base + 1] |= sig << 4
-                else:
-                    dense[base + 1] |= sig
+        slots = self.slots
+        if not self.use_signatures:
+            chars = bytes(slots)
+            dense = chars.translate(None, b"\0")
         else:
-            dense = bytearray(char for char, _ in entries)
-        self.occupancy = RankBitVector.from_bits(flags, delta)
-        self.dense = bytes(dense)
+            chars = _interleave(slots[0::3], slots[2::3])[: self.capacity]
+            kept_chars = chars.translate(None, b"\0")
+            # Signature nibbles in slot order, then those of the occupied
+            # slots, repacked two to a byte between their characters.
+            sig_bytes = slots[1::3]
+            sigs = _interleave(sig_bytes.translate(_LOW_NIBBLE), sig_bytes.translate(_HIGH_NIBBLE))
+            kept_sigs = bytes(compress(sigs, chars))
+            if len(kept_chars) & 1:
+                kept_chars += b"\0"
+                kept_sigs += b"\0"
+            packed = bytearray(3 * (len(kept_chars) >> 1))
+            packed[0::3] = kept_chars[0::2]
+            packed[1::3] = bytes(map(or_, kept_sigs[0::2],
+                                     kept_sigs[1::2].translate(_TO_HIGH_NIBBLE)))
+            packed[2::3] = kept_chars[1::2]
+            dense = bytes(packed)
+        self.occupancy = RankBitVector.from_flags(chars, delta)
+        self.dense = dense
         self.slots = None
         self.compacted = True
 
@@ -312,20 +326,34 @@ class SubstStore:
         store.bucket_seed = bucket_seed
         store.sig_seed = sig_seed
         store.sigma = sigma
+        what = f"level-{level} store"
         if store.compacted:
             store.slots = None
-            store.occupancy, offset = RankBitVector.from_bytes(buf, offset)
+            store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count, what)
             (dense_len,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
-            store.dense = bytes(buf[offset : offset + dense_len])
+            want = 3 * ((entry_count + 1) // 2) if store.use_signatures else entry_count
+            if dense_len != want:
+                raise IndexFormatError(f"{what}: payload of {dense_len} bytes, "
+                                       f"{entry_count} entries need {want}")
+            store.dense = bytes(take(buf, offset, dense_len, what))
             offset += dense_len
         else:
             (slots_len,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
-            store.slots = bytearray(buf[offset : offset + slots_len])
+            want = 3 * ((capacity + 1) // 2) if store.use_signatures else capacity
+            if slots_len != want:
+                raise IndexFormatError(f"{what}: slot array of {slots_len} bytes, "
+                                       f"{capacity} slots need {want}")
+            store.slots = bytearray(take(buf, offset, slots_len, what))
             offset += slots_len
             store.occupancy = None
             store.dense = None
+        # Compacted, popcount = entry_count < capacity leaves a clear bit.  A
+        # plain store is not searched for an empty slot: that would add a
+        # strided pass over the largest array of the file to every load, and
+        # its scans stop after sigma slots whether or not it has one.
+        check_loaded_table(what, entry_count, capacity, True)
         return store, offset
 
 
@@ -344,12 +372,6 @@ def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
                        bucket_seed, sig_seed, sigma)
     for w in words:
         store._insert_word_entries(w)
-    return store
-
-
-def compact_store(store: SubstStore, delta: int = 4) -> SubstStore:
-    """Compact in place and return the same store."""
-    store.compact(delta)
     return store
 
 

@@ -1,76 +1,98 @@
-"""Rank-supporting bit vector and the generic compaction of sparse tables.
+"""Rank-supporting bit vector over 32-bit words.
 
-The bit vector stores 32-bit data words interleaved with running counts:
-one count word, then `delta` data words, repeated.  Count number i holds
-the number of ones in the data words before block i, so a rank query reads
-one count and popcounts at most delta words.  Total space is
-n_bits * (1 + 1/delta) plus rounding, delta = 4 by default.
+In memory, bit i lives in bit i & 31 of data word i >> 5 of one
+array('I'), and a second array('I') holds, for every data word, the
+number of ones in the words before it, with the total as a last entry.
+This is a one-level word rank directory in the style of rank9 (Vigna,
+"Broadword Implementation of Rank/Select Queries", WEA 2008): rank1(i)
+is ranks[i >> 5] plus the popcount of word i >> 5 below bit i, so the
+probe loops of the compacted tables compute it inline.  Both arrays take
+n_bits / 8 bytes each.
 
-Compaction turns a linear-probing slot array into (occupancy bits, dense
-payload array).  Probe scans replay on the compacted form: the payload of
-original slot s sits at dense[rank1(s)] whenever bit s is set, and a run
-of ones that wraps past the end continues at dense[0] because probing is
-circular.
+On disk (to_bytes / from_bytes) the same words are interleaved with
+running counts: a header <QB of n_bits and delta, then one count word and
+delta data words, repeated, all little-endian 32-bit.  Count number i
+holds the number of ones in the data words before block i.  The file
+therefore takes n_bits * (1 + 1/delta) bits plus rounding, delta = 4 by
+default; loading recomputes the per-word ranks and rejects a file whose
+stored counts disagree with them.
+
+Compacted tables keep a linear-probing slot array as (occupancy bits,
+dense payload): the payload of original slot s sits at dense[rank1(s)]
+whenever bit s is set, and a run of ones that wraps past the end
+continues at dense[0] because probing is circular.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import sys
+from array import array
+from itertools import accumulate
 
-_WORD_BITS = 32
-_WORD_MASK = 0xFFFFFFFF
+from .errors import IndexFormatError
+from .util import take
+
+# Flag byte -> binary digit: 0 stays "0", any other value becomes "1".
+_DIGITS = b"0" + b"1" * 255
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
+    """Length of the run of ones starting at bit i, wrapping from the last
+    bit to bit 0.
+
+    Counts one 32-bit word at a time with the trailing-ones trick and
+    stops as soon as the run reaches `limit`, so the result is exact below
+    `limit` and some value >= `limit` otherwise.  Bits past n_bits in the
+    last word must be clear.
+    """
+    run = 0
+    while True:
+        x = words[i >> 5] >> (i & 31)
+        ones = (x ^ (x + 1)).bit_length() - 1  # trailing ones of x
+        run += ones
+        if run >= limit or not ones:
+            return run
+        i += ones
+        if i == n_bits:
+            i = 0
+        elif i & 31:
+            return run
 
 
 class RankBitVector:
     """Static bit vector answering rank1 and run-scan queries."""
 
-    __slots__ = ("n_bits", "delta", "total_ones", "storage", "_n_words", "word_pos")
+    __slots__ = ("n_bits", "delta", "total_ones", "words", "ranks")
 
-    def __init__(self, n_bits: int, delta: int, storage: list[int], total_ones: int):
+    def __init__(self, n_bits: int, delta: int, words: array):
         self.n_bits = n_bits
         self.delta = delta
-        self.storage = storage
-        self.total_ones = total_ones
-        self._n_words = (n_bits + _WORD_BITS - 1) // _WORD_BITS
-        # Position of data word w inside the interleaved storage; probe loops
-        # read bits as storage[word_pos[i >> 5]] >> (i & 31) & 1.
-        self.word_pos = [
-            (w // delta) * (delta + 1) + 1 + w % delta for w in range(self._n_words)
-        ]
+        self.words = words
+        self.ranks = array("I", accumulate(map(int.bit_count, words), initial=0))
+        self.total_ones = self.ranks[-1]
+
+    @classmethod
+    def from_flags(cls, flags, delta: int = 4) -> "RankBitVector":
+        """Build from bytes or a bytearray holding one byte per bit, nonzero meaning set."""
+        if delta < 1:
+            raise ValueError("delta must be >= 1")
+        n_bits = len(flags)
+        n_words = (n_bits + 31) >> 5
+        words = array("I")
+        if n_bits:
+            # Bit i of the integer is flags[i]; int() parses base 2 in linear time.
+            value = int(flags[::-1].translate(_DIGITS), 2)
+            words.frombytes(value.to_bytes(4 * n_words, "little"))
+            if _BIG_ENDIAN:
+                words.byteswap()
+        return cls(n_bits, delta, words)
 
     @classmethod
     def from_bits(cls, bits, delta: int = 4) -> "RankBitVector":
         """Build from an iterable of truthy/falsy bit values."""
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
-        words = []
-        cur = 0
-        shift = 0
-        n_bits = 0
-        for b in bits:
-            if b:
-                cur |= 1 << shift
-            shift += 1
-            n_bits += 1
-            if shift == _WORD_BITS:
-                words.append(cur)
-                cur = 0
-                shift = 0
-        if shift:
-            words.append(cur)
-        storage = []
-        ones = 0
-        for base in range(0, len(words), delta):
-            storage.append(ones)
-            for w in words[base : base + delta]:
-                storage.append(w)
-                ones += w.bit_count()
-        return cls(n_bits, delta, storage, ones)
-
-    def get(self, i: int) -> int:
-        """Bit at position i (0-based)."""
-        return (self.storage[self.word_pos[i >> 5]] >> (i & 31)) & 1
+        return cls.from_flags(bytes(map(bool, bits)), delta)
 
     def rank1(self, i: int) -> int:
         """Number of ones in positions [0, i); i may equal n_bits."""
@@ -79,18 +101,7 @@ class RankBitVector:
         if i == self.n_bits:
             return self.total_ones
         w = i >> 5
-        rem = i & 31
-        delta = self.delta
-        block = w // delta
-        off = w - block * delta
-        idx = block * (delta + 1)
-        storage = self.storage
-        r = storage[idx]
-        for word in storage[idx + 1 : idx + 1 + off]:
-            r += word.bit_count()
-        if rem:
-            r += (storage[idx + 1 + off] & ((1 << rem) - 1)).bit_count()
-        return r
+        return self.ranks[w] + (self.words[w] & ((1 << (i & 31)) - 1)).bit_count()
 
     def scan_ones(self, i: int) -> int:
         """Length of the run of ones starting at i, wrapping circularly.
@@ -100,59 +111,68 @@ class RankBitVector:
         n = self.n_bits
         if i < 0 or i >= n:
             raise IndexError(f"bit position {i} out of range [0, {n})")
-        run = 0
-        pos = i
-        while run < n and self.get(pos):
-            run += 1
-            pos += 1
-            if pos == n:
-                pos = 0
-        return run
+        return min(run_of_ones(self.words, n, i, n), n)
+
+    def _stored_words(self) -> int:
+        """Count words plus data words in the on-disk layout."""
+        n_words = len(self.words)
+        return n_words + -(-n_words // self.delta)
 
     def to_bytes(self) -> bytes:
-        head = struct.pack("<QB", self.n_bits, self.delta)
-        return head + struct.pack(f"<{len(self.storage)}I", *self.storage)
+        delta = self.delta
+        step = delta + 1
+        n_words = len(self.words)
+        out = array("I", bytes(4 * self._stored_words()))
+        out[0::step] = self.ranks[0:n_words:delta]
+        for r in range(delta):
+            out[r + 1 :: step] = self.words[r::delta]
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return struct.pack("<QB", self.n_bits, delta) + out.tobytes()
 
     @classmethod
     def from_bytes(cls, buf, offset: int = 0) -> tuple["RankBitVector", int]:
-        """Parse from a buffer; returns (vector, offset past the vector)."""
+        """Parse from a buffer; returns (vector, offset past the vector).
+
+        Raises IndexFormatError unless the stored block counts equal the
+        prefix popcounts and the bits past n_bits are clear.
+        """
         n_bits, delta = struct.unpack_from("<QB", buf, offset)
         offset += 9
-        n_words = (n_bits + _WORD_BITS - 1) // _WORD_BITS
-        n_blocks = (n_words + delta - 1) // delta
-        total = n_words + n_blocks
-        storage = list(struct.unpack_from(f"<{total}I", buf, offset))
-        offset += 4 * total
-        ones = 0
-        for base in range(0, total, delta + 1):
-            for w in storage[base + 1 : base + 1 + delta]:
-                ones += w.bit_count()
-        return cls(n_bits, delta, storage, ones), offset
+        if delta < 1:
+            raise IndexFormatError("rank bit vector has sampling interval 0")
+        n_words = (n_bits + 31) >> 5
+        size = 4 * (n_words + -(-n_words // delta))
+        words = array("I")
+        words.frombytes(take(buf, offset, size, f"rank bit vector of {n_bits} bits"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        counts = words[0 :: delta + 1]
+        del words[0 :: delta + 1]
+        rbv = cls(n_bits, delta, words)
+        if counts != rbv.ranks[0:n_words:delta]:
+            raise IndexFormatError("rank bit vector counts disagree with its bits")
+        if n_bits & 31 and words[-1] >> (n_bits & 31):
+            raise IndexFormatError("rank bit vector has bits set past its length")
+        return rbv, offset + size
 
     def serialized_bits(self) -> int:
         """Size of to_bytes() in bits, for space accounting."""
-        return 8 * (9 + 4 * len(self.storage))
+        return 8 * (9 + 4 * self._stored_words())
+
+
+def read_occupancy(buf, offset: int, n_slots: int, count: int,
+                   what: str) -> tuple[RankBitVector, int]:
+    """from_bytes for the occupancy bits of a table with n_slots slots
+    holding count entries; IndexFormatError if the bits disagree."""
+    occ, offset = RankBitVector.from_bytes(buf, offset)
+    if occ.n_bits != n_slots:
+        raise IndexFormatError(f"{what}: occupancy of {occ.n_bits} bits for {n_slots} slots")
+    if occ.total_ones != count:
+        raise IndexFormatError(f"{what}: {occ.total_ones} occupied slots, header count {count}")
+    return occ, offset
 
 
 def build_rank(bits, delta: int = 4) -> RankBitVector:
     """Index a bit array for rank queries."""
     return RankBitVector.from_bits(bits, delta)
-
-
-@dataclass
-class CompactedTable:
-    """Occupancy bits plus the non-empty slot payloads in slot order."""
-
-    occupancy: RankBitVector
-    dense: list
-
-    def payload(self, slot: int):
-        """Payload of an original slot; the slot's bit must be set."""
-        return self.dense[self.occupancy.rank1(slot)]
-
-
-def compact_table(slots, is_empty, delta: int = 4) -> CompactedTable:
-    """Compact a finished linear-probing array, discarding empty slots."""
-    dense = [s for s in slots if not is_empty(s)]
-    occupancy = RankBitVector.from_bits((0 if is_empty(s) else 1 for s in slots), delta)
-    return CompactedTable(occupancy, dense)

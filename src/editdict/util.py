@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TableFullError, ValidationError
+from .errors import IndexFormatError, TableFullError, TruncatedError, ValidationError
 
 # Hard ceiling for incremental inserts, as a fraction of table capacity.
 MAX_INSERT_LOAD = Fraction(19, 20)
@@ -33,6 +33,24 @@ def check_headroom(current: int, added: int, capacity: int, what: str) -> None:
             f"{what}: {added} new entries would raise load past "
             f"{float(MAX_INSERT_LOAD):.2f} ({current}/{capacity} used)"
         )
+
+
+def check_loaded_table(what: str, count: int, capacity: int, empty_slot: bool) -> None:
+    """Reject a table read from a file unless its count leaves a slot free
+    and `empty_slot`, found in the slots themselves, says one is: every
+    probe scan ends at an empty slot, so without one a scan for an absent
+    key never ends.
+    """
+    if count >= capacity or not empty_slot:
+        raise IndexFormatError(f"{what}: {count} entries, no empty slot among {capacity}")
+
+
+def take(buf, offset: int, size: int, what: str):
+    """buf[offset:offset + size]; TruncatedError if buf ends before that."""
+    end = offset + size
+    if end > len(buf):
+        raise TruncatedError(f"{what} runs past the end of the file")
+    return buf[offset:end]
 
 
 def validate_word(word, index: int | None = None) -> None:

@@ -2,11 +2,12 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from editdict.errors import CompactedError, TableFullError, ValidationError
-from editdict.exact_dict import build_exact, compact_exact
+from editdict.exact_dict import build_exact
 from conftest import random_words
 
 ALPHA = Fraction(7, 10)
@@ -112,7 +113,8 @@ def test_insert_hits_hard_ceiling():
 
 
 def test_insert_into_compacted_refused():
-    d = compact_exact(build_exact([b"abc", b"def"], ALPHA, seed=1))
+    d = build_exact([b"abc", b"def"], ALPHA, seed=1)
+    d.compact()
     with pytest.raises(CompactedError):
         d.insert_word(b"ghi")
 
@@ -124,17 +126,33 @@ def test_compact_differential(rng):
     while len(probes) < 2000:
         probes.append(bytes(rng.randint(97, 122) for _ in range(rng.randint(1, 25))))
     expected = [d.contains(w) for w in probes]
-    compact_exact(d)
+    d.compact()
     assert [d.contains(w) for w in probes] == expected
 
 
+def test_compact_differential_full_tables(rng):
+    # At load 0.95 probe runs are long, often wrap past the last slot, and
+    # cross 32-slot words; every string of one to three letters is probed,
+    # so slots that hold a word misaligned inside a run are exercised too.
+    every = [bytes(p) for n in (1, 2, 3) for p in product(b"abcdef", repeat=n)]
+    for trial in range(20):
+        words = [w for w in every if rng.random() < 0.5]
+        # beta 3 sends the three-letter words to the long-word table.
+        d = build_exact(words, Fraction(19, 20), beta=3 + trial % 2, seed=trial)
+        expected = [d.contains(w) for w in every]
+        d.compact()
+        assert [d.contains(w) for w in every] == expected
+
+
 def test_compact_empty():
-    d = compact_exact(build_exact([], ALPHA, seed=2))
+    d = build_exact([], ALPHA, seed=2)
+    d.compact()
     assert not d.contains(b"x")
 
 
 def test_compact_single_word_dense_payload():
-    d = compact_exact(build_exact([b"abc"], ALPHA, seed=2))
+    d = build_exact([b"abc"], ALPHA, seed=2)
+    d.compact()
     table = d.short_tables[3]
     assert table.dense == b"abc"
     assert table.occupancy.total_ones == 1

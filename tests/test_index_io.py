@@ -1,6 +1,9 @@
 """Build configuration, index composition, and the file format."""
 
 import io
+import struct
+import zlib
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from editdict.errors import (
 )
 from editdict.index_io import derive_seeds
 from editdict.hashing import MODULUS
+from editdict.succinct import RankBitVector
 from conftest import random_pattern, random_words
 
 
@@ -239,3 +243,115 @@ def test_build_index_kwargs_shortcut():
     ix = build_index([b"abc"], errors=2, rng_seed=9, compact=True)
     assert ix.errors == 2
     assert ix.compacted
+
+
+# -- structural validation at load ---------------------------------------------
+#
+# Each case damages a valid index, then saves it or re-checksums its bytes,
+# so only the structural checks in load() stand between it and a query.
+
+def _rechecksummed(blob: bytearray) -> bytes:
+    body = bytes(blob[:-8])
+    return body + struct.pack("<Q", (zlib.crc32(body) << 32) | zlib.adler32(body))
+
+
+def _store1_offset(blob) -> int:
+    (exact_len,) = struct.unpack_from("<Q", blob, 32)
+    return 56 + exact_len
+
+
+def _compact_blob(**cfg):
+    words = [bytes([97 + i % 26, 97 + i // 26 % 26, 98, 99]) for i in range(200)]
+    return _saved_blob(words, errors=1, compact=True, **cfg)
+
+
+def test_load_rejects_wrong_rank_counts():
+    blob = _compact_blob()
+    count = _store1_offset(blob) + 18 + 9 + 4 * 5  # count word of the second block
+    blob[count] ^= 1
+    with pytest.raises(IndexFormatError, match="counts disagree"):
+        load(_rechecksummed(blob))
+
+
+def test_load_rejects_occupancy_length_other_than_capacity():
+    blob = _compact_blob()
+    capacity = _store1_offset(blob) + 2
+    (value,) = struct.unpack_from("<Q", blob, capacity)
+    struct.pack_into("<Q", blob, capacity, value + 1)
+    with pytest.raises(IndexFormatError, match="occupancy of"):
+        load(_rechecksummed(blob))
+
+
+def test_load_rejects_payload_length_other_than_count():
+    blob = _compact_blob(use_signatures=False)
+    store = _store1_offset(blob)
+    (n_bits,) = struct.unpack_from("<Q", blob, store + 18)
+    n_words = (n_bits + 31) // 32
+    dense_len = store + 18 + 9 + 4 * (n_words + -(-n_words // 4))
+    (value,) = struct.unpack_from("<Q", blob, dense_len)
+    struct.pack_into("<Q", blob, dense_len, value - 1)
+    with pytest.raises(IndexFormatError, match="payload"):
+        load(_rechecksummed(blob))
+
+
+def _resaved(ix) -> bytes:
+    sink = io.BytesIO()
+    save(ix, sink)
+    return sink.getvalue()
+
+
+def test_load_rejects_popcount_other_than_count():
+    ix = build_index([b"abc", b"abd", b"xyz"], BuildConfig(compact=True, rng_seed=1))
+    ix.exact.short_tables[3].count -= 1
+    with pytest.raises(IndexFormatError, match="occupied slots"):
+        load(_resaved(ix))
+
+
+def _fill(table, compact):
+    """Occupy every slot of an exact-dictionary table, count included."""
+    t = table.capacity
+    if hasattr(table, "width"):
+        if compact:
+            table.occupancy = RankBitVector.from_bits([1] * t)
+            table.dense = b"q" * (table.width * t)
+        else:
+            table.slots = bytearray(b"q" * (table.width * t))
+    elif compact:
+        table.occupancy = RankBitVector.from_bits([1] * t)
+        table.dense = array("I", [0] * t)
+    else:
+        table.offsets = [0] * t
+    table.count = t
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("long", [False, True])
+def test_load_rejects_table_without_empty_slot(compact, long):
+    # Such a table passed the checksum, and the first probe for an absent
+    # word of its length never returned.
+    words = [b"abcdefghijklmnopqrst", b"bcdefghijklmnopqrstu"] if long else [b"abc", b"abd"]
+    ix = build_index(words, BuildConfig(compact=compact, rng_seed=1))
+    _fill(ix.exact.long_table if long else ix.exact.short_tables[3], compact)
+    with pytest.raises(IndexFormatError, match="no empty slot"):
+        load(_resaved(ix))
+
+
+@pytest.mark.parametrize("long", [False, True])
+def test_load_rejects_full_plain_table_with_low_count(long):
+    words = [b"abcdefghijklmnopqrst", b"bcdefghijklmnopqrstu"] if long else [b"abc", b"abd"]
+    ix = build_index(words, BuildConfig(rng_seed=1))
+    table = ix.exact.long_table if long else ix.exact.short_tables[3]
+    count = table.count
+    _fill(table, compact=False)
+    table.count = count
+    with pytest.raises(IndexFormatError, match="no empty slot"):
+        load(_resaved(ix))
+
+
+def test_load_rejects_zero_capacity_table():
+    ix = build_index([b"abc"], BuildConfig(rng_seed=1))
+    table = ix.exact.short_tables[3]
+    table.capacity = table.count = 0
+    table.slots = bytearray()
+    with pytest.raises(IndexFormatError, match="no empty slot"):
+        load(_resaved(ix))

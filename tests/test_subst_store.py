@@ -5,13 +5,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from editdict.errors import CompactedError, TableFullError
 from editdict.hashing import WILDCARD, poly_hash, signature_of
 from editdict.subst_store import (
     SubstStore,
     build_store,
-    compact_store,
     entries_for,
     list_histogram,
 )
@@ -163,7 +163,8 @@ def test_insert_past_ceiling_refused():
 
 
 def test_insert_into_compacted_refused():
-    store = compact_store(build_store([b"abcd"], 1, ALPHA, True, **SEEDS))
+    store = build_store([b"abcd"], 1, ALPHA, True, **SEEDS)
+    store.compact()
     with pytest.raises(CompactedError):
         store.insert_entries(b"zz")
 
@@ -178,7 +179,7 @@ def test_compact_differential(rng):
             keys = keys[:500]
             fake = [(rng.randrange(2**32), rng.randrange(16)) for _ in range(2000)]
             before = [ask(store, k) for k in keys] + [store.list_query(h[0], h[1] & 15) for h in fake]
-            compact_store(store)
+            store.compact()
             after = [ask(store, k) for k in keys] + [store.list_query(h[0], h[1] & 15) for h in fake]
             for (ca, fa), (cb, fb) in zip(before, after):
                 assert list(ca) == list(cb)
@@ -186,14 +187,16 @@ def test_compact_differential(rng):
 
 
 def test_compact_empty_store():
-    store = compact_store(build_store([], 1, ALPHA, True, **SEEDS))
+    store = build_store([], 1, ALPHA, True, **SEEDS)
+    store.compact()
     assert store.dense == b""
 
 
 def test_compacted_dense_is_packed():
     for nwords in (1, 2, 5):
         words = [bytes([97 + i] * 5) for i in range(nwords)]
-        store = compact_store(build_store(words, 1, ALPHA, True, **SEEDS))
+        store = build_store(words, 1, ALPHA, True, **SEEDS)
+        store.compact()
         entries = store.entry_count
         assert len(store.dense) == -(-entries // 2) * 3
 
@@ -253,3 +256,35 @@ def test_serialization_roundtrip(rng):
                     ca, fa = ask(store, key)
                     cb, fb = ask(back, key)
                     assert list(ca) == list(cb) and fa == fb
+
+
+@st.composite
+def filled_store(draw):
+    """A small plain store whose runs straddle word ends, wrap past the
+    table end and reach sigma: capacities near a multiple of 32, homes
+    drawn near word and table ends, and sigma either small or above a
+    word's 32 slots."""
+    capacity = 32 * draw(st.integers(1, 4)) + draw(st.integers(-2, 2))
+    sig_on = draw(st.booleans())
+    sigma = draw(st.one_of(st.integers(1, 12), st.integers(33, 100)))
+    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
+    near_end = st.integers(-3, 3).map(lambda d: d % capacity)
+    near_word_end = st.integers(1, max(1, capacity // 32)).flatmap(
+        lambda w: st.integers(32 * w - 3, 32 * w + 3)).map(lambda s: s % capacity)
+    home = st.one_of(st.integers(0, capacity - 1), near_end, near_word_end)
+    entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, sigma)),
+                            max_size=capacity - 1))
+    for slot, sig, char in entries:
+        store._insert_entry(slot, sig if sig_on else 0, char)
+    return store
+
+
+@settings(max_examples=150, deadline=None)
+@given(store=filled_store())
+def test_compacted_scan_equals_plain_scan(store):
+    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, SEEDS["bucket_seed"],
+                                         SEEDS["sig_seed"], store.sigma)
+    compacted.compact()
+    for slot in range(store.capacity):
+        for key_sig in range(16):
+            assert compacted.list_query(slot, key_sig) == store.list_query(slot, key_sig)

@@ -1,11 +1,14 @@
-"""Rank bit vector and table compaction."""
+"""Rank bit vector: rank, run scans, serialization."""
 
 import random
+import struct
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from editdict.succinct import RankBitVector, build_rank, compact_table
+from editdict.errors import IndexFormatError
+from editdict.succinct import RankBitVector, build_rank
 
 
 def test_empty_vector():
@@ -111,30 +114,6 @@ def test_bytes_roundtrip():
             assert back.rank1(i) == rbv.rank1(i)
 
 
-def test_compact_table_empty():
-    table = compact_table([None, None, None], lambda s: s is None)
-    assert table.dense == []
-    assert table.occupancy.total_ones == 0
-
-
-def test_compact_table_basic():
-    table = compact_table(["A", None, "B"], lambda s: s is None)
-    assert table.dense == ["A", "B"]
-    assert [table.occupancy.get(i) for i in range(3)] == [1, 0, 1]
-    assert table.payload(0) == "A"
-    assert table.payload(2) == "B"
-
-
-def test_compact_table_random_roundtrip():
-    rng = random.Random(9)
-    slots = [rng.randrange(1000) if rng.random() < 0.7 else None for _ in range(2000)]
-    table = compact_table(slots, lambda s: s is None)
-    for i, s in enumerate(slots):
-        if s is not None:
-            assert table.payload(i) == s
-    assert len(table.dense) == sum(s is not None for s in slots)
-
-
 def test_probe_replay_equivalence():
     # Scanning runs through the compacted form sees the payloads of the
     # original array, from every possible start position, wrap included.
@@ -144,8 +123,8 @@ def test_probe_replay_equivalence():
         slots = [rng.randrange(100) if rng.random() < 0.7 else None for _ in range(n)]
         if all(s is not None for s in slots):
             slots[rng.randrange(n)] = None
-        table = compact_table(slots, lambda s: s is None)
-        occ = table.occupancy
+        occ = build_rank([s is not None for s in slots])
+        dense = [s for s in slots if s is not None]
         for start in range(n):
             run = occ.scan_ones(start)
             expected = []
@@ -157,10 +136,66 @@ def test_probe_replay_equivalence():
             got = []
             if run:
                 j = occ.rank1(start)
-                total = len(table.dense)
+                total = len(dense)
                 for _ in range(run):
-                    got.append(table.dense[j])
+                    got.append(dense[j])
                     j += 1
                     if j == total:
                         j = 0
             assert got == expected
+
+
+def _reference_words(bits) -> list[int]:
+    words = [0] * ((len(bits) + 31) // 32)
+    for i, b in enumerate(bits):
+        words[i >> 5] |= bool(b) << (i & 31)
+    return words
+
+
+def _reference_bytes(bits, delta: int) -> bytes:
+    """The on-disk layout, written out from its definition."""
+    words = _reference_words(bits)
+    stored, ones = [], 0
+    for base in range(0, len(words), delta):
+        stored.append(ones)
+        for w in words[base : base + delta]:
+            stored.append(w)
+            ones += bin(w).count("1")
+    return struct.pack("<QB", len(bits), delta) + struct.pack(f"<{len(stored)}I", *stored)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.sampled_from([0, 1, 31, 32, 33, 127, 128, 129]),
+       delta=st.integers(1, 8))
+def test_bytes_roundtrip_identical(data, n, delta):
+    bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    blob = build_rank(bits, delta=delta).to_bytes()
+    assert blob == _reference_bytes(bits, delta)
+    back, end = RankBitVector.from_bytes(blob, 0)
+    assert end == len(blob)
+    assert back.to_bytes() == blob
+
+
+@settings(max_examples=80, deadline=None)
+@given(flags=st.lists(st.integers(0, 1), max_size=200), delta=st.integers(1, 8))
+def test_from_flags_equals_from_bits(flags, delta):
+    a = RankBitVector.from_flags(bytes(flags), delta)
+    b = RankBitVector.from_bits(flags, delta)
+    assert list(a.words) == list(b.words) == _reference_words(flags)
+    assert list(a.ranks) == list(b.ranks) == list(accumulate(map(int.bit_count, a.words),
+                                                             initial=0))
+    assert (a.n_bits, a.delta, a.total_ones) == (b.n_bits, b.delta, b.total_ones)
+
+
+def test_from_bytes_rejects_wrong_counts():
+    blob = bytearray(build_rank([1] * 200, delta=2).to_bytes())
+    blob[9 + 4 * 3] ^= 1  # the count word of the second block
+    with pytest.raises(IndexFormatError, match="counts"):
+        RankBitVector.from_bytes(bytes(blob), 0)
+
+
+def test_from_bytes_rejects_bits_past_length():
+    blob = bytearray(build_rank([0] * 40, delta=4).to_bytes())
+    blob[9 + 4 * 2 + 1] = 0x80  # bit 47 of the second data word
+    with pytest.raises(IndexFormatError, match="past its length"):
+        RankBitVector.from_bytes(bytes(blob), 0)
