@@ -1,17 +1,24 @@
 """Exact-membership dictionary over byte-string words.
 
 Words shorter than the threshold beta live inline in one linear-probing
-table per length (slot width = word length, first byte 0 marks an empty
-slot, which is why words must not contain NUL bytes).  Words of length
+table per length (slot width = word length, an empty slot is all zero
+bytes, which is why words must not contain NUL bytes).  Words of length
 beta or more live in a single table of 32-bit offsets into an arena of
 length-prefixed word bytes; the all-ones offset marks an empty slot.
 
 Probing starts at poly_hash(word) mod capacity and scans circularly until
 the word or an empty slot is found.  Every table keeps at least one empty
-slot, so scans terminate; loading rejects a table that has none.  Compaction replaces each slot
-array with an occupancy bit vector (succinct.py) plus a dense payload, the
-occupied slots in slot order, and freezes the structure; probes compute
-the home slot's rank inline from the bit vector's word and rank arrays.
+slot, so scans terminate; loading rejects a table that has none.  In a
+plain inline table the first zero byte at or after the home slot is the
+start of the empty slot that ends the run, so a probe is one
+`bytes.find(0, ...)` plus one aligned `bytes.find(word, ...)` over the
+run (two of each when the run wraps past the last slot); loading rejects
+a table whose occupied slots hold a zero byte, which would break this.
+Compaction replaces each slot array with an occupancy bit vector
+(succinct.py) plus a dense payload, the occupied slots in slot order, and
+freezes the structure; probes compute the home slot's rank inline from
+the bit vector's word and rank arrays and search the run's bytes with the
+same aligned find.
 """
 
 from __future__ import annotations
@@ -23,23 +30,26 @@ from itertools import compress
 
 from .errors import CompactedError, IndexFormatError, ValidationError
 from .hashing import poly_hash
-from .succinct import RankBitVector, read_occupancy, run_of_ones
+from .succinct import RankBitVector, read_occupancy, run_of_ones, u32_array
 from .util import (capacity_for, check_headroom, check_loaded_table, take,
                    validate_word, validate_words)
 
 EMPTY_OFFSET = 0xFFFFFFFF
+
+# Byte translation table: 0 for a zero byte, 1 for any other.
+_NONZERO = bytes([0]) + bytes([1]) * 255
 
 # Capacity of a per-length table created on demand by insert_word for a
 # length unseen at build time.  Tables are never grown.
 NEW_TABLE_CAPACITY = 16
 
 
-def _holds(dense, word, lo: int, hi: int, width: int) -> bool:
-    """True if word fills one of the width-byte slots of dense[lo:hi];
+def _holds(slots, word, lo: int, hi: int, width: int) -> bool:
+    """True if word fills one of the width-byte slots of slots[lo:hi];
     lo is a multiple of width."""
-    i = dense.find(word, lo, hi)
+    i = slots.find(word, lo, hi)
     while i >= 0 and i % width:
-        i = dense.find(word, i + 1, hi)
+        i = slots.find(word, i + 1, hi)
     return i >= 0
 
 
@@ -60,19 +70,16 @@ class _ShortTable:
         t = self.capacity
         w = self.width
         s = h % t
-        first = word[0]
-        if self.slots is not None:
-            slots = self.slots
-            while True:
-                off = s * w
-                b = slots[off]
-                if b == first and slots[off : off + w] == word:
-                    return True
-                if b == 0:
-                    return False
-                s += 1
-                if s == t:
-                    s = 0
+        slots = self.slots
+        if slots is not None:
+            lo = s * w
+            if not slots[lo]:
+                return False
+            hi = slots.find(0, lo)  # the empty slot ending the run
+            if hi >= 0:
+                return _holds(slots, word, lo, hi, w)
+            return (_holds(slots, word, lo, len(slots), w)
+                    or _holds(slots, word, 0, slots.find(0), w))
         # Compacted: a stored word whose probe passed the home slot lies in
         # the run of ones from there, whose slots sit back to back in dense
         # from byte w * rank1(s) on.
@@ -96,23 +103,23 @@ class _ShortTable:
 
     def insert(self, word, h: int) -> bool:
         """Insert unless present; returns True if the word was new."""
-        t = self.capacity
         w = self.width
-        s = h % t
-        first = word[0]
         slots = self.slots
-        while True:
-            off = s * w
-            b = slots[off]
-            if b == 0:
-                slots[off : off + w] = word
-                self.count += 1
-                return True
-            if b == first and slots[off : off + w] == word:
+        lo = h % self.capacity * w
+        hi = slots.find(0, lo)
+        if hi < 0:  # the run wraps past the last slot
+            if _holds(slots, word, lo, len(slots), w):
                 return False
-            s += 1
-            if s == t:
-                s = 0
+            lo = 0
+            hi = slots.find(0)
+            if hi < 0:  # only a loaded table whose count was too low
+                raise IndexFormatError(f"word table (length {w}): no empty slot left, "
+                                       f"its count {self.count} is wrong")
+        if hi > lo and _holds(slots, word, lo, hi, w):
+            return False
+        slots[hi : hi + w] = word
+        self.count += 1
+        return True
 
     def compact(self, delta: int) -> None:
         w = self.width
@@ -149,12 +156,18 @@ class _ShortTable:
             offset += count * width
             empty_slot = count < capacity
         else:
-            table.slots = bytearray(take(buf, offset, capacity * width, what))
+            slots = table.slots = bytearray(take(buf, offset, capacity * width, what))
             table.occupancy = None
             table.dense = None
             offset += capacity * width
-            empty_slot = 0 in table.slots[0::width]
+            firsts = slots[0::width].translate(_NONZERO)
+            empty_slot = 0 in firsts
         check_loaded_table(what, count, capacity, empty_slot)
+        # A plain probe takes the first zero byte after its home slot for the
+        # start of an empty slot: each slot must be all zero or hold none.
+        if not compacted and any(slots[i::width].translate(_NONZERO) != firsts
+                                 for i in range(1, width)):
+            raise IndexFormatError(f"{what}: a slot holds a zero byte inside a word")
         return table, offset
 
 
@@ -259,20 +272,26 @@ class _LongTable:
         if compacted:
             table.offsets = None
             table.occupancy, offset = read_occupancy(buf, offset, capacity, count, what)
-            table.dense = array("I", struct.unpack_from(f"<{count}I", buf, offset))
+            table.dense = u32_array(take(buf, offset, 4 * count, what))
             offset += 4 * count
             empty_slot = count < capacity
+            stored = table.dense
         else:
             table.offsets = list(struct.unpack_from(f"<{capacity}I", buf, offset))
             table.occupancy = None
             table.dense = None
             offset += 4 * capacity
             empty_slot = EMPTY_OFFSET in table.offsets
+            stored = filter(EMPTY_OFFSET.__ne__, table.offsets)
         check_loaded_table(what, count, capacity, empty_slot)
         (arena_len,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
         table.arena = bytearray(take(buf, offset, arena_len, what))
         offset += arena_len
+        # A probe reads the 2-byte length prefix at each stored offset.
+        if max(stored, default=-2) + 2 > arena_len:
+            raise IndexFormatError(f"{what}: a word offset points past the "
+                                   f"end of its {arena_len}-byte arena")
         return table, offset
 
 

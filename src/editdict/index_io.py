@@ -4,7 +4,7 @@ File layout (all little-endian):
 
     offset  size  field
     0       4     magic "ASDI"
-    4       1     format version (1)
+    4       1     format version (2)
     5       1     checksum id (1 = crc32 of body in the high 32 bits,
                   adler32 in the low 32 bits)
     6       1     flags: bit0 signatures, bit1 compacted
@@ -23,6 +23,10 @@ File layout (all little-endian):
     48      8     level-2 store section length (0 if absent)
     56      ...   sections, in that order
     end-8   8     checksum over everything before it
+
+Version 2 changed only the plain substitution-store section: header,
+then one character byte per slot, then the split-nibble signature array
+(subst_store.py).  Word tables and compacted sections are as in version 1.
 
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed
@@ -54,7 +58,7 @@ from .subst_store import SubstStore, build_store, entries_for
 from .util import validate_word, validate_words
 
 MAGIC = b"ASDI"
-VERSION = 1
+VERSION = 2
 CHECKSUM_ID = 1
 _HEADER = struct.Struct("<4sBBBBHHBBBBIIQQQQ")
 
@@ -272,7 +276,9 @@ def load(source) -> Index:
     if len(blob) > expected:
         raise IndexFormatError(f"{len(blob) - expected} trailing bytes after checksum")
     (stored_sum,) = struct.unpack_from("<Q", blob, expected - 8)
-    if _checksum(blob[: expected - 8]) != stored_sum:
+    # Sections are parsed from a view, so each is copied once, into its table.
+    view = memoryview(blob)
+    if _checksum(view[: expected - 8]) != stored_sum:
         raise ChecksumError("checksum mismatch, file body is corrupt")
     use_signatures = bool(flags & 1)
     compacted = bool(flags & 2)
@@ -286,19 +292,19 @@ def load(source) -> Index:
     offset = _HEADER.size
     try:
         exact, end = ExactDictionary.from_bytes(
-            blob, offset, config.alpha, beta, bucket_seed, compacted, delta
+            view, offset, config.alpha, beta, bucket_seed, compacted, delta
         )
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")
         offset = end
         store1 = store2 = None
         if s1_len:
-            store1, end = SubstStore.from_bytes(blob, offset, bucket_seed, sig_seed, sigma)
+            store1, end = SubstStore.from_bytes(view, offset, bucket_seed, sig_seed, sigma)
             if end != offset + s1_len:
                 raise IndexFormatError("level-1 store section length mismatch")
             offset = end
         if s2_len:
-            store2, end = SubstStore.from_bytes(blob, offset, bucket_seed, sig_seed, sigma)
+            store2, end = SubstStore.from_bytes(view, offset, bucket_seed, sig_seed, sigma)
             if end != offset + s2_len:
                 raise IndexFormatError("level-2 store section length mismatch")
     except struct.error as exc:

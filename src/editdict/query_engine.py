@@ -255,31 +255,22 @@ def query(index, pattern, k: int) -> QueryResult:
     if probe_same is not None:
         for d in range(1, m + 1):
             y = pattern[: d - 1] + pattern[d:]
-            hy = (prefb[d - 1] + (hb - prefb[d]) * invb) % _P
-            # Prefix hashes of the deleted string, both seeds, O(m) per d.
-            prefy = [0] * m
-            for p in range(1, m):
-                if p < d:
-                    prefy[p] = prefb[p]
-                else:
-                    prefy[p] = (prefb[d - 1] + (prefb[p + 1] - prefb[d]) * invb) % _P
+            pd = prefb[d - 1]
+            hy = (pd + (hb - prefb[d]) * invb) % _P
             if sig_on:
-                hys = (prefs[d - 1] + (hs - prefs[d]) * invs) % _P
-                prefys = [0] * m
-                for p in range(1, m):
-                    if p < d:
-                        prefys[p] = prefs[p]
-                    else:
-                        prefys[p] = (prefs[d - 1] + (prefs[p + 1] - prefs[d]) * invs) % _P
+                sd = prefs[d - 1]
+                hys = (sd + (hs - prefs[d]) * invs) % _P
             buf = bytearray(m)
             buf[1:] = y
             for g in range(m):
                 if g != d - 1:  # that gap just recreates the one-substitution key
-                    pg = prefy[g]
+                    # Prefix hash of y through gap g: the pattern's before d,
+                    # shifted down one position past it.
+                    pg = prefb[g] if g < d else (pd + (prefb[g + 1] - prefb[d]) * invb) % _P
                     pbg = pb[g + 1]
                     kb = (pg + _W * pbg + (hy - pg) * bseed) % _P
                     if sig_on:
-                        sg = prefys[g]
+                        sg = prefs[g] if g < d else (sd + (prefs[g + 1] - prefs[d]) * invs) % _P
                         ksig = ((sg + _W * ps[g + 1] + (hys - sg) * sseed) % _P) & 15
                     else:
                         ksig = 0

@@ -20,23 +20,32 @@ bounded:
   gives up and returns the whole alphabet [1..sigma] instead, bounding the
   worst case while staying a superset.
 
-With signatures the slots are packed two to a block of 3 bytes: character
-of the even slot, one byte holding both 4-bit signatures (even slot in the
-low nibble, odd slot in the high nibble), character of the odd slot.
-Without signatures a slot is a single character byte.  Byte 0 marks an
-empty slot either way.  A plain (not compacted) store has this one slot
-array both in memory and on disk.
+A plain (not compacted) store keeps two arrays, the same both in memory
+and on disk.  `chars` holds one character byte per slot, 0 marking an
+empty slot.  `sigs` holds the 4-bit signatures, two to a byte, split at
+half = (capacity + 1) // 2: slot i < half keeps its signature in the low
+nibble of sigs[i], slot i >= half in the high nibble of sigs[i - half]
+(1.5 bytes per slot in all; `sigs` is empty without signatures).  A run
+of slots therefore has its characters in one slice of `chars` and its
+signatures in one slice of `sigs` unless it crosses half or the table
+end.  A plain scan does its work in C: `chars.find(0, ...)` locates the
+empty slot that ends the run (a second find when the run wraps), one
+`translate` turns the run's signature bytes into nibbles, and a run
+without a nibble equal to the key's signature is rejected by one `in`
+test before any per-slot work.
 
 Compaction freezes a store and drops its empty slots.  On disk, a
 compacted store holds the occupancy bits in the interleaved count/data
 layout of succinct.py, then the payload: the entries of the occupied
-slots in slot order, packed as above (3 bytes per two entries with
-signatures, 1 byte per entry without).  In memory, the payload is the
-same bytes and the occupancy bits are flat arrays of 32-bit data words
-and per-word ranks.  A compacted scan tests the home bit, measures the
-run of ones one word at a time with a trailing-ones bit trick, decides
-the cap from the run length alone, and only then computes the home slot's
-rank inline and reads that run's entries.
+slots in slot order, with signatures packed 3 bytes per two entries
+(character of the even entry, one byte holding both signatures, even
+entry in the low nibble, character of the odd entry), without them 1
+byte per entry.  In memory, the payload is the same bytes and the
+occupancy bits are flat arrays of 32-bit data words and per-word ranks.
+A compacted scan tests the home bit, measures the run of ones one word
+at a time with a trailing-ones bit trick, decides the cap from the run
+length alone, and only then computes the home slot's rank inline and
+reads that run's entries.
 """
 
 from __future__ import annotations
@@ -66,14 +75,6 @@ _HIST_SEED_A = 0x1F3D5B79
 _HIST_SEED_B = 0x6A4C2E97
 
 
-def _interleave(even, odd) -> bytes:
-    """even[0], odd[0], even[1], odd[1], ...; len(even) == len(odd)."""
-    out = bytearray(2 * len(even))
-    out[0::2] = even
-    out[1::2] = odd
-    return bytes(out)
-
-
 def entries_for(word_length: int, level: int) -> int:
     """Number of store entries a single word contributes."""
     if level == 1:
@@ -92,7 +93,8 @@ class SubstStore:
         "bucket_seed",
         "sig_seed",
         "sigma",
-        "slots",
+        "chars",
+        "sigs",
         "compacted",
         "occupancy",
         "dense",
@@ -107,10 +109,8 @@ class SubstStore:
         self.bucket_seed = bucket_seed
         self.sig_seed = sig_seed
         self.sigma = sigma
-        if use_signatures:
-            self.slots = bytearray(3 * ((capacity + 1) // 2))
-        else:
-            self.slots = bytearray(capacity)
+        self.chars = bytearray(capacity)
+        self.sigs = bytearray((capacity + 1) // 2 if use_signatures else 0)
         self.compacted = False
         self.occupancy: RankBitVector | None = None
         self.dense: bytes | None = None
@@ -119,29 +119,22 @@ class SubstStore:
 
     def _insert_entry(self, bucket_hash: int, sig: int, char: int) -> None:
         t = self.capacity
-        s = bucket_hash % t
-        slots = self.slots
+        chars = self.chars
+        s = chars.find(0, bucket_hash % t)
+        if s < 0:
+            s = chars.find(0)
+            if s < 0:  # only a loaded store whose entry count was too low
+                raise IndexFormatError(f"level-{self.level} store: no empty slot left, "
+                                       f"its entry count {self.entry_count} is wrong")
+        chars[s] = char
         if self.use_signatures:
-            while True:
-                base = 3 * (s >> 1)
-                cpos = base + ((s & 1) << 1)
-                if slots[cpos] == 0:
-                    break
-                s += 1
-                if s == t:
-                    s = 0
-            slots[cpos] = char
-            mid = base + 1
-            if s & 1:
-                slots[mid] = (slots[mid] & 0x0F) | (sig << 4)
+            sigs = self.sigs
+            half = (t + 1) >> 1
+            if s < half:
+                sigs[s] = (sigs[s] & 0xF0) | sig
             else:
-                slots[mid] = (slots[mid] & 0xF0) | sig
-        else:
-            while slots[s]:
-                s += 1
-                if s == t:
-                    s = 0
-            slots[s] = char
+                s -= half
+                sigs[s] = (sigs[s] & 0x0F) | (sig << 4)
         self.entry_count += 1
 
     def _insert_word_entries(self, word) -> int:
@@ -192,6 +185,16 @@ class SubstStore:
 
     # -- querying ---------------------------------------------------------
 
+    def _nibbles(self, a: int, b: int) -> bytes:
+        """Signatures of plain slots a..b-1 in slot order; 0 <= a <= b <= capacity."""
+        sigs = self.sigs
+        half = (self.capacity + 1) >> 1
+        if b <= half:
+            return sigs[a:b].translate(_LOW_NIBBLE)
+        if a >= half:
+            return sigs[a - half : b - half].translate(_HIGH_NIBBLE)
+        return sigs[a:].translate(_LOW_NIBBLE) + sigs[: b - half].translate(_HIGH_NIBBLE)
+
     def list_query(self, bucket_hash: int, key_sig: int = 0):
         """Candidate characters for a key, as (characters, capped).
 
@@ -204,45 +207,32 @@ class SubstStore:
         t = self.capacity
         sigma = self.sigma
         s = bucket_hash % t
-        steps = 0
-        out = None
         if not self.compacted:
-            slots = self.slots
-            if self.use_signatures:
-                while True:
-                    steps += 1
-                    if steps > sigma:
-                        return range(1, sigma + 1), True
-                    base = 3 * (s >> 1)
-                    odd = s & 1
-                    char = slots[base + (odd << 1)]
-                    if char == 0:
-                        break
-                    sig = (slots[base + 1] >> (odd << 2)) & 15
-                    if sig == key_sig:
-                        if out is None:
-                            out = [char]
-                        else:
-                            out.append(char)
-                    s += 1
-                    if s == t:
-                        s = 0
-            else:
-                while True:
-                    steps += 1
-                    if steps > sigma:
-                        return range(1, sigma + 1), True
-                    char = slots[s]
-                    if char == 0:
-                        break
-                    if out is None:
-                        out = [char]
-                    else:
-                        out.append(char)
-                    s += 1
-                    if s == t:
-                        s = 0
-            return (out if out is not None else _EMPTY), False
+            chars = self.chars
+            if not chars[s] and sigma:  # an empty home slot: most scans end here
+                return _EMPTY, False
+            e = chars.find(0, s, s + sigma)  # the empty slot ending the run, if < sigma away
+            if e < 0:
+                e = chars.find(0, 0, s + sigma - t) if s + sigma > t else -1
+                if e < 0:
+                    return range(1, sigma + 1), True
+            sig_on = self.use_signatures
+            if sig_on:
+                half = (t + 1) >> 1
+                if s < e <= half:
+                    nibbles = self.sigs[s:e].translate(_LOW_NIBBLE)
+                elif half <= s < e:
+                    nibbles = self.sigs[s - half : e - half].translate(_HIGH_NIBBLE)
+                elif s < e:
+                    nibbles = self._nibbles(s, e)
+                else:  # the run wraps past the last slot
+                    nibbles = self._nibbles(s, t) + self._nibbles(0, e)
+                if key_sig not in nibbles:
+                    return _EMPTY, False
+            run = chars[s:e] if s < e else chars[s:] + chars[:e]
+            if not sig_on:
+                return list(run), False
+            return [c for c, g in zip(run, nibbles) if g == key_sig], False
         occ = self.occupancy
         bits = occ.words
         w = s >> 5
@@ -277,21 +267,17 @@ class SubstStore:
     # -- compaction and serialization --------------------------------------
 
     def compact(self, delta: int = 4) -> None:
-        """Replace the slot array with occupancy bits plus packed payload."""
+        """Replace the character and signature arrays with occupancy bits
+        plus packed payload."""
         if self.compacted:
             return
-        slots = self.slots
-        if not self.use_signatures:
-            chars = bytes(slots)
-            dense = chars.translate(None, b"\0")
-        else:
-            chars = _interleave(slots[0::3], slots[2::3])[: self.capacity]
-            kept_chars = chars.translate(None, b"\0")
-            # Signature nibbles in slot order, then those of the occupied
-            # slots, repacked two to a byte between their characters.
-            sig_bytes = slots[1::3]
-            sigs = _interleave(sig_bytes.translate(_LOW_NIBBLE), sig_bytes.translate(_HIGH_NIBBLE))
-            kept_sigs = bytes(compress(sigs, chars))
+        chars = bytes(self.chars)
+        dense = chars.translate(None, b"\0")
+        if self.use_signatures:
+            # Signature nibbles of the occupied slots, repacked two to a
+            # byte between their characters.
+            kept_chars = dense
+            kept_sigs = bytes(compress(self._nibbles(0, self.capacity), chars))
             if len(kept_chars) & 1:
                 kept_chars += b"\0"
                 kept_sigs += b"\0"
@@ -303,7 +289,7 @@ class SubstStore:
             dense = bytes(packed)
         self.occupancy = RankBitVector.from_flags(chars, delta)
         self.dense = dense
-        self.slots = None
+        self.chars = self.sigs = None
         self.compacted = True
 
     def to_bytes(self) -> bytes:
@@ -311,7 +297,7 @@ class SubstStore:
         head = struct.pack("<BBQQ", self.level, flags, self.capacity, self.entry_count)
         if self.compacted:
             return head + self.occupancy.to_bytes() + struct.pack("<Q", len(self.dense)) + self.dense
-        return head + struct.pack("<Q", len(self.slots)) + bytes(self.slots)
+        return head + bytes(self.chars) + bytes(self.sigs)
 
     @classmethod
     def from_bytes(cls, buf, offset: int, bucket_seed: int, sig_seed: int, sigma: int):
@@ -328,7 +314,7 @@ class SubstStore:
         store.sigma = sigma
         what = f"level-{level} store"
         if store.compacted:
-            store.slots = None
+            store.chars = store.sigs = None
             store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count, what)
             (dense_len,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
@@ -338,22 +324,18 @@ class SubstStore:
                                        f"{entry_count} entries need {want}")
             store.dense = bytes(take(buf, offset, dense_len, what))
             offset += dense_len
+            empty_slot = True  # popcount = entry_count, checked to be < capacity
         else:
-            (slots_len,) = struct.unpack_from("<Q", buf, offset)
-            offset += 8
-            want = 3 * ((capacity + 1) // 2) if store.use_signatures else capacity
-            if slots_len != want:
-                raise IndexFormatError(f"{what}: slot array of {slots_len} bytes, "
-                                       f"{capacity} slots need {want}")
-            store.slots = bytearray(take(buf, offset, slots_len, what))
-            offset += slots_len
+            store.chars = bytearray(take(buf, offset, capacity, what))
+            offset += capacity
+            n_sigs = (capacity + 1) // 2 if store.use_signatures else 0
+            store.sigs = bytearray(take(buf, offset, n_sigs, what))
+            offset += n_sigs
             store.occupancy = None
             store.dense = None
-        # Compacted, popcount = entry_count < capacity leaves a clear bit.  A
-        # plain store is not searched for an empty slot: that would add a
-        # strided pass over the largest array of the file to every load, and
-        # its scans stop after sigma slots whether or not it has one.
-        check_loaded_table(what, entry_count, capacity, True)
+            # Stops at the first empty slot, so it costs next to nothing.
+            empty_slot = 0 in store.chars
+        check_loaded_table(what, entry_count, capacity, empty_slot)
         return store, offset
 
 

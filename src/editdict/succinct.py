@@ -38,6 +38,19 @@ _DIGITS = b"0" + b"1" * 255
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def u32_array(data) -> array:
+    """array('I') of the little-endian 32-bit words in data.
+
+    Sized by repetition and filled through a byte view: frombytes would
+    over-allocate by about 6%, and the array is kept for the index's life.
+    """
+    words = array("I", [0]) * (len(data) >> 2)
+    memoryview(words).cast("B")[:] = data
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
 def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
     """Length of the run of ones starting at bit i, wrapping from the last
     bit to bit 0.
@@ -84,9 +97,7 @@ class RankBitVector:
         if n_bits:
             # Bit i of the integer is flags[i]; int() parses base 2 in linear time.
             value = int(flags[::-1].translate(_DIGITS), 2)
-            words.frombytes(value.to_bytes(4 * n_words, "little"))
-            if _BIG_ENDIAN:
-                words.byteswap()
+            words = u32_array(value.to_bytes(4 * n_words, "little"))
         return cls(n_bits, delta, words)
 
     @classmethod
@@ -143,10 +154,7 @@ class RankBitVector:
             raise IndexFormatError("rank bit vector has sampling interval 0")
         n_words = (n_bits + 31) >> 5
         size = 4 * (n_words + -(-n_words // delta))
-        words = array("I")
-        words.frombytes(take(buf, offset, size, f"rank bit vector of {n_bits} bits"))
-        if _BIG_ENDIAN:
-            words.byteswap()
+        words = u32_array(take(buf, offset, size, f"rank bit vector of {n_bits} bits"))
         counts = words[0 :: delta + 1]
         del words[0 :: delta + 1]
         rbv = cls(n_bits, delta, words)

@@ -6,8 +6,8 @@ from itertools import product
 
 import pytest
 
-from editdict.errors import CompactedError, TableFullError, ValidationError
-from editdict.exact_dict import build_exact
+from editdict.errors import CompactedError, IndexFormatError, TableFullError, ValidationError
+from editdict.exact_dict import ExactDictionary, build_exact
 from conftest import random_words
 
 ALPHA = Fraction(7, 10)
@@ -142,6 +142,41 @@ def test_compact_differential_full_tables(rng):
         expected = [d.contains(w) for w in every]
         d.compact()
         assert [d.contains(w) for w in every] == expected
+
+
+def test_plain_probe_wrapping_runs_and_inserts_after_load(rng):
+    # Small inline tables at load 0.8, reloaded, then filled by inserts to
+    # the 0.95 ceiling: runs wrap past the last slot, and every probe and
+    # insert is checked against a set of the stored words.
+    every = [bytes(p) for n in (1, 2, 3) for p in product(b"abcdef", repeat=n)]
+    wrapped = 0
+    for trial in range(20):
+        stored = {w for w in every if rng.random() < 0.4}
+        d = build_exact(sorted(stored), Fraction(4, 5), beta=4, seed=trial)
+        d, _ = ExactDictionary.from_bytes(d.to_bytes(), 0, d.alpha, d.beta, d.seed, False, 4)
+        for w in every:
+            assert d.contains(w) == (w in stored)
+        for w in rng.sample(every, len(every)):
+            try:
+                assert d.insert_word(w) == (w not in stored)
+            except TableFullError:
+                continue
+            stored.add(w)
+        for w in every:
+            assert d.contains(w) == (w in stored)
+        wrapped += sum(t.slots[-1] != 0 for t in d.short_tables.values())
+    assert wrapped
+
+
+def test_insert_into_table_with_wrong_count_raises():
+    # A loaded table whose count is below its occupied slots passes the
+    # headroom check; filling its last empty slot must not end in an
+    # endless or misplaced write.
+    d = build_exact([b"ab", b"cd", b"ef"], ALPHA, seed=1)
+    d.short_tables[2].count = 0
+    with pytest.raises(IndexFormatError, match="no empty slot"):
+        for w in (b"gh", b"ij", b"kl"):
+            d.insert_word(w)
 
 
 def test_compact_empty():

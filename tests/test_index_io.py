@@ -161,10 +161,11 @@ def test_load_bad_magic():
 
 
 def test_load_bad_version():
-    blob = _saved_blob()
-    blob[4] = 99
-    with pytest.raises(VersionMismatchError):
-        load(bytes(blob))
+    for version in (1, 99):  # 1 had the interleaved plain-store layout
+        blob = _saved_blob()
+        blob[4] = version
+        with pytest.raises(VersionMismatchError):
+            load(bytes(blob))
 
 
 def test_load_trailing_garbage():
@@ -353,5 +354,38 @@ def test_load_rejects_zero_capacity_table():
     table = ix.exact.short_tables[3]
     table.capacity = table.count = 0
     table.slots = bytearray()
+    with pytest.raises(IndexFormatError, match="no empty slot"):
+        load(_resaved(ix))
+
+
+def test_load_rejects_zero_byte_inside_stored_word():
+    # A plain probe takes the first zero byte after its home slot for the
+    # start of an empty slot; a zero inside a stored word would end the run
+    # early and hide the words past it.
+    ix = build_index([b"abc", b"abd"], BuildConfig(rng_seed=1))
+    table = ix.exact.short_tables[3]
+    occupied = next(i for i in range(table.capacity) if table.slots[3 * i])
+    table.slots[3 * occupied + 1] = 0
+    with pytest.raises(IndexFormatError, match="zero byte"):
+        load(_resaved(ix))
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_load_rejects_long_word_offset_past_arena(compact):
+    # Such an offset used to load, and the probe for the word raised a bare
+    # IndexError from the arena read.
+    ix = build_index([b"abcdefghijklmnopqrst"], BuildConfig(compact=compact, rng_seed=1))
+    table = ix.exact.long_table
+    if compact:
+        table.dense[0] = 10**6
+    else:
+        table.offsets[table.offsets.index(0)] = 10**6
+    with pytest.raises(IndexFormatError, match="past the end"):
+        load(_resaved(ix))
+
+
+def test_load_rejects_store_without_empty_slot():
+    ix = build_index([b"abc", b"abd"], BuildConfig(rng_seed=1))
+    ix.store1.chars[:] = b"a" * ix.store1.capacity
     with pytest.raises(IndexFormatError, match="no empty slot"):
         load(_resaved(ix))

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from editdict.errors import CompactedError, TableFullError
+from editdict.errors import CompactedError, IndexFormatError, TableFullError
 from editdict.hashing import WILDCARD, poly_hash, signature_of
 from editdict.subst_store import (
     SubstStore,
@@ -288,3 +288,63 @@ def test_compacted_scan_equals_plain_scan(store):
     for slot in range(store.capacity):
         for key_sig in range(16):
             assert compacted.list_query(slot, key_sig) == store.list_query(slot, key_sig)
+
+
+def reference_scan(store: SubstStore, slot: int, key_sig: int):
+    """list_query of a plain store, one slot at a time from the layout's
+    definition: chars[i] is slot i's character, 0 when empty; its
+    signature is the low nibble of sigs[i] below half = (capacity + 1) // 2
+    and the high nibble of sigs[i - half] from there on."""
+    t, sigma = store.capacity, store.sigma
+    half = (t + 1) // 2
+    out = []
+    for step in range(sigma):
+        i = (slot + step) % t
+        char = store.chars[i]
+        if char == 0:
+            return out, False
+        if not store.use_signatures:
+            out.append(char)
+        elif (store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4) == key_sig:
+            out.append(char)
+    return list(range(1, sigma + 1)), True
+
+
+@st.composite
+def plain_store(draw):
+    """A small plain store with odd or even capacity whose runs cross the
+    signature split at half and wrap past the table end, with sigma either
+    small or above 32."""
+    capacity = draw(st.integers(2, 90))
+    sig_on = draw(st.booleans())
+    sigma = draw(st.one_of(st.integers(1, 12), st.integers(33, 100)))
+    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
+    half = (capacity + 1) // 2
+    near = lambda x: st.integers(-4, 2).map(lambda d: (x + d) % capacity)  # noqa: E731
+    home = st.one_of(st.integers(0, capacity - 1), near(half), near(capacity))
+    entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, 255)),
+                            max_size=capacity - 1))
+    for slot, sig, char in entries:
+        store._insert_entry(slot, sig if sig_on else 0, char)
+    return store
+
+
+@settings(max_examples=200, deadline=None)
+@given(store=plain_store())
+def test_plain_scan_equals_per_slot_reference(store):
+    for slot in range(store.capacity):
+        for key_sig in range(16):
+            chars, capped = store.list_query(slot, key_sig)
+            assert (list(chars), capped) == reference_scan(store, slot, key_sig)
+
+
+def test_insert_into_store_with_wrong_count_raises():
+    # A loaded store whose entry count is below its occupied slots passes
+    # the headroom check; filling its last empty slot must not wrap the
+    # write onto an occupied one.
+    store = SubstStore(1, 4, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
+    for slot in range(3):
+        store._insert_entry(slot, 1, 97)
+    store.entry_count = 0
+    with pytest.raises(IndexFormatError, match="no empty slot"):
+        store.insert_entries(b"ab")
