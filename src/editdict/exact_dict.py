@@ -106,6 +106,10 @@ class _ShortTable:
         w = self.width
         slots = self.slots
         lo = h % self.capacity * w
+        if not slots[lo]:  # an empty home slot: no run to search
+            slots[lo : lo + w] = word
+            self.count += 1
+            return True
         hi = slots.find(0, lo)
         if hi < 0:  # the run wraps past the last slot
             if _holds(slots, word, lo, len(slots), w):
@@ -115,7 +119,7 @@ class _ShortTable:
             if hi < 0:  # only a loaded table whose count was too low
                 raise IndexFormatError(f"word table (length {w}): no empty slot left, "
                                        f"its count {self.count} is wrong")
-        if hi > lo and _holds(slots, word, lo, hi, w):
+        if _holds(slots, word, lo, hi, w):
             return False
         slots[hi : hi + w] = word
         self.count += 1
@@ -139,12 +143,17 @@ class _ShortTable:
         return head + self.occupancy.to_bytes() + self.dense
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, compacted: bool, delta: int):
+    def from_bytes(cls, buf, offset: int, compacted: bool, delta: int,
+                   min_width: int, beta: int):
         width, capacity, count = struct.unpack_from("<BQQ", buf, offset)
         offset += 17
         what = f"word table (length {width})"
-        if width == 0:
-            raise IndexFormatError(f"{what}: words cannot be empty")
+        # Tables are written by increasing length, all below beta: a repeated
+        # length would replace a table, one at beta or above would never be
+        # probed.
+        if not min_width <= width < beta:
+            raise IndexFormatError(f"{what}: lengths must increase from {min_width} "
+                                   f"and stay below beta = {beta}")
         table = cls.__new__(cls)
         table.width = width
         table.capacity = capacity
@@ -423,9 +432,12 @@ class ExactDictionary:
         d = cls(alpha, beta, seed)
         d.word_count, d.total_length, n_short = struct.unpack_from("<QQB", buf, offset)
         offset += 17
+        min_width = 1
         for _ in range(n_short):
-            table, offset = _ShortTable.from_bytes(buf, offset, compacted, delta)
+            table, offset = _ShortTable.from_bytes(buf, offset, compacted, delta,
+                                                   min_width, beta)
             d.short_tables[table.width] = table
+            min_width = table.width + 1
         d.long_table, offset = _LongTable.from_bytes(buf, offset, compacted, delta)
         d.compacted = compacted
         return d, offset

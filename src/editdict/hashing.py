@@ -8,7 +8,7 @@ where MODULUS = 2**32 - 5 is the largest prime below 2**32 and r is a
 random seed in [1, MODULUS - 2].  Preprocessing a word once into a
 HashContext (prefix hashes, powers of r, the inverse of r) makes the hash
 of any string at edit distance one from it an O(1) computation, which is
-what both table placement and signature filtering lean on.
+what table placement, and with it signature filtering, leans on.
 
 Wildcard slots in store keys contribute the fixed value 257, outside the
 byte domain, so a keyed pattern can never collide with a real string by
@@ -73,9 +73,10 @@ def poly_hash(word, seed: int) -> int:
     return h
 
 
-def signature_of(sig_hash: int) -> int:
-    """The 4-bit signature: low bits of the key's hash under the signature seed."""
-    return sig_hash & _SIGNATURE_MASK
+def signature_of(quotient: int) -> int:
+    """The 4-bit signature: low bits of a store key's bucket hash divided
+    by the store's capacity (subst_store.py inlines it)."""
+    return quotient & _SIGNATURE_MASK
 
 
 class HashContext:

@@ -4,7 +4,7 @@ File layout (all little-endian):
 
     offset  size  field
     0       4     magic "ASDI"
-    4       1     format version (2)
+    4       1     format version (3)
     5       1     checksum id (1 = crc32 of body in the high 32 bits,
                   adler32 in the low 32 bits)
     6       1     flags: bit0 signatures, bit1 compacted
@@ -16,7 +16,7 @@ File layout (all little-endian):
     14      1     sigma (alphabet size = largest byte value stored)
     15      1     reserved (0)
     16      4     bucket seed
-    20      4     signature seed
+    20      4     signature seed (written, read back, used by no hash)
     24      8     build rng seed (echo)
     32      8     exact-dictionary section length
     40      8     level-1 store section length (0 if absent)
@@ -27,6 +27,19 @@ File layout (all little-endian):
 Version 2 changed only the plain substitution-store section: header,
 then one character byte per slot, then the split-nibble signature array
 (subst_store.py).  Word tables and compacted sections are as in version 1.
+
+Version 3 derives each store entry's 4-bit signature from its key's
+bucket hash h as (h // capacity) & 15, the low nibble of the quotient
+that the home slot h mod capacity leaves unused, instead of hashing the
+key a second time under the signature seed; a version-2 file is refused,
+because its nibbles come from that second hash.  The filter weakens once
+capacity > MODULUS / 16, where the quotient takes fewer than 16 values;
+results stay exact.  The signature seed is still derived, written and
+read back, but no hash uses it.  Version 3 also stores a compacted
+store's payload in the plain layout over entries: the payload length,
+then one character byte per entry, then the entries' signatures split
+at half = (entry_count + 1) // 2, in place of 3 bytes per two entries.
+A compacted store with an odd entry count is one byte smaller.
 
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed
@@ -58,7 +71,7 @@ from .subst_store import SubstStore, build_store, entries_for
 from .util import validate_word, validate_words
 
 MAGIC = b"ASDI"
-VERSION = 2
+VERSION = 3
 CHECKSUM_ID = 1
 _HEADER = struct.Struct("<4sBBBBHHBBBBIIQQQQ")
 
@@ -105,7 +118,12 @@ class BuildConfig:
 
 
 def derive_seeds(rng_seed: int) -> tuple[int, int]:
-    """Two independent polynomial seeds, deterministic in the build seed."""
+    """Two independent polynomial seeds, deterministic in the build seed.
+
+    The first is the bucket seed every table hashes under.  The second,
+    the signature seed, is kept in the index and its file header, but no
+    hash uses it: store signatures come from the bucket hash.
+    """
     rng = random.Random(rng_seed)
     bucket = random_seed(rng)
     sig = random_seed(rng)
@@ -115,7 +133,10 @@ def derive_seeds(rng_seed: int) -> tuple[int, int]:
 
 
 class Index:
-    """The composed dictionary: exact membership plus 0-2 substitution stores."""
+    """The composed dictionary: exact membership plus 0-2 substitution stores.
+
+    sig_seed is carried into the file header; no hash uses it.
+    """
 
     __slots__ = ("config", "exact", "store1", "store2", "bucket_seed", "sig_seed", "sigma")
 

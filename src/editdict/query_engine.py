@@ -57,11 +57,6 @@ class QueryResult:
         return sorted(self.matches)
 
 
-def check_candidate(index, buffer, bucket_hash: int | None = None) -> bool:
-    """Exact-dictionary membership of a fully materialized candidate."""
-    return index.exact.contains(buffer, bucket_hash)
-
-
 def query(index, pattern, k: int) -> QueryResult:
     """All dictionary words at edit distance <= k from the pattern.
 
@@ -104,28 +99,13 @@ def query(index, pattern, k: int) -> QueryResult:
     if k == 0:
         return QueryResult(matches, QueryStats(0, 0, probes, 0))
 
-    store1 = index.store1
-    q1 = store1.list_query
-    sig_on = store1.use_signatures
-    sseed = index.sig_seed
-    if sig_on:
-        sctx = HashContext(pattern, sseed)
-        hs = sctx.total
-        ps = sctx.powers
-        prefs = sctx.prefix
-        invs = sctx.inv
-    else:
-        hs = invs = 0
-        ps = prefs = None
+    q1 = index.store1.list_query
 
     # Per-position wildcard deltas: db[j] turns the pattern hash into the
     # hash of the pattern with position j blanked out.
     db = [0] * (m + 1)
-    ds = [0] * (m + 1)
     for j in range(1, m + 1):
         db[j] = (_W - pattern[j - 1]) * pb[j] % _P
-        if sig_on:
-            ds[j] = (_W - pattern[j - 1]) * ps[j] % _P
 
     probe_shorter = exact.probe_for_length(m - 1)
     probe_longer = exact.probe_for_length(m + 1)
@@ -147,8 +127,7 @@ def query(index, pattern, k: int) -> QueryResult:
         buf = bytearray(pattern)
         for j in range(1, m + 1):
             kb = (hb + db[j]) % _P
-            ksig = ((hs + ds[j]) % _P) & 15 if sig_on else 0
-            chars, capped = q1(kb, ksig)
+            chars, capped = q1(kb)
             lists += 1
             caps += capped
             if chars:
@@ -173,12 +152,7 @@ def query(index, pattern, k: int) -> QueryResult:
         for g in range(m + 1):
             pg = prefb[g]
             kb = (pg + _W * pb[g + 1] + (hb - pg) * bseed) % _P
-            if sig_on:
-                sg = prefs[g]
-                ksig = ((sg + _W * ps[g + 1] + (hs - sg) * sseed) % _P) & 15
-            else:
-                ksig = 0
-            chars, capped = q1(kb, ksig)
+            chars, capped = q1(kb)
             lists += 1
             caps += capped
             if chars:
@@ -198,11 +172,9 @@ def query(index, pattern, k: int) -> QueryResult:
     if k == 1:
         return QueryResult(matches, QueryStats(lists, candidates, probes, caps))
 
-    store2 = index.store2
-    q2 = store2.list_query
+    q2 = index.store2.list_query
     invb2 = invb * invb % _P
     bseed2 = bseed * bseed % _P
-    sseed2 = sseed * sseed % _P if sig_on else 0
 
     probe_short2 = exact.probe_for_length(m - 2)
     probe_long2 = exact.probe_for_length(m + 2)
@@ -228,14 +200,12 @@ def query(index, pattern, k: int) -> QueryResult:
         for d in range(1, m + 1):
             y = pattern[: d - 1] + pattern[d:]
             hy = (prefb[d - 1] + (hb - prefb[d]) * invb) % _P
-            hys = (prefs[d - 1] + (hs - prefs[d]) * invs) % _P if sig_on else 0
             buf = bytearray(y)
             for p in range(1, m):
                 yc = y[p - 1]
                 pbp = pb[p]
                 kb = (hy + (_W - yc) * pbp) % _P
-                ksig = ((hys + (_W - yc) * ps[p]) % _P) & 15 if sig_on else 0
-                chars, capped = q1(kb, ksig)
+                chars, capped = q1(kb)
                 lists += 1
                 caps += capped
                 if chars:
@@ -257,9 +227,6 @@ def query(index, pattern, k: int) -> QueryResult:
             y = pattern[: d - 1] + pattern[d:]
             pd = prefb[d - 1]
             hy = (pd + (hb - prefb[d]) * invb) % _P
-            if sig_on:
-                sd = prefs[d - 1]
-                hys = (sd + (hs - prefs[d]) * invs) % _P
             buf = bytearray(m)
             buf[1:] = y
             for g in range(m):
@@ -269,12 +236,7 @@ def query(index, pattern, k: int) -> QueryResult:
                     pg = prefb[g] if g < d else (pd + (prefb[g + 1] - prefb[d]) * invb) % _P
                     pbg = pb[g + 1]
                     kb = (pg + _W * pbg + (hy - pg) * bseed) % _P
-                    if sig_on:
-                        sg = prefs[g] if g < d else (sd + (prefs[g + 1] - prefs[d]) * invs) % _P
-                        ksig = ((sg + _W * ps[g + 1] + (hys - sg) * sseed) % _P) & 15
-                    else:
-                        ksig = 0
-                    chars, capped = q1(kb, ksig)
+                    chars, capped = q1(kb)
                     lists += 1
                     caps += capped
                     if chars:
@@ -295,15 +257,12 @@ def query(index, pattern, k: int) -> QueryResult:
         buf = bytearray(pattern)
         for i in range(1, m):
             bi = (hb + db[i]) % _P
-            si = (hs + ds[i]) % _P if sig_on else 0
             pbi = pb[i]
-            psi = ps[i] if sig_on else 0
             ii = i - 1
             oi = pattern[ii]
             for j in range(i + 1, m + 1):
                 kb = (bi + db[j]) % _P
-                ks = (si + ds[j]) % _P if sig_on else 0
-                chars2, capped = q2(kb, ks & 15)
+                chars2, capped = q2(kb)
                 lists += 1
                 caps += capped
                 if not chars2:
@@ -315,8 +274,7 @@ def query(index, pattern, k: int) -> QueryResult:
                 oj = pattern[jj]
                 for c in chars2:
                     kb1 = (kb + (c - _W) * pbi) % _P
-                    k1sig = ((ks + (c - _W) * psi) % _P) & 15 if sig_on else 0
-                    chars1, capped1 = q1(kb1, k1sig)
+                    chars1, capped1 = q1(kb1)
                     lists += 1
                     caps += capped1
                     if not chars1:
@@ -341,11 +299,6 @@ def query(index, pattern, k: int) -> QueryResult:
         for g in range(m + 1):
             pg = prefb[g]
             kb_ins = (pg + _W * pb[g + 1] + (hb - pg) * bseed) % _P
-            if sig_on:
-                sg = prefs[g]
-                ks_ins = (sg + _W * ps[g + 1] + (hs - sg) * sseed) % _P
-            else:
-                ks_ins = 0
             gi = g + 1  # final position of the inserted blank
             for p in range(1, m + 1):
                 if p == g + 1:  # adjacent blanks; identical pattern to (p, gap p)
@@ -353,12 +306,11 @@ def query(index, pattern, k: int) -> QueryResult:
                 fp = p if p <= g else p + 1  # final position of the blanked char
                 oc = pattern[p - 1]
                 kb = (kb_ins + (_W - oc) * pb[fp]) % _P
-                ks = (ks_ins + (_W - oc) * ps[fp]) % _P if sig_on else 0
                 if fp < gi:
                     qa, qb = fp, gi
                 else:
                     qa, qb = gi, fp
-                chars2, capped = q2(kb, ks & 15)
+                chars2, capped = q2(kb)
                 lists += 1
                 caps += capped
                 if chars2:
@@ -366,11 +318,9 @@ def query(index, pattern, k: int) -> QueryResult:
                         chars2 = set(chars2)
                     pba = pb[qa]
                     pbb = pb[qb]
-                    psa = ps[qa] if sig_on else 0
                     for c in chars2:
                         kb1 = (kb + (c - _W) * pba) % _P
-                        k1sig = ((ks + (c - _W) * psa) % _P) & 15 if sig_on else 0
-                        chars1, capped1 = q1(kb1, k1sig)
+                        chars1, capped1 = q1(kb1)
                         lists += 1
                         caps += capped1
                         if not chars1:
@@ -400,14 +350,7 @@ def query(index, pattern, k: int) -> QueryResult:
             for b in range(a + 1, m + 3):
                 pqb = prefb[b - 2]
                 kb = (pa + wa + (pqb - pa) * bseed + _W * pb[b] + (hb - pqb) * bseed2) % _P
-                if sig_on:
-                    sa = prefs[a - 1]
-                    sqb = prefs[b - 2]
-                    ks = (sa + _W * ps[a] + (sqb - sa) * sseed
-                          + _W * ps[b] + (hs - sqb) * sseed2) % _P
-                else:
-                    ks = 0
-                chars2, capped = q2(kb, ks & 15)
+                chars2, capped = q2(kb)
                 lists += 1
                 caps += capped
                 if chars2:
@@ -415,11 +358,9 @@ def query(index, pattern, k: int) -> QueryResult:
                         chars2 = set(chars2)
                     pba = pb[a]
                     pbb = pb[b]
-                    psa = ps[a] if sig_on else 0
                     for c in chars2:
                         kb1 = (kb + (c - _W) * pba) % _P
-                        k1sig = ((ks + (c - _W) * psa) % _P) & 15 if sig_on else 0
-                        chars1, capped1 = q1(kb1, k1sig)
+                        chars1, capped1 = q1(kb1)
                         lists += 1
                         caps += capped1
                         if not chars1:

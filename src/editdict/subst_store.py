@@ -13,12 +13,20 @@ query scans from there to the next empty slot and returns a superset of
 the true character list.  Two refinements keep that superset small and
 bounded:
 
-* an optional 4-bit signature of the key (hash under a second seed) is
-  stored next to each character and filters out most entries that belong
-  to other keys colliding into the same run;
+* an optional 4-bit signature of the key filters out most entries that
+  belong to other keys colliding into the same run.  It comes from the
+  same hash as the home slot: a key hashing to h has home slot
+  h mod capacity and signature (h // capacity) & 15, the low nibble of
+  the quotient the slot leaves unused, so each key is hashed once;
 * a scan that would visit more than sigma slots (sigma = alphabet size)
   gives up and returns the whole alphabet [1..sigma] instead, bounding the
   worst case while staying a superset.
+
+Keys with one home slot differ in their quotients, so their signatures
+are as good as independent while h // capacity spans many multiples of
+16.  Once capacity exceeds MODULUS / 16 the quotient takes fewer than 16
+values and the filter passes more foreign entries; results stay exact,
+because every candidate is checked against the exact dictionary.
 
 A plain (not compacted) store keeps two arrays, the same both in memory
 and on disk.  `chars` holds one character byte per slot, 0 marking an
@@ -34,18 +42,18 @@ empty slot that ends the run (a second find when the run wraps), one
 without a nibble equal to the key's signature is rejected by one `in`
 test before any per-slot work.
 
-Compaction freezes a store and drops its empty slots.  On disk, a
-compacted store holds the occupancy bits in the interleaved count/data
-layout of succinct.py, then the payload: the entries of the occupied
-slots in slot order, with signatures packed 3 bytes per two entries
-(character of the even entry, one byte holding both signatures, even
-entry in the low nibble, character of the odd entry), without them 1
-byte per entry.  In memory, the payload is the same bytes and the
-occupancy bits are flat arrays of 32-bit data words and per-word ranks.
-A compacted scan tests the home bit, measures the run of ones one word
-at a time with a trailing-ones bit trick, decides the cap from the run
-length alone, and only then computes the home slot's rank inline and
-reads that run's entries.
+Compaction freezes a store and drops its empty slots.  It keeps the
+occupancy bits (the interleaved count/data layout of succinct.py on
+disk, flat arrays of 32-bit data words and per-word ranks in memory) and
+a payload in the plain layout over entries instead of slots: `dense`, the
+characters of the occupied slots in slot order, and `dsigs`, their
+signatures split at half = (entry_count + 1) // 2 as above (empty without
+signatures).  The run of occupied slots from a home slot is the run of
+entries from that slot's rank, so a compacted scan tests the home bit,
+measures the run of ones one word at a time with a trailing-ones bit
+trick, decides the cap from the run length alone, computes the home
+slot's rank inline, and then filters the run's entries with the same
+`translate` and `in` test as a plain scan.
 """
 
 from __future__ import annotations
@@ -75,6 +83,22 @@ _HIST_SEED_A = 0x1F3D5B79
 _HIST_SEED_B = 0x6A4C2E97
 
 
+def _nibbles(sigs, half: int, a: int, b: int) -> bytes:
+    """Signatures a..b-1 of a split-nibble array, in order; 0 <= a <= b <= 2 * half."""
+    if b <= half:
+        return sigs[a:b].translate(_LOW_NIBBLE)
+    if a >= half:
+        return sigs[a - half : b - half].translate(_HIGH_NIBBLE)
+    return sigs[a:].translate(_LOW_NIBBLE) + sigs[: b - half].translate(_HIGH_NIBBLE)
+
+
+def _split_nibbles(nibbles: bytes) -> bytes:
+    """Pack one signature per byte into the split-nibble layout."""
+    half = (len(nibbles) + 1) >> 1
+    high = nibbles[half:].translate(_TO_HIGH_NIBBLE) + bytes(half - (len(nibbles) - half))
+    return bytes(map(or_, nibbles[:half], high))
+
+
 def entries_for(word_length: int, level: int) -> int:
     """Number of store entries a single word contributes."""
     if level == 1:
@@ -83,7 +107,11 @@ def entries_for(word_length: int, level: int) -> int:
 
 
 class SubstStore:
-    """Linear-probing character table keyed by wildcard patterns."""
+    """Linear-probing character table keyed by wildcard patterns.
+
+    Keys are hashed under bucket_seed only.  sig_seed is kept because the
+    index and its file header carry it, but no hash uses it.
+    """
 
     __slots__ = (
         "level",
@@ -98,6 +126,7 @@ class SubstStore:
         "compacted",
         "occupancy",
         "dense",
+        "dsigs",
     )
 
     def __init__(self, level: int, capacity: int, use_signatures: bool,
@@ -114,10 +143,11 @@ class SubstStore:
         self.compacted = False
         self.occupancy: RankBitVector | None = None
         self.dense: bytes | None = None
+        self.dsigs: bytes | None = None
 
     # -- building ---------------------------------------------------------
 
-    def _insert_entry(self, bucket_hash: int, sig: int, char: int) -> None:
+    def _insert_entry(self, bucket_hash: int, char: int) -> None:
         t = self.capacity
         chars = self.chars
         s = chars.find(0, bucket_hash % t)
@@ -128,6 +158,7 @@ class SubstStore:
                                        f"its entry count {self.entry_count} is wrong")
         chars[s] = char
         if self.use_signatures:
+            sig = (bucket_hash // t) & 15  # signature_of(bucket_hash // t)
             sigs = self.sigs
             half = (t + 1) >> 1
             if s < half:
@@ -143,33 +174,22 @@ class SubstStore:
         level = self.level
         if level == 2 and m < 2:
             return 0
-        sig_on = self.use_signatures
-        bctx = HashContext(word, self.bucket_seed)
-        hb = bctx.total
-        pb = bctx.powers
-        db = [0] * (m + 1)
+        ctx = HashContext(word, self.bucket_seed)
+        h = ctx.total
+        powers = ctx.powers
+        d = [0] * (m + 1)
         for j in range(1, m + 1):
-            db[j] = (WILDCARD - word[j - 1]) * pb[j] % MODULUS
-        if sig_on:
-            sctx = HashContext(word, self.sig_seed)
-            hs = sctx.total
-            ps = sctx.powers
-            ds = [0] * (m + 1)
-            for j in range(1, m + 1):
-                ds[j] = (WILDCARD - word[j - 1]) * ps[j] % MODULUS
+            d[j] = (WILDCARD - word[j - 1]) * powers[j] % MODULUS
         insert = self._insert_entry
         if level == 1:
             for j in range(1, m + 1):
-                sig = ((hs + ds[j]) % MODULUS) & 15 if sig_on else 0
-                insert((hb + db[j]) % MODULUS, sig, word[j - 1])
+                insert((h + d[j]) % MODULUS, word[j - 1])
             return m
         for i in range(1, m):
-            bi = (hb + db[i]) % MODULUS
-            si = (hs + ds[i]) % MODULUS if sig_on else 0
+            hi = h + d[i]
             ci = word[i - 1]
             for j in range(i + 1, m + 1):
-                sig = ((si + ds[j]) % MODULUS) & 15 if sig_on else 0
-                insert((bi + db[j]) % MODULUS, sig, ci)
+                insert((hi + d[j]) % MODULUS, ci)
         return m * (m - 1) // 2
 
     def check_headroom(self, added: int) -> None:
@@ -185,24 +205,15 @@ class SubstStore:
 
     # -- querying ---------------------------------------------------------
 
-    def _nibbles(self, a: int, b: int) -> bytes:
-        """Signatures of plain slots a..b-1 in slot order; 0 <= a <= b <= capacity."""
-        sigs = self.sigs
-        half = (self.capacity + 1) >> 1
-        if b <= half:
-            return sigs[a:b].translate(_LOW_NIBBLE)
-        if a >= half:
-            return sigs[a - half : b - half].translate(_HIGH_NIBBLE)
-        return sigs[a:].translate(_LOW_NIBBLE) + sigs[: b - half].translate(_HIGH_NIBBLE)
-
-    def list_query(self, bucket_hash: int, key_sig: int = 0):
+    def list_query(self, bucket_hash: int):
         """Candidate characters for a key, as (characters, capped).
 
-        Scans circularly from the key's slot to the next empty slot,
-        keeping characters whose stored signature matches key_sig (all of
-        them if the store has no signatures).  A scan past sigma slots
-        returns the full alphabet instead, with capped = True.  The result
-        is always a superset of the characters stored under this key.
+        Scans circularly from the key's home slot (bucket_hash mod
+        capacity) to the next empty slot, keeping the characters whose
+        stored signature equals the key's (all of them if the store has no
+        signatures).  A scan past sigma slots returns the full alphabet
+        instead, with capped = True.  The result is always a superset of
+        the characters stored under this key.
         """
         t = self.capacity
         sigma = self.sigma
@@ -216,79 +227,65 @@ class SubstStore:
                 e = chars.find(0, 0, s + sigma - t) if s + sigma > t else -1
                 if e < 0:
                     return range(1, sigma + 1), True
-            sig_on = self.use_signatures
-            if sig_on:
-                half = (t + 1) >> 1
-                if s < e <= half:
-                    nibbles = self.sigs[s:e].translate(_LOW_NIBBLE)
-                elif half <= s < e:
-                    nibbles = self.sigs[s - half : e - half].translate(_HIGH_NIBBLE)
-                elif s < e:
-                    nibbles = self._nibbles(s, e)
-                else:  # the run wraps past the last slot
-                    nibbles = self._nibbles(s, t) + self._nibbles(0, e)
-                if key_sig not in nibbles:
-                    return _EMPTY, False
+            sigs = self.sigs
+            n = t
+        else:
+            occ = self.occupancy
+            bits = occ.words
+            w = s >> 5
+            off = s & 31
+            x = bits[w] >> off
+            if not x & 1 and sigma:  # an empty home slot: most scans end here
+                return _EMPTY, False
+            run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word w
+            if off + run == 32 or s + run == t:
+                run = run_of_ones(bits, t, s, sigma)
+            if run >= sigma:
+                return range(1, sigma + 1), True
+            # From here on s and e index entries: the run's first entry is
+            # the home slot's rank, and the run wraps past the last entry
+            # when e ends up at or before s.
+            s = occ.ranks[w] + (bits[w] & ((1 << off) - 1)).bit_count()
+            chars = self.dense
+            sigs = self.dsigs
+            n = self.entry_count
+            e = s + run
+            if e > n:
+                e -= n
+        # The run is chars[s:e], or chars[s:] + chars[:e] when it wraps.
+        if self.use_signatures:
+            key_sig = (bucket_hash // t) & 15  # signature_of(bucket_hash // t)
+            half = (n + 1) >> 1
+            if s < e <= half:
+                nibbles = sigs[s:e].translate(_LOW_NIBBLE)
+            elif half <= s < e:
+                nibbles = sigs[s - half : e - half].translate(_HIGH_NIBBLE)
+            elif s < e:
+                nibbles = _nibbles(sigs, half, s, e)
+            else:
+                nibbles = _nibbles(sigs, half, s, n) + _nibbles(sigs, half, 0, e)
+            if key_sig not in nibbles:
+                return _EMPTY, False
             run = chars[s:e] if s < e else chars[s:] + chars[:e]
-            if not sig_on:
-                return list(run), False
             return [c for c, g in zip(run, nibbles) if g == key_sig], False
-        occ = self.occupancy
-        bits = occ.words
-        w = s >> 5
-        off = s & 31
-        x = bits[w] >> off
-        if not x & 1 and sigma:  # an empty home slot: most scans end here
-            return _EMPTY, False
-        run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word w
-        if off + run == 32 or s + run == t:
-            run = run_of_ones(bits, t, s, sigma)
-        if run >= sigma:
-            return range(1, sigma + 1), True
-        j = occ.ranks[w] + (bits[w] & ((1 << off) - 1)).bit_count()
-        dense = self.dense
-        n = self.entry_count
-        if not self.use_signatures:
-            if j + run <= n:
-                return list(dense[j : j + run]), False
-            return list(dense[j:] + dense[: j + run - n]), False
-        out = []
-        for j in range(j, j + run):
-            if j >= n:
-                j -= n
-            base = 3 * (j >> 1)
-            if j & 1:
-                if dense[base + 1] >> 4 == key_sig:
-                    out.append(dense[base + 2])
-            elif dense[base + 1] & 15 == key_sig:
-                out.append(dense[base])
-        return (out or _EMPTY), False
+        return list(chars[s:e] if s < e else chars[s:] + chars[:e]), False
 
     # -- compaction and serialization --------------------------------------
 
     def compact(self, delta: int = 4) -> None:
-        """Replace the character and signature arrays with occupancy bits
-        plus packed payload."""
+        """Replace the slot arrays with occupancy bits plus the entries of
+        the occupied slots, in the plain layout over entries."""
         if self.compacted:
             return
         chars = bytes(self.chars)
-        dense = chars.translate(None, b"\0")
         if self.use_signatures:
-            # Signature nibbles of the occupied slots, repacked two to a
-            # byte between their characters.
-            kept_chars = dense
-            kept_sigs = bytes(compress(self._nibbles(0, self.capacity), chars))
-            if len(kept_chars) & 1:
-                kept_chars += b"\0"
-                kept_sigs += b"\0"
-            packed = bytearray(3 * (len(kept_chars) >> 1))
-            packed[0::3] = kept_chars[0::2]
-            packed[1::3] = bytes(map(or_, kept_sigs[0::2],
-                                     kept_sigs[1::2].translate(_TO_HIGH_NIBBLE)))
-            packed[2::3] = kept_chars[1::2]
-            dense = bytes(packed)
+            t = self.capacity
+            kept = bytes(compress(_nibbles(self.sigs, (t + 1) >> 1, 0, t), chars))
+            self.dsigs = _split_nibbles(kept)
+        else:
+            self.dsigs = b""
         self.occupancy = RankBitVector.from_flags(chars, delta)
-        self.dense = dense
+        self.dense = chars.translate(None, b"\0")
         self.chars = self.sigs = None
         self.compacted = True
 
@@ -296,7 +293,8 @@ class SubstStore:
         flags = (1 if self.use_signatures else 0) | (2 if self.compacted else 0)
         head = struct.pack("<BBQQ", self.level, flags, self.capacity, self.entry_count)
         if self.compacted:
-            return head + self.occupancy.to_bytes() + struct.pack("<Q", len(self.dense)) + self.dense
+            payload_len = struct.pack("<Q", len(self.dense) + len(self.dsigs))
+            return head + self.occupancy.to_bytes() + payload_len + self.dense + self.dsigs
         return head + bytes(self.chars) + bytes(self.sigs)
 
     @classmethod
@@ -316,14 +314,16 @@ class SubstStore:
         if store.compacted:
             store.chars = store.sigs = None
             store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count, what)
-            (dense_len,) = struct.unpack_from("<Q", buf, offset)
+            (payload_len,) = struct.unpack_from("<Q", buf, offset)
             offset += 8
-            want = 3 * ((entry_count + 1) // 2) if store.use_signatures else entry_count
-            if dense_len != want:
-                raise IndexFormatError(f"{what}: payload of {dense_len} bytes, "
-                                       f"{entry_count} entries need {want}")
-            store.dense = bytes(take(buf, offset, dense_len, what))
-            offset += dense_len
+            n_sigs = (entry_count + 1) // 2 if store.use_signatures else 0
+            if payload_len != entry_count + n_sigs:
+                raise IndexFormatError(f"{what}: payload of {payload_len} bytes, "
+                                       f"{entry_count} entries need {entry_count + n_sigs}")
+            store.dense = bytes(take(buf, offset, entry_count, what))
+            offset += entry_count
+            store.dsigs = bytes(take(buf, offset, n_sigs, what))
+            offset += n_sigs
             empty_slot = True  # popcount = entry_count, checked to be < capacity
         else:
             store.chars = bytearray(take(buf, offset, capacity, what))
@@ -332,7 +332,7 @@ class SubstStore:
             store.sigs = bytearray(take(buf, offset, n_sigs, what))
             offset += n_sigs
             store.occupancy = None
-            store.dense = None
+            store.dense = store.dsigs = None
             # Stops at the first empty slot, so it costs next to nothing.
             empty_slot = 0 in store.chars
         check_loaded_table(what, entry_count, capacity, empty_slot)
@@ -342,7 +342,11 @@ class SubstStore:
 def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
                 bucket_seed: int, sig_seed: int, sigma: int | None = None,
                 validated: bool = False) -> SubstStore:
-    """Build a level-1 or level-2 store over a word list."""
+    """Build a level-1 or level-2 store over a word list.
+
+    Entries are placed and signed by one hash under bucket_seed; sig_seed
+    is only recorded on the store.
+    """
     if level not in (1, 2):
         raise ValueError("store level must be 1 or 2")
     if not validated:

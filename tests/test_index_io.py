@@ -161,7 +161,8 @@ def test_load_bad_magic():
 
 
 def test_load_bad_version():
-    for version in (1, 99):  # 1 had the interleaved plain-store layout
+    # 1 had the interleaved plain-store layout, 2 signatures from a second hash
+    for version in (1, 2, 99):
         blob = _saved_blob()
         blob[4] = version
         with pytest.raises(VersionMismatchError):
@@ -389,3 +390,30 @@ def test_load_rejects_store_without_empty_slot():
     ix.store1.chars[:] = b"a" * ix.store1.capacity
     with pytest.raises(IndexFormatError, match="no empty slot"):
         load(_resaved(ix))
+
+
+def _width_blob():
+    return _saved_blob([b"abcde", b"abcdf", b"xyzzyq"])
+
+
+def test_load_rejects_word_table_at_or_above_beta():
+    # Such a file used to load, and then neither contains(b"abcde") nor
+    # the k=1 query for b"abcdx" found the stored word: both go to the
+    # long-word table for lengths >= beta.
+    blob = _width_blob()
+    assert blob[12] == 16
+    blob[12] = 4  # beta
+    with pytest.raises(IndexFormatError, match="below beta"):
+        load(_rechecksummed(blob))
+
+
+def test_load_rejects_word_table_lengths_not_increasing():
+    blob = _width_blob()
+    first = 56 + 17  # width byte of the first word table
+    assert blob[first] == 5
+    (capacity,) = struct.unpack_from("<Q", blob, first + 1)
+    second = first + 17 + 5 * capacity
+    assert blob[second] == 6
+    blob[second] = 5  # a second table for length 5 would replace the first
+    with pytest.raises(IndexFormatError, match="must increase"):
+        load(_rechecksummed(blob))

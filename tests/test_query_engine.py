@@ -9,7 +9,6 @@ from editdict import BuildConfig, build_index, oracle_query
 from editdict.errors import UnsupportedQueryError, ValidationError
 from editdict.hashing import WILDCARD
 from editdict.query_engine import (
-    check_candidate,
     enumerate_patterns,
     query,
 )
@@ -143,10 +142,10 @@ def test_str_pattern_accepted():
 
 def test_check_candidate():
     ix = build_index([b"abc", b"defgh"], BuildConfig(errors=1, rng_seed=1))
-    assert check_candidate(ix, b"abc")
-    assert check_candidate(ix, bytearray(b"defgh"))
-    assert not check_candidate(ix, b"abd")
-    assert not check_candidate(ix, b"abcdef")  # no table for this length
+    assert ix.exact.contains(b"abc")
+    assert ix.exact.contains(bytearray(b"defgh"))
+    assert not ix.exact.contains(b"abd")
+    assert not ix.exact.contains(b"abcdef")  # no table for this length
 
 
 # -- pattern enumeration -------------------------------------------------------

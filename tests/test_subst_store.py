@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from editdict.errors import CompactedError, IndexFormatError, TableFullError
-from editdict.hashing import WILDCARD, poly_hash, signature_of
+from editdict.hashing import WILDCARD, poly_hash
 from editdict.subst_store import (
     SubstStore,
     build_store,
@@ -27,9 +27,7 @@ def key_of(word: bytes, positions) -> tuple[int, ...]:
 
 
 def ask(store: SubstStore, key: tuple[int, ...]):
-    kb = poly_hash(key, store.bucket_seed)
-    ks = signature_of(poly_hash(key, store.sig_seed)) if store.use_signatures else 0
-    return store.list_query(kb, ks)
+    return store.list_query(poly_hash(key, store.bucket_seed))
 
 
 def true_lists(words, level):
@@ -77,7 +75,7 @@ def test_shared_list_collects_both_characters():
 
 def test_empty_store_returns_nothing():
     store = build_store([], 1, ALPHA, True, **SEEDS)
-    chars, _ = store.list_query(12345, 3)
+    chars, _ = store.list_query(12345)
     assert list(chars) == []
 
 
@@ -177,10 +175,10 @@ def test_compact_differential(rng):
             keys = list(true_lists(words, level))
             rng.shuffle(keys)
             keys = keys[:500]
-            fake = [(rng.randrange(2**32), rng.randrange(16)) for _ in range(2000)]
-            before = [ask(store, k) for k in keys] + [store.list_query(h[0], h[1] & 15) for h in fake]
+            fake = [rng.randrange(2**32) for _ in range(2000)]
+            before = [ask(store, k) for k in keys] + [store.list_query(h) for h in fake]
             store.compact()
-            after = [ask(store, k) for k in keys] + [store.list_query(h[0], h[1] & 15) for h in fake]
+            after = [ask(store, k) for k in keys] + [store.list_query(h) for h in fake]
             for (ca, fa), (cb, fb) in zip(before, after):
                 assert list(ca) == list(cb)
                 assert fa == fb
@@ -198,7 +196,7 @@ def test_compacted_dense_is_packed():
         store = build_store(words, 1, ALPHA, True, **SEEDS)
         store.compact()
         entries = store.entry_count
-        assert len(store.dense) == -(-entries // 2) * 3
+        assert len(store.dense) + len(store.dsigs) == entries + math.ceil(entries / 2)
 
 
 def test_histogram_single_word():
@@ -275,7 +273,7 @@ def filled_store(draw):
     entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, sigma)),
                             max_size=capacity - 1))
     for slot, sig, char in entries:
-        store._insert_entry(slot, sig if sig_on else 0, char)
+        store._insert_entry(slot + sig * capacity, char)  # home slot, then nibble
     return store
 
 
@@ -285,9 +283,11 @@ def test_compacted_scan_equals_plain_scan(store):
     compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, SEEDS["bucket_seed"],
                                          SEEDS["sig_seed"], store.sigma)
     compacted.compact()
-    for slot in range(store.capacity):
+    t = store.capacity
+    for slot in range(t):
         for key_sig in range(16):
-            assert compacted.list_query(slot, key_sig) == store.list_query(slot, key_sig)
+            key = slot + key_sig * t
+            assert compacted.list_query(key) == store.list_query(key)
 
 
 def reference_scan(store: SubstStore, slot: int, key_sig: int):
@@ -325,7 +325,7 @@ def plain_store(draw):
     entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, 255)),
                             max_size=capacity - 1))
     for slot, sig, char in entries:
-        store._insert_entry(slot, sig if sig_on else 0, char)
+        store._insert_entry(slot + sig * capacity, char)  # home slot, then nibble
     return store
 
 
@@ -334,8 +334,68 @@ def plain_store(draw):
 def test_plain_scan_equals_per_slot_reference(store):
     for slot in range(store.capacity):
         for key_sig in range(16):
-            chars, capped = store.list_query(slot, key_sig)
+            chars, capped = store.list_query(slot + key_sig * store.capacity)
             assert (list(chars), capped) == reference_scan(store, slot, key_sig)
+
+
+def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: int):
+    """list_query of a compacted store, one entry at a time from the
+    payload's definition: entry i (the i-th occupied slot in slot order)
+    has character dense[i] and, with half = (entry_count + 1) // 2, its
+    signature in the low nibble of dsigs[i] below half and in the high
+    nibble of dsigs[i - half] from there on."""
+    t, sigma, n = store.capacity, store.sigma, store.entry_count
+    half = (n + 1) // 2
+    if sigma and not occupied[slot]:
+        return [], False
+    run = 0
+    while run < sigma and occupied[(slot + run) % t]:
+        run += 1
+    if run >= sigma:
+        return list(range(1, sigma + 1)), True
+    first = sum(occupied[:slot])
+    out = []
+    for step in range(run):
+        i = (first + step) % n
+        if not store.use_signatures:
+            out.append(store.dense[i])
+        elif (store.dsigs[i] & 15 if i < half else store.dsigs[i - half] >> 4) == key_sig:
+            out.append(store.dense[i])
+    return out, False
+
+
+@st.composite
+def compacted_store(draw):
+    """A small compacted store with odd or even entry counts, whose runs
+    cross the entries' signature split and wrap past the last entry."""
+    store = draw(plain_store())
+    occupied = [c != 0 for c in store.chars]
+    store.compact()
+    return store, occupied
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=compacted_store())
+def test_compacted_scan_equals_per_entry_reference(drawn):
+    store, occupied = drawn
+    for slot in range(store.capacity):
+        for key_sig in range(16):
+            chars, capped = store.list_query(slot + key_sig * store.capacity)
+            assert (list(chars), capped) == reference_compacted_scan(store, occupied, slot, key_sig)
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_signature_is_low_nibble_of_quotient(compact):
+    # One hash places and signs an entry: h + 16 * capacity has the same
+    # home slot and nibble as h, h + capacity the same slot, another nibble.
+    store = SubstStore(1, 64, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
+    h = 0x9E3779B1
+    store._insert_entry(h, 97)
+    if compact:
+        store.compact()
+    t = store.capacity
+    assert list(store.list_query(h + 16 * t)[0]) == [97]
+    assert list(store.list_query(h + t)[0]) == []
 
 
 def test_insert_into_store_with_wrong_count_raises():
@@ -344,7 +404,7 @@ def test_insert_into_store_with_wrong_count_raises():
     # write onto an occupied one.
     store = SubstStore(1, 4, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
     for slot in range(3):
-        store._insert_entry(slot, 1, 97)
+        store._insert_entry(slot + 1 * store.capacity, 97)
     store.entry_count = 0
     with pytest.raises(IndexFormatError, match="no empty slot"):
         store.insert_entries(b"ab")
