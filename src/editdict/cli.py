@@ -26,7 +26,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .baseline import build_partition_index, oracle_query_bounded, partition_stats
@@ -105,7 +104,6 @@ class BenchReport:
     queries_per_round: int
     rounds: int
     seed: int
-    threads: int
     word_count: int
     total_length: int
     round_means_us: list[float]
@@ -120,7 +118,6 @@ class BenchReport:
             "queries_per_round": self.queries_per_round,
             "rounds": self.rounds,
             "seed": self.seed,
-            "threads": self.threads,
             "word_count": self.word_count,
             "total_length": self.total_length,
             "round_means_us": self.round_means_us,
@@ -135,14 +132,13 @@ class BenchReport:
 
 
 def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
-          seed: int = 1, k: int | None = None, threads: int = 1) -> BenchReport:
+          seed: int = 1, k: int | None = None) -> BenchReport:
     """Run the latency benchmark: `rounds` batches of `queries` patterns.
 
     Patterns are dictionary words with k random edits applied, generated
     deterministically from the seed.  Each batch is timed wall-clock and
     divided by the query count; the report's mean is the mean of the
-    round means.  Threads only split the batch; results and counters are
-    identical to a single-threaded run.
+    round means.
     """
     if k is None:
         k = index.errors
@@ -153,16 +149,9 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
     nonempty = 0
     for _ in range(rounds):
         batch = generate_bench_queries(words, k, queries, rng, alphabet)
-        if threads <= 1:
-            start = time.perf_counter()
-            results = [index.query(p, k) for p in batch]
-            elapsed = time.perf_counter() - start
-        else:
-            run = lambda p: index.query(p, k)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                start = time.perf_counter()
-                results = list(pool.map(run, batch, chunksize=64))
-                elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        results = [index.query(p, k) for p in batch]
+        elapsed = time.perf_counter() - start
         round_means.append(1e6 * elapsed / len(batch))
         for r in results:
             st = r.stats
@@ -174,7 +163,7 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
                 nonempty += 1
     mean = sum(round_means) / len(round_means) if round_means else 0.0
     return BenchReport(
-        k=k, queries_per_round=queries, rounds=rounds, seed=seed, threads=threads,
+        k=k, queries_per_round=queries, rounds=rounds, seed=seed,
         word_count=index.word_count, total_length=index.total_length,
         round_means_us=round_means, mean_us=mean, totals=totals,
         nonempty=nonempty, total_queries=queries * rounds,
@@ -248,7 +237,7 @@ def _cmd_bench(args) -> int:
     words = read_wordlist(args.input)
     seed = args.seed if args.seed is not None else _default_seed()
     report = bench(index, words, queries=args.queries, rounds=args.rounds,
-                   seed=seed, k=args.k, threads=args.threads)
+                   seed=seed, k=args.k)
     cfg = index.config
     if args.json:
         payload = report.to_dict()
@@ -265,7 +254,7 @@ def _cmd_bench(args) -> int:
           f"signatures={'on' if cfg.use_signatures else 'off'} "
           f"compact={'on' if cfg.compact else 'off'}")
     print(f"k={report.k} queries={report.queries_per_round} rounds={report.rounds} "
-          f"seed={report.seed} threads={report.threads}")
+          f"seed={report.seed}")
     for i, us in enumerate(report.round_means_us, start=1):
         print(f"round {i:2d}: {us:.2f} us/query")
     print(f"mean: {report.mean_us:.2f} us/query")
@@ -393,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=1000)
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--k", type=int, default=None, choices=(0, 1, 2))
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bench)

@@ -17,13 +17,8 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MODULUS = 2**32 - 5
 WILDCARD = 257
-
-SIGNATURE_BITS = 4
-_SIGNATURE_MASK = (1 << SIGNATURE_BITS) - 1
 
 _POWER_CACHE: dict[int, list[int]] = {}
 _INVERSE_CACHE: dict[int, int] = {}
@@ -73,18 +68,17 @@ def poly_hash(word, seed: int) -> int:
     return h
 
 
-def signature_of(quotient: int) -> int:
-    """The 4-bit signature: low bits of a store key's bucket hash divided
-    by the store's capacity (subst_store.py inlines it)."""
-    return quotient & _SIGNATURE_MASK
-
-
 class HashContext:
     """Preprocessed per-word state for O(1) hashes of single-edit variants.
 
     prefix[j] = sum(w_i * r**i for i <= j) mod MODULUS, so prefix[0] == 0
     and prefix[m] == poly_hash(word).  Positions are 1-based throughout;
-    insertion gaps run from 0 (front) to m (back).
+    insertion gaps run from 0 (front) to m (back).  With inv = r**-1, all
+    mod MODULUS, the query engine and the stores inline:
+
+      substitute c at j     total + (c - w_j) * r**j
+      delete j              prefix[j-1] + (total - prefix[j]) * inv
+      insert c at gap g     prefix[g] + c * r**(g+1) + (total - prefix[g]) * r
     """
 
     __slots__ = ("word", "seed", "prefix", "powers", "inv", "total")
@@ -103,60 +97,3 @@ class HashContext:
         self.powers = powers
         self.inv = inverse_of(seed)
         self.total = h
-
-    def substitute(self, pos: int, char: int) -> int:
-        """Hash of the word with the character at `pos` replaced by `char`."""
-        return (self.total + (char - self.word[pos - 1]) * self.powers[pos]) % MODULUS
-
-    def delete(self, pos: int) -> int:
-        """Hash of the word with the character at `pos` removed."""
-        p = self.prefix
-        return (p[pos - 1] + (self.total - p[pos]) * self.inv) % MODULUS
-
-    def insert(self, gap: int, char: int) -> int:
-        """Hash of the word with `char` inserted after position `gap`."""
-        p = self.prefix[gap]
-        return (p + char * self.powers[gap + 1] + (self.total - p) * self.seed) % MODULUS
-
-
-@dataclass(frozen=True)
-class EditOp:
-    """One edit: kind is "substitute", "delete", "insert" or "identity".
-
-    For substitute/delete, pos is a 1-based character position; for insert,
-    pos is a gap in [0, m].  char is the new symbol (may be WILDCARD).
-    """
-
-    kind: str
-    pos: int = 0
-    char: int = 0
-
-
-IDENTITY = EditOp("identity")
-
-
-def apply_edit(word, op: EditOp) -> tuple[int, ...]:
-    """Reference application of an edit, returning a symbol tuple."""
-    w = tuple(word)
-    if op.kind == "identity":
-        return w
-    if op.kind == "substitute":
-        return w[: op.pos - 1] + (op.char,) + w[op.pos :]
-    if op.kind == "delete":
-        return w[: op.pos - 1] + w[op.pos :]
-    if op.kind == "insert":
-        return w[: op.pos] + (op.char,) + w[op.pos :]
-    raise ValueError(f"unknown edit kind {op.kind!r}")
-
-
-def edit_hash(ctx: HashContext, op: EditOp) -> int:
-    """Hash of apply_edit(ctx.word, op), in O(1) arithmetic operations."""
-    if op.kind == "identity":
-        return ctx.total
-    if op.kind == "substitute":
-        return ctx.substitute(op.pos, op.char)
-    if op.kind == "delete":
-        return ctx.delete(op.pos)
-    if op.kind == "insert":
-        return ctx.insert(op.pos, op.char)
-    raise ValueError(f"unknown edit kind {op.kind!r}")

@@ -13,15 +13,18 @@ with at most k edits, grouped by the shape of the derived lookup pattern:
            subins     two wildcards, length m + 1    -> level-2 then level-1
            insins     two wildcards, length m + 2    -> level-2 then level-1
 
-Two-wildcard patterns are resolved leftmost first: the level-2 store hands
-back candidate characters for the leftmost blank, each of which turns the
-pattern into a one-wildcard key for the level-1 store.  Every fully filled
-candidate string is verified against the exact dictionary, so signature
+Each class has its own key loop in `query`, which derives every key hash
+from the pattern's prefix hashes in O(1).  Filling the blanks of a key
+whose scan returned characters is shared by all classes: `_fill` writes
+each character into the one blank and checks the filled candidate against
+the exact dictionary.  `_fill2` resolves two-wildcard keys leftmost
+first: each character the level-2 store hands back for the leftmost blank
+turns the key into a one-wildcard key, whose level-1 scan goes to `_fill`.
+Every candidate is verified against the exact dictionary, so signature
 collisions and capped scans can only cost time, never correctness.
 
 Candidate strings are materialized into reusable scratch buffers; moving
-from one candidate to the next touches O(1) characters, and all key and
-candidate hashes derive from the pattern's prefix hashes in O(1) each.
+from one candidate to the next touches O(1) characters.
 """
 
 from __future__ import annotations
@@ -57,6 +60,46 @@ class QueryResult:
         return sorted(self.matches)
 
 
+def _fill(matches, probe, buf, q, pq, kb, chars) -> int:
+    """Probe buf with each scanned character at its blank; returns how many.
+
+    The blank is at 1-based position q, whose hash weight is pq, and kb is
+    the key's hash, so the candidate holding c hashes to kb - W*pq + c*pq.
+    Hits go to matches; buf keeps the last character written.
+    """
+    if type(chars) is list and len(chars) > 1:
+        chars = set(chars)  # a run may hold one character more than once
+    base = (kb - _W * pq) % _P
+    q -= 1
+    for c in chars:
+        buf[q] = c
+        if probe(buf, (base + c * pq) % _P):
+            matches.add(bytes(buf))
+    return len(chars)
+
+
+def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars):
+    """_fill for a two-wildcard key: chars came from its level-2 scan.
+
+    Each character c for the left blank (position qa, weight pqa) makes
+    the level-1 key kb - W*pqa + c*pqa, whose scan fills the right blank
+    (position qb, weight pqb).  Returns (level-1 scans, capped scans,
+    candidates probed).
+    """
+    if type(chars) is list and len(chars) > 1:
+        chars = set(chars)
+    caps = candidates = 0
+    qa -= 1
+    for c in chars:
+        kb1 = (kb + (c - _W) * pqa) % _P
+        chars1, capped = q1(kb1)
+        caps += capped
+        if chars1:
+            buf[qa] = c
+            candidates += _fill(matches, probe, buf, qb, pqb, kb1, chars1)
+    return len(chars), caps, candidates
+
+
 def query(index, pattern, k: int) -> QueryResult:
     """All dictionary words at edit distance <= k from the pattern.
 
@@ -79,25 +122,21 @@ def query(index, pattern, k: int) -> QueryResult:
 
     exact = index.exact
     matches: set[bytes] = set()
-    lists = candidates = probes = caps = 0
+    lists = candidates = caps = 0
 
     bseed = index.bucket_seed
     bctx = HashContext(pattern, bseed)
-    hb = bctx.total
-    pb = bctx.powers
-    prefb = bctx.prefix
-    invb = bctx.inv
+    hb, pb, prefb, invb = bctx.total, bctx.powers, bctx.prefix, bctx.inv
 
     # One bound membership probe per candidate length; None marks a length
     # with no stored words, so whole candidate classes can be skipped.
     probe_same = exact.probe_for_length(m)
+    identity = 0 if probe_same is None else 1  # probes of the pattern itself
 
-    if probe_same is not None:
-        probes += 1
-        if probe_same(pattern, hb):
-            matches.add(bytes(pattern))
+    if identity and probe_same(pattern, hb):
+        matches.add(bytes(pattern))
     if k == 0:
-        return QueryResult(matches, QueryStats(0, 0, probes, 0))
+        return QueryResult(matches, QueryStats(0, 0, identity, 0))
 
     q1 = index.store1.list_query
 
@@ -114,10 +153,8 @@ def query(index, pattern, k: int) -> QueryResult:
     if probe_shorter is not None:
         buf = bytearray(pattern[1:])
         for j in range(1, m + 1):
-            h = (prefb[j - 1] + (hb - prefb[j]) * invb) % _P
             candidates += 1
-            probes += 1
-            if probe_shorter(buf, h):
+            if probe_shorter(buf, (prefb[j - 1] + (hb - prefb[j]) * invb) % _P):
                 matches.add(bytes(buf))
             if j < m:
                 buf[j - 1] = pattern[j - 1]
@@ -131,19 +168,8 @@ def query(index, pattern, k: int) -> QueryResult:
             lists += 1
             caps += capped
             if chars:
-                if type(chars) is list and len(chars) > 1:
-                    chars = set(chars)
-                pbj = pb[j]
-                base = (kb - _W * pbj) % _P
-                jj = j - 1
-                orig = pattern[jj]
-                for c in chars:
-                    buf[jj] = c
-                    candidates += 1
-                    probes += 1
-                    if probe_same(buf, (base + c * pbj) % _P):
-                        matches.add(bytes(buf))
-                buf[jj] = orig
+                candidates += _fill(matches, probe_same, buf, j, pb[j], kb, chars)
+                buf[j - 1] = pattern[j - 1]
 
     # -- one insertion -------------------------------------------------------
     if probe_longer is not None:
@@ -156,21 +182,12 @@ def query(index, pattern, k: int) -> QueryResult:
             lists += 1
             caps += capped
             if chars:
-                if type(chars) is list and len(chars) > 1:
-                    chars = set(chars)
-                pbg = pb[g + 1]
-                base = (kb - _W * pbg) % _P
-                for c in chars:
-                    buf[g] = c
-                    candidates += 1
-                    probes += 1
-                    if probe_longer(buf, (base + c * pbg) % _P):
-                        matches.add(bytes(buf))
+                candidates += _fill(matches, probe_longer, buf, g + 1, pb[g + 1], kb, chars)
             if g < m:
                 buf[g] = pattern[g]
 
     if k == 1:
-        return QueryResult(matches, QueryStats(lists, candidates, probes, caps))
+        return QueryResult(matches, QueryStats(lists, candidates, candidates + identity, caps))
 
     q2 = index.store2.list_query
     invb2 = invb * invb % _P
@@ -188,12 +205,10 @@ def query(index, pattern, k: int) -> QueryResult:
             for j in range(i + 1, m + 1):
                 h = (pi + (prefb[j - 1] - prefb[i]) * invb + (hb - prefb[j]) * invb2) % _P
                 candidates += 1
-                probes += 1
                 if probe_short2(buf, h):
                     matches.add(bytes(buf))
-                jy = j - 1
-                if jy < m - 1:
-                    buf[jy - 1] = y[jy - 1]
+                if j < m:
+                    buf[j - 2] = y[j - 2]
 
     # -- deletion + substitution ---------------------------------------------
     if probe_shorter is not None:
@@ -203,23 +218,13 @@ def query(index, pattern, k: int) -> QueryResult:
             buf = bytearray(y)
             for p in range(1, m):
                 yc = y[p - 1]
-                pbp = pb[p]
-                kb = (hy + (_W - yc) * pbp) % _P
+                kb = (hy + (_W - yc) * pb[p]) % _P
                 chars, capped = q1(kb)
                 lists += 1
                 caps += capped
                 if chars:
-                    if type(chars) is list and len(chars) > 1:
-                        chars = set(chars)
-                    base = (kb - _W * pbp) % _P
-                    pp = p - 1
-                    for c in chars:
-                        buf[pp] = c
-                        candidates += 1
-                        probes += 1
-                        if probe_shorter(buf, (base + c * pbp) % _P):
-                            matches.add(bytes(buf))
-                    buf[pp] = yc
+                    candidates += _fill(matches, probe_shorter, buf, p, pb[p], kb, chars)
+                    buf[p - 1] = yc
 
     # -- deletion + insertion -------------------------------------------------
     if probe_same is not None:
@@ -240,15 +245,7 @@ def query(index, pattern, k: int) -> QueryResult:
                     lists += 1
                     caps += capped
                     if chars:
-                        if type(chars) is list and len(chars) > 1:
-                            chars = set(chars)
-                        base = (kb - _W * pbg) % _P
-                        for c in chars:
-                            buf[g] = c
-                            candidates += 1
-                            probes += 1
-                            if probe_same(buf, (base + c * pbg) % _P):
-                                matches.add(bytes(buf))
+                        candidates += _fill(matches, probe_same, buf, g + 1, pbg, kb, chars)
                 if g < m - 1:
                     buf[g] = y[g]
 
@@ -257,40 +254,18 @@ def query(index, pattern, k: int) -> QueryResult:
         buf = bytearray(pattern)
         for i in range(1, m):
             bi = (hb + db[i]) % _P
-            pbi = pb[i]
-            ii = i - 1
-            oi = pattern[ii]
             for j in range(i + 1, m + 1):
                 kb = (bi + db[j]) % _P
-                chars2, capped = q2(kb)
+                chars, capped = q2(kb)
                 lists += 1
                 caps += capped
-                if not chars2:
-                    continue
-                if type(chars2) is list and len(chars2) > 1:
-                    chars2 = set(chars2)
-                pbj = pb[j]
-                jj = j - 1
-                oj = pattern[jj]
-                for c in chars2:
-                    kb1 = (kb + (c - _W) * pbi) % _P
-                    chars1, capped1 = q1(kb1)
-                    lists += 1
-                    caps += capped1
-                    if not chars1:
-                        continue
-                    if type(chars1) is list and len(chars1) > 1:
-                        chars1 = set(chars1)
-                    buf[ii] = c
-                    base = (kb1 - _W * pbj) % _P
-                    for c2 in chars1:
-                        buf[jj] = c2
-                        candidates += 1
-                        probes += 1
-                        if probe_same(buf, (base + c2 * pbj) % _P):
-                            matches.add(bytes(buf))
-                    buf[jj] = oj
-                buf[ii] = oi
+                if chars:
+                    n1, c1, n = _fill2(matches, probe_same, q1, buf, i, pb[i], j, pb[j], kb, chars)
+                    lists += n1
+                    caps += c1
+                    candidates += n
+                    buf[i - 1] = pattern[i - 1]
+                    buf[j - 1] = pattern[j - 1]
 
     # -- substitution + insertion ----------------------------------------------
     if probe_longer is not None:
@@ -298,43 +273,24 @@ def query(index, pattern, k: int) -> QueryResult:
         buf[1:] = pattern
         for g in range(m + 1):
             pg = prefb[g]
-            kb_ins = (pg + _W * pb[g + 1] + (hb - pg) * bseed) % _P
             gi = g + 1  # final position of the inserted blank
+            kb_ins = (pg + _W * pb[gi] + (hb - pg) * bseed) % _P
             for p in range(1, m + 1):
-                if p == g + 1:  # adjacent blanks; identical pattern to (p, gap p)
+                if p == gi:  # adjacent blanks; identical pattern to (p, gap p)
                     continue
                 fp = p if p <= g else p + 1  # final position of the blanked char
                 oc = pattern[p - 1]
                 kb = (kb_ins + (_W - oc) * pb[fp]) % _P
-                if fp < gi:
-                    qa, qb = fp, gi
-                else:
-                    qa, qb = gi, fp
-                chars2, capped = q2(kb)
+                chars, capped = q2(kb)
                 lists += 1
                 caps += capped
-                if chars2:
-                    if type(chars2) is list and len(chars2) > 1:
-                        chars2 = set(chars2)
-                    pba = pb[qa]
-                    pbb = pb[qb]
-                    for c in chars2:
-                        kb1 = (kb + (c - _W) * pba) % _P
-                        chars1, capped1 = q1(kb1)
-                        lists += 1
-                        caps += capped1
-                        if not chars1:
-                            continue
-                        if type(chars1) is list and len(chars1) > 1:
-                            chars1 = set(chars1)
-                        buf[qa - 1] = c
-                        base = (kb1 - _W * pbb) % _P
-                        for c2 in chars1:
-                            buf[qb - 1] = c2
-                            candidates += 1
-                            probes += 1
-                            if probe_longer(buf, (base + c2 * pbb) % _P):
-                                matches.add(bytes(buf))
+                if chars:
+                    qa, qb = (fp, gi) if fp < gi else (gi, fp)
+                    n1, c1, n = _fill2(matches, probe_longer, q1, buf, qa, pb[qa], qb, pb[qb],
+                                       kb, chars)
+                    lists += n1
+                    caps += c1
+                    candidates += n
                     buf[fp - 1] = oc
             if g < m:
                 buf[g] = pattern[g]
@@ -350,160 +306,15 @@ def query(index, pattern, k: int) -> QueryResult:
             for b in range(a + 1, m + 3):
                 pqb = prefb[b - 2]
                 kb = (pa + wa + (pqb - pa) * bseed + _W * pb[b] + (hb - pqb) * bseed2) % _P
-                chars2, capped = q2(kb)
+                chars, capped = q2(kb)
                 lists += 1
                 caps += capped
-                if chars2:
-                    if type(chars2) is list and len(chars2) > 1:
-                        chars2 = set(chars2)
-                    pba = pb[a]
-                    pbb = pb[b]
-                    for c in chars2:
-                        kb1 = (kb + (c - _W) * pba) % _P
-                        chars1, capped1 = q1(kb1)
-                        lists += 1
-                        caps += capped1
-                        if not chars1:
-                            continue
-                        if type(chars1) is list and len(chars1) > 1:
-                            chars1 = set(chars1)
-                        buf[a - 1] = c
-                        base = (kb1 - _W * pbb) % _P
-                        for c2 in chars1:
-                            buf[b - 1] = c2
-                            candidates += 1
-                            probes += 1
-                            if probe_long2(buf, (base + c2 * pbb) % _P):
-                                matches.add(bytes(buf))
+                if chars:
+                    n1, c1, n = _fill2(matches, probe_long2, q1, buf, a, pb[a], b, pb[b], kb, chars)
+                    lists += n1
+                    caps += c1
+                    candidates += n
                 if b < m + 2:
                     buf[b - 1] = pattern[b - 2]
 
-    return QueryResult(matches, QueryStats(lists, candidates, probes, caps))
-
-
-# -- pattern enumeration (descriptor form, used by tests and diagnostics) -----
-
-_CLASS_INFO = {
-    "del": (-1, 0),
-    "sub": (0, 1),
-    "ins": (1, 1),
-    "deldel": (-2, 0),
-    "delsub": (-1, 1),
-    "delins": (0, 1),
-    "subsub": (0, 2),
-    "subins": (1, 2),
-    "insins": (2, 2),
-}
-
-
-@dataclass(frozen=True)
-class PatternDescriptor:
-    """One derived lookup pattern: class, op positions, resulting shape.
-
-    Position meaning per kind:
-      del (d,)          delete position d
-      sub (j,)          blank position j
-      ins (g,)          insert a blank after gap g in [0, m]
-      deldel (i, j)     delete positions i < j
-      delsub (d, p)     delete d, then blank position p of the result
-      delins (d, g)     delete d, then insert a blank at gap g of the result
-      subsub (i, j)     blank positions i < j
-      subins (p, g)     blank position p, then insert a blank at gap g
-      insins (q1, q2)   final blank positions q1 < q2 in the length m+2 result
-    """
-
-    kind: str
-    positions: tuple[int, ...]
-    length: int
-    wildcards: int
-
-    def pattern(self, x) -> tuple[int, ...]:
-        """Materialize the symbolic pattern over x, with WILDCARD blanks."""
-        w = tuple(x)
-        k = self.kind
-        p = self.positions
-        if k == "del":
-            return w[: p[0] - 1] + w[p[0] :]
-        if k == "sub":
-            return w[: p[0] - 1] + (_W,) + w[p[0] :]
-        if k == "ins":
-            return w[: p[0]] + (_W,) + w[p[0] :]
-        if k == "deldel":
-            i, j = p
-            return w[: i - 1] + w[i : j - 1] + w[j:]
-        if k == "delsub":
-            d, q = p
-            y = w[: d - 1] + w[d:]
-            return y[: q - 1] + (_W,) + y[q:]
-        if k == "delins":
-            d, g = p
-            y = w[: d - 1] + w[d:]
-            return y[:g] + (_W,) + y[g:]
-        if k == "subsub":
-            i, j = p
-            return w[: i - 1] + (_W,) + w[i : j - 1] + (_W,) + w[j:]
-        if k == "subins":
-            q, g = p
-            y = w[: q - 1] + (_W,) + w[q:]
-            return y[:g] + (_W,) + y[g:]
-        if k == "insins":
-            q1, q2 = p
-            out = []
-            src = 0
-            for pos in range(1, self.length + 1):
-                if pos == q1 or pos == q2:
-                    out.append(_W)
-                else:
-                    out.append(w[src])
-                    src += 1
-            return tuple(out)
-        raise ValueError(f"unknown pattern kind {k!r}")
-
-
-def enumerate_patterns(x, k: int) -> list[PatternDescriptor]:
-    """Every derived lookup pattern for a query at the given bound.
-
-    Covers all strings at edit distance 1..k from x (distance 0 is the
-    pattern itself and is checked separately).  Redundant shapes that
-    reproduce an already-enumerated pattern (delete-then-reinsert at the
-    same gap, and one of the two adjacent-blank substitution/insertion
-    layouts) are skipped.
-    """
-    if k not in (1, 2):
-        raise ValueError("k must be 1 or 2")
-    m = len(x)
-    out = []
-
-    def emit(kind, positions):
-        dlen, wc = _CLASS_INFO[kind]
-        out.append(PatternDescriptor(kind, positions, m + dlen, wc))
-
-    for d in range(1, m + 1):
-        emit("del", (d,))
-    for j in range(1, m + 1):
-        emit("sub", (j,))
-    for g in range(m + 1):
-        emit("ins", (g,))
-    if k == 1:
-        return out
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            emit("deldel", (i, j))
-    for d in range(1, m + 1):
-        for p in range(1, m):
-            emit("delsub", (d, p))
-    for d in range(1, m + 1):
-        for g in range(m):
-            if g != d - 1:
-                emit("delins", (d, g))
-    for i in range(1, m):
-        for j in range(i + 1, m + 1):
-            emit("subsub", (i, j))
-    for p in range(1, m + 1):
-        for g in range(m + 1):
-            if p != g + 1:
-                emit("subins", (p, g))
-    for q1 in range(1, m + 2):
-        for q2 in range(q1 + 1, m + 3):
-            emit("insins", (q1, q2))
-    return out
+    return QueryResult(matches, QueryStats(lists, candidates, candidates + identity, caps))

@@ -158,7 +158,7 @@ class SubstStore:
                                        f"its entry count {self.entry_count} is wrong")
         chars[s] = char
         if self.use_signatures:
-            sig = (bucket_hash // t) & 15  # signature_of(bucket_hash // t)
+            sig = (bucket_hash // t) & 15
             sigs = self.sigs
             half = (t + 1) >> 1
             if s < half:
@@ -254,7 +254,7 @@ class SubstStore:
                 e -= n
         # The run is chars[s:e], or chars[s:] + chars[:e] when it wraps.
         if self.use_signatures:
-            key_sig = (bucket_hash // t) & 15  # signature_of(bucket_hash // t)
+            key_sig = (bucket_hash // t) & 15
             half = (n + 1) >> 1
             if s < e <= half:
                 nibbles = sigs[s:e].translate(_LOW_NIBBLE)

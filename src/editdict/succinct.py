@@ -75,7 +75,7 @@ def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
 
 
 class RankBitVector:
-    """Static bit vector answering rank1 and run-scan queries."""
+    """Static bit vector answering rank1 queries; run_of_ones scans its words."""
 
     __slots__ = ("n_bits", "delta", "total_ones", "words", "ranks")
 
@@ -100,11 +100,6 @@ class RankBitVector:
             words = u32_array(value.to_bytes(4 * n_words, "little"))
         return cls(n_bits, delta, words)
 
-    @classmethod
-    def from_bits(cls, bits, delta: int = 4) -> "RankBitVector":
-        """Build from an iterable of truthy/falsy bit values."""
-        return cls.from_flags(bytes(map(bool, bits)), delta)
-
     def rank1(self, i: int) -> int:
         """Number of ones in positions [0, i); i may equal n_bits."""
         if i < 0 or i > self.n_bits:
@@ -113,16 +108,6 @@ class RankBitVector:
             return self.total_ones
         w = i >> 5
         return self.ranks[w] + (self.words[w] & ((1 << (i & 31)) - 1)).bit_count()
-
-    def scan_ones(self, i: int) -> int:
-        """Length of the run of ones starting at i, wrapping circularly.
-
-        Returns 0 if bit i is clear; capped at n_bits for an all-ones vector.
-        """
-        n = self.n_bits
-        if i < 0 or i >= n:
-            raise IndexError(f"bit position {i} out of range [0, {n})")
-        return min(run_of_ones(self.words, n, i, n), n)
 
     def _stored_words(self) -> int:
         """Count words plus data words in the on-disk layout."""
@@ -164,10 +149,6 @@ class RankBitVector:
             raise IndexFormatError("rank bit vector has bits set past its length")
         return rbv, offset + size
 
-    def serialized_bits(self) -> int:
-        """Size of to_bytes() in bits, for space accounting."""
-        return 8 * (9 + 4 * self._stored_words())
-
 
 def read_occupancy(buf, offset: int, n_slots: int, count: int,
                    what: str) -> tuple[RankBitVector, int]:
@@ -179,8 +160,3 @@ def read_occupancy(buf, offset: int, n_slots: int, count: int,
     if occ.total_ones != count:
         raise IndexFormatError(f"{what}: {occ.total_ones} occupied slots, header count {count}")
     return occ, offset
-
-
-def build_rank(bits, delta: int = 4) -> RankBitVector:
-    """Index a bit array for rank queries."""
-    return RankBitVector.from_bits(bits, delta)

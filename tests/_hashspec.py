@@ -1,0 +1,72 @@
+"""Reference single edits and their O(1) hashes from a HashContext.
+
+The hashing tests check the O(1) formulas here, which the query engine
+and the substitution stores inline, against poly_hash of the edited
+string built by apply_edit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from editdict.hashing import MODULUS, HashContext
+
+
+@dataclass(frozen=True)
+class EditOp:
+    """One edit: kind is "substitute", "delete", "insert" or "identity".
+
+    For substitute/delete, pos is a 1-based character position; for insert,
+    pos is a gap in [0, m].  char is the new symbol (may be WILDCARD).
+    """
+
+    kind: str
+    pos: int = 0
+    char: int = 0
+
+
+IDENTITY = EditOp("identity")
+
+
+def apply_edit(word, op: EditOp) -> tuple[int, ...]:
+    """Reference application of an edit, returning a symbol tuple."""
+    w = tuple(word)
+    if op.kind == "identity":
+        return w
+    if op.kind == "substitute":
+        return w[: op.pos - 1] + (op.char,) + w[op.pos :]
+    if op.kind == "delete":
+        return w[: op.pos - 1] + w[op.pos :]
+    if op.kind == "insert":
+        return w[: op.pos] + (op.char,) + w[op.pos :]
+    raise ValueError(f"unknown edit kind {op.kind!r}")
+
+
+def substitute(ctx: HashContext, pos: int, char: int) -> int:
+    """Hash of the word with the character at `pos` replaced by `char`."""
+    return (ctx.total + (char - ctx.word[pos - 1]) * ctx.powers[pos]) % MODULUS
+
+
+def delete(ctx: HashContext, pos: int) -> int:
+    """Hash of the word with the character at `pos` removed."""
+    p = ctx.prefix
+    return (p[pos - 1] + (ctx.total - p[pos]) * ctx.inv) % MODULUS
+
+
+def insert(ctx: HashContext, gap: int, char: int) -> int:
+    """Hash of the word with `char` inserted after position `gap`."""
+    p = ctx.prefix[gap]
+    return (p + char * ctx.powers[gap + 1] + (ctx.total - p) * ctx.seed) % MODULUS
+
+
+def edit_hash(ctx: HashContext, op: EditOp) -> int:
+    """Hash of apply_edit(ctx.word, op), in O(1) arithmetic operations."""
+    if op.kind == "identity":
+        return ctx.total
+    if op.kind == "substitute":
+        return substitute(ctx, op.pos, op.char)
+    if op.kind == "delete":
+        return delete(ctx, op.pos)
+    if op.kind == "insert":
+        return insert(ctx, op.pos, op.char)
+    raise ValueError(f"unknown edit kind {op.kind!r}")

@@ -16,19 +16,12 @@ from itertools import accumulate, product
 from editdict import BuildConfig, build_index, load, save
 from editdict.baseline import build_partition_index, partition_stats
 from editdict.cli import random_edit_pattern
-from editdict.hashing import (
-    MODULUS,
-    WILDCARD,
-    EditOp,
-    HashContext,
-    apply_edit,
-    edit_hash,
-    poly_hash,
-)
+from editdict.hashing import MODULUS, WILDCARD, HashContext, poly_hash
 from editdict.subst_store import list_histogram
-from editdict.succinct import build_rank
+from editdict.succinct import RankBitVector
 from conftest import random_pattern, random_words
 from _fastoracle import FastOracle
+from _hashspec import EditOp, apply_edit, edit_hash
 
 ALPHA = Fraction(7, 10)
 
@@ -120,7 +113,7 @@ def test_acceptance_03_rank_correctness():
     for trial in range(100):
         density = rng.random()
         bits = [1 if rng.random() < density else 0 for _ in range(n)]
-        rbv = build_rank(bits, delta=4)
+        rbv = RankBitVector.from_flags(bytes(bits), delta=4)
         expected = list(accumulate(bits, initial=0))
         got = list(map(rbv.rank1, range(n + 1)))
         assert got == expected, f"vector {trial} diverges"

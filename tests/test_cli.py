@@ -195,15 +195,6 @@ def test_bench_generation_deterministic(rng):
     assert all(len(p) > 2 for p in a)
 
 
-def test_bench_threads_do_not_change_results(rng):
-    words = random_words(rng, 120, 3, 9)
-    ix = build_index(words, BuildConfig(errors=2, rng_seed=2))
-    r1 = bench(ix, words, queries=25, rounds=2, seed=9, threads=1)
-    r2 = bench(ix, words, queries=25, rounds=2, seed=9, threads=4)
-    assert r1.totals == r2.totals
-    assert r1.nonempty == r2.nonempty
-
-
 def test_bench_queries_stay_within_distance(rng):
     # Every generated query keeps its source word within distance k, so a
     # bench query can never come back empty.

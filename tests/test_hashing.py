@@ -1,4 +1,4 @@
-"""Polynomial hashing: direct values, incremental edits, signatures."""
+"""Polynomial hashing: direct values and incremental edits."""
 
 import random
 from itertools import product
@@ -9,16 +9,13 @@ from hypothesis import given, settings, strategies as st
 from editdict.hashing import (
     MODULUS,
     WILDCARD,
-    EditOp,
     HashContext,
-    apply_edit,
-    edit_hash,
     inverse_of,
     poly_hash,
     powers_of,
     random_seed,
-    signature_of,
 )
+from _hashspec import IDENTITY, EditOp, apply_edit, delete, edit_hash, insert, substitute
 
 
 def test_poly_hash_empty():
@@ -79,22 +76,22 @@ def test_powers_and_inverse():
 
 def test_edit_hash_substitute():
     ctx = HashContext((3, 1, 2), 10)
-    assert ctx.substitute(2, 5) == 2530
+    assert substitute(ctx, 2, 5) == 2530
 
 
 def test_edit_hash_delete():
     ctx = HashContext((3, 1, 2), 10)
-    assert ctx.delete(2) == 230
+    assert delete(ctx, 2) == 230
 
 
 def test_edit_hash_insert():
     ctx = HashContext((3, 1, 2), 10)
-    assert ctx.insert(1, 7) == 21730
+    assert insert(ctx, 1, 7) == 21730
 
 
 def test_edit_hash_identity():
     ctx = HashContext(b"xyz", 10)
-    assert edit_hash(ctx, EditOp("identity")) == ctx.total
+    assert edit_hash(ctx, IDENTITY) == ctx.total
 
 
 def test_apply_edit():
@@ -103,7 +100,7 @@ def test_apply_edit():
     assert apply_edit(w, EditOp("delete", 1)) == (2, 3)
     assert apply_edit(w, EditOp("insert", 0, 9)) == (9, 1, 2, 3)
     assert apply_edit(w, EditOp("insert", 3, 9)) == (1, 2, 3, 9)
-    assert apply_edit(w, EditOp("identity")) == w
+    assert apply_edit(w, IDENTITY) == w
 
 
 def _all_edits(m, chars):
@@ -144,12 +141,6 @@ def test_edit_hash_random_property(word, seed, data):
     op = EditOp(kind, pos, char)
     ctx = HashContext(tuple(word), seed)
     assert edit_hash(ctx, op) == poly_hash(apply_edit(word, op), seed)
-
-
-def test_signature_of():
-    assert signature_of(0) == 0
-    assert signature_of(16) == 0
-    assert signature_of(2130) == 2
 
 
 def test_random_seed_in_range():

@@ -314,12 +314,12 @@ def _fill(table, compact):
     t = table.capacity
     if hasattr(table, "width"):
         if compact:
-            table.occupancy = RankBitVector.from_bits([1] * t)
+            table.occupancy = RankBitVector.from_flags(b"\1" * t)
             table.dense = b"q" * (table.width * t)
         else:
             table.slots = bytearray(b"q" * (table.width * t))
     elif compact:
-        table.occupancy = RankBitVector.from_bits([1] * t)
+        table.occupancy = RankBitVector.from_flags(b"\1" * t)
         table.dense = array("I", [0] * t)
     else:
         table.offsets = [0] * t

@@ -1,17 +1,15 @@
-"""Query engine: oracle equivalence, pattern enumeration, contracts."""
+"""Query engine: oracle equivalence, its keys and candidates, contracts."""
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from editdict import BuildConfig, build_index, oracle_query
 from editdict.errors import UnsupportedQueryError, ValidationError
-from editdict.hashing import WILDCARD
-from editdict.query_engine import (
-    enumerate_patterns,
-    query,
-)
+from editdict.hashing import WILDCARD, poly_hash
+from editdict.query_engine import query
 from conftest import random_pattern, random_words
 
 VARIANTS = [(compact, sig) for compact in (False, True) for sig in (False, True)]
@@ -148,113 +146,93 @@ def test_check_candidate():
     assert not ix.exact.contains(b"abcdef")  # no table for this length
 
 
-# -- pattern enumeration -------------------------------------------------------
+# -- the engine's own keys and candidates, seen through recording fakes -------
+
+SEED = 0x5EED5  # the fake index's bucket seed; any base in [1, MODULUS - 2] works
+SYMBOLS = (1, 2, 3)
+PATTERNS = [bytes(p) for m in range(3, 6) for p in product(SYMBOLS, repeat=m)]
 
 
-def test_enumeration_counts_k1():
-    x = b"a"
-    descs = enumerate_patterns(x, 1)
-    assert len(descs) == 4  # 1 del + 1 sub + 2 ins
-    x = b"abc"
-    descs = enumerate_patterns(x, 1)
-    assert len(descs) == 10  # 3 + 3 + 4
-    kinds = [d.kind for d in descs]
-    assert kinds.count("del") == 3 and kinds.count("sub") == 3 and kinds.count("ins") == 4
+def _recorded_query(x, k, scan_result):
+    """query() on fake stores and a fake exact dictionary that record calls.
+
+    Every scan returns scan_result and every probe hits, so the recorders
+    see each store key and each candidate (with its hash) the engine makes.
+    """
+    scans = {1: [], 2: []}
+    probes = []
+
+    def store(level):
+        def list_query(h):
+            scans[level].append(h)
+            return scan_result
+        return SimpleNamespace(list_query=list_query)
+
+    def probe(buf, h):
+        probes.append((bytes(buf), h))
+        return True
+
+    index = SimpleNamespace(errors=2, bucket_seed=SEED, store1=store(1), store2=store(2),
+                            exact=SimpleNamespace(probe_for_length=lambda length: probe))
+    return query(index, x, k), scans, probes
 
 
-def test_enumeration_counts_k2():
-    m = 5
-    x = bytes(range(97, 97 + m))
-    by_kind = {}
-    for d in enumerate_patterns(x, 2):
-        by_kind[d.kind] = by_kind.get(d.kind, 0) + 1
-    assert by_kind["del"] == m
-    assert by_kind["sub"] == m
-    assert by_kind["ins"] == m + 1
-    assert by_kind["deldel"] == m * (m - 1) // 2
-    assert by_kind["delsub"] == m * (m - 1)
-    assert by_kind["delins"] == m * (m - 1)
-    assert by_kind["subsub"] == m * (m - 1) // 2
-    assert by_kind["subins"] == m * m
-    assert by_kind["insins"] == (m + 2) * (m + 1) // 2
+def _ball(x, k, symbols):
+    """Every symbol tuple reachable from x with at most k deletions,
+    substitutions by a symbol, or insertions of a symbol."""
+    ball = {tuple(x)}
+    for _ in range(k):
+        for s in list(ball):
+            for j in range(len(s)):
+                ball.add(s[:j] + s[j + 1 :])
+                ball.update(s[:j] + (c,) + s[j + 1 :] for c in symbols)
+            for g in range(len(s) + 1):
+                ball.update(s[:g] + (c,) + s[g:] for c in symbols)
+    return ball
 
 
-def test_descriptor_shapes():
-    x = b"abcd"
-    for d in enumerate_patterns(x, 2):
-        pat = d.pattern(x)
-        assert len(pat) == d.length
-        assert sum(1 for c in pat if c == WILDCARD) == d.wildcards
+@pytest.mark.parametrize("k", [1, 2])
+def test_engine_probes_the_whole_neighbourhood(k):
+    # Capped scans hand back the whole alphabet for every blank, so the
+    # engine must fill its way to every string within distance k, writing
+    # each into its buffer and hashing it correctly.
+    for x in PATTERNS:
+        r, scans, probes = _recorded_query(x, k, (range(1, 4), True))
+        for buf, h in probes:
+            assert h == poly_hash(buf, SEED), (x, buf)
+        probed = {buf for buf, _ in probes}
+        assert {tuple(b) for b in probed} == _ball(x, k, SYMBOLS), x
+        assert r.matches == probed
+        n_scans = len(scans[1]) + len(scans[2])
+        assert r.stats.as_tuple() == (n_scans, len(probes) - 1, len(probes), n_scans)
+        # A run may hold one character twice; each candidate is still probed once.
+        r_dup, _, probes_dup = _recorded_query(x, k, ([3, 1, 3, 2], True))
+        assert sorted(probes_dup) == sorted(probes)
+        assert r_dup.stats == r.stats
 
 
-def _brute_force_patterns(x):
-    """All symbol tuples reachable with one or two ops (sub/ins blank)."""
-    def single(s):
-        m = len(s)
-        out = []
-        for j in range(m):
-            out.append(s[:j] + s[j + 1 :])
-            out.append(s[:j] + (WILDCARD,) + s[j + 1 :])
-        for g in range(m + 1):
-            out.append(s[:g] + (WILDCARD,) + s[g:])
-        return out
-
-    base = tuple(x)
-    once = single(base)
-    all_pats = set(once)
-    for s in once:
-        all_pats.update(single(s))
-    return all_pats
-
-
-def test_enumeration_matches_brute_force(rng):
-    for trial in range(12):
-        m = rng.randint(1, 5)
-        x = bytes(rng.randint(97, 99) for _ in range(m))
-        mine = {d.pattern(x) for d in enumerate_patterns(x, 2)}
-        brute = _brute_force_patterns(x)
-        assert mine | {tuple(x)} == brute
-
-
-def test_enumeration_rejects_bad_k():
-    with pytest.raises(ValueError):
-        enumerate_patterns(b"abc", 0)
-    with pytest.raises(ValueError):
-        enumerate_patterns(b"abc", 3)
-
-
-# -- scratch buffer discipline ---------------------------------------------------
-
-
-def test_insertion_buffer_trick_matches_rebuild():
-    # The engine's moving-gap buffer: place the candidate character, probe,
-    # then restore one character when the gap advances.  Every intermediate
-    # buffer must equal a from-scratch construction.
-    x = b"abcdef"
-    m = len(x)
-    buf = bytearray(m + 1)
-    buf[1:] = x
-    previous = None
-    for g in range(m + 1):
-        for c in b"XY":
-            buf[g] = c
-            assert bytes(buf) == x[:g] + bytes([c]) + x[g:]
-            if previous is not None:
-                changed = sum(a != b for a, b in zip(previous, bytes(buf)))
-                assert changed <= 2
-            previous = bytes(buf)
-        if g < m:
-            buf[g] = x[g]
-
-
-def test_deletion_buffer_trick_matches_rebuild():
-    x = b"abcdef"
-    m = len(x)
-    buf = bytearray(x[1:])
-    for j in range(1, m + 1):
-        assert bytes(buf) == x[: j - 1] + x[j:]
-        if j < m:
-            buf[j - 1] = x[j - 1]
+@pytest.mark.parametrize("k", [1, 2])
+def test_engine_scans_every_pattern_key(k):
+    # Empty scans leave only the store keys and the deletion candidates.
+    for x in PATTERNS:
+        m = len(x)
+        r, scans, probes = _recorded_query(x, k, ((), False))
+        keys = {1: set(), 2: set()}
+        for p in _ball(x, k, (WILDCARD,)):
+            blanks = p.count(WILDCARD)
+            if blanks:
+                keys[blanks].add(poly_hash(p, SEED))
+        assert set(scans[1]) == keys[1] and set(scans[2]) == keys[2], x
+        level1 = m + (m + 1)  # sub, ins
+        level2 = 0
+        deletions = m  # del
+        if k == 2:
+            level1 += m * (m - 1) + m * (m - 1)  # delsub, delins
+            level2 = m * (m - 1) // 2 + m * m + (m + 2) * (m + 1) // 2  # subsub, subins, insins
+            deletions += m * (m - 1) // 2  # deldel
+        assert (len(scans[1]), len(scans[2])) == (level1, level2), x
+        assert {tuple(b) for b, _ in probes} == _ball(x, k, ())  # deletions and x
+        assert r.stats.as_tuple() == (level1 + level2, deletions, deletions + 1, 0)
 
 
 def test_stats_counters_consistent(rng):

@@ -8,22 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from editdict.errors import IndexFormatError
-from editdict.succinct import RankBitVector, build_rank
+from editdict.succinct import RankBitVector, run_of_ones
 
 
 def test_empty_vector():
-    rbv = build_rank([], delta=4)
+    rbv = RankBitVector.from_flags(b"", 4)
     assert rbv.n_bits == 0
     assert rbv.rank1(0) == 0
     assert rbv.total_ones == 0
 
 
 def test_total_ones_small():
-    assert build_rank([1, 1, 0, 1]).total_ones == 3
+    assert RankBitVector.from_flags(bytes([1, 1, 0, 1])).total_ones == 3
 
 
 def test_rank_examples():
-    rbv = build_rank([1, 1, 0, 1])
+    rbv = RankBitVector.from_flags(bytes([1, 1, 0, 1]))
     assert rbv.rank1(0) == 0
     assert rbv.rank1(3) == 2
     assert rbv.rank1(4) == 3
@@ -33,7 +33,7 @@ def test_rank_matches_naive_counter():
     rng = random.Random(11)
     for density in (0.1, 0.5, 0.9):
         bits = [1 if rng.random() < density else 0 for _ in range(10_000)]
-        rbv = build_rank(bits, delta=4)
+        rbv = RankBitVector.from_flags(bytes(bits), 4)
         running = 0
         for i, b in enumerate(bits):
             assert rbv.rank1(i) == running
@@ -44,13 +44,13 @@ def test_rank_matches_naive_counter():
 def test_rank_at_word_boundaries():
     for n in (31, 32, 33, 63, 64, 127, 128, 129):
         bits = [1] * n
-        rbv = build_rank(bits, delta=4)
+        rbv = RankBitVector.from_flags(bytes(bits), 4)
         assert rbv.rank1(n) == n
         assert rbv.rank1(n - 1) == n - 1
 
 
 def test_rank_out_of_range():
-    rbv = build_rank([1, 0, 1])
+    rbv = RankBitVector.from_flags(bytes([1, 0, 1]))
     with pytest.raises(IndexError):
         rbv.rank1(4)
     with pytest.raises(IndexError):
@@ -60,35 +60,30 @@ def test_rank_out_of_range():
 def test_delta_variants_agree():
     rng = random.Random(5)
     bits = [rng.randint(0, 1) for _ in range(500)]
-    reference = build_rank(bits, delta=4)
+    reference = RankBitVector.from_flags(bytes(bits), 4)
     for delta in (1, 2, 3, 7, 16):
-        other = build_rank(bits, delta=delta)
+        other = RankBitVector.from_flags(bytes(bits), delta)
         for i in range(0, 501, 7):
             assert other.rank1(i) == reference.rank1(i)
 
 
 def test_scan_ones_examples():
-    rbv = build_rank([1, 1, 0, 1])
-    assert rbv.scan_ones(0) == 2
-    assert rbv.scan_ones(2) == 0
-    assert rbv.scan_ones(3) == 3  # wraps to positions 0 and 1
+    rbv = RankBitVector.from_flags(bytes([1, 1, 0, 1]))
+    assert run_of_ones(rbv.words, 4, 0, 4) == 2
+    assert run_of_ones(rbv.words, 4, 2, 4) == 0
+    assert run_of_ones(rbv.words, 4, 3, 4) == 3  # wraps to positions 0 and 1
 
 
 def test_scan_ones_all_set_caps_at_length():
-    rbv = build_rank([1] * 40)
-    assert rbv.scan_ones(17) == 40
-
-
-def test_scan_ones_out_of_range():
-    rbv = build_rank([1, 0])
-    with pytest.raises(IndexError):
-        rbv.scan_ones(2)
+    # A run that circles the whole vector stops at the limit or past it.
+    rbv = RankBitVector.from_flags(bytes([1] * 40))
+    assert run_of_ones(rbv.words, 40, 17, 40) >= 40
 
 
 @settings(max_examples=60, deadline=None)
 @given(bits=st.lists(st.integers(0, 1), max_size=300), delta=st.integers(1, 8))
 def test_rank_increment_equals_bit(bits, delta):
-    rbv = build_rank(bits, delta=delta)
+    rbv = RankBitVector.from_flags(bytes(bits), delta)
     for i, b in enumerate(bits):
         assert rbv.rank1(i + 1) - rbv.rank1(i) == b
 
@@ -96,15 +91,15 @@ def test_rank_increment_equals_bit(bits, delta):
 def test_serialized_size_bound():
     # At delta = 4, bits on disk stay within n*(1 + 1/4) plus a small constant.
     for n in (0, 1, 31, 32, 33, 1000, 100_000):
-        rbv = build_rank([1] * n, delta=4)
-        assert rbv.serialized_bits() <= n * 1.25 + 512
+        rbv = RankBitVector.from_flags(bytes([1] * n), 4)
+        assert 8 * len(rbv.to_bytes()) <= n * 1.25 + 512
 
 
 def test_bytes_roundtrip():
     rng = random.Random(2)
     for n in (0, 1, 50, 129, 4096):
         bits = [rng.randint(0, 1) for _ in range(n)]
-        rbv = build_rank(bits, delta=4)
+        rbv = RankBitVector.from_flags(bytes(bits), 4)
         blob = rbv.to_bytes()
         back, consumed = RankBitVector.from_bytes(blob, 0)
         assert consumed == len(blob)
@@ -123,10 +118,10 @@ def test_probe_replay_equivalence():
         slots = [rng.randrange(100) if rng.random() < 0.7 else None for _ in range(n)]
         if all(s is not None for s in slots):
             slots[rng.randrange(n)] = None
-        occ = build_rank([s is not None for s in slots])
+        occ = RankBitVector.from_flags(bytes([s is not None for s in slots]))
         dense = [s for s in slots if s is not None]
         for start in range(n):
-            run = occ.scan_ones(start)
+            run = run_of_ones(occ.words, n, start, n)  # exact: one bit is clear
             expected = []
             pos = start
             while slots[pos] is not None:
@@ -169,7 +164,7 @@ def _reference_bytes(bits, delta: int) -> bytes:
        delta=st.integers(1, 8))
 def test_bytes_roundtrip_identical(data, n, delta):
     bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    blob = build_rank(bits, delta=delta).to_bytes()
+    blob = RankBitVector.from_flags(bytes(bits), delta).to_bytes()
     assert blob == _reference_bytes(bits, delta)
     back, end = RankBitVector.from_bytes(blob, 0)
     assert end == len(blob)
@@ -180,7 +175,7 @@ def test_bytes_roundtrip_identical(data, n, delta):
 @given(flags=st.lists(st.integers(0, 1), max_size=200), delta=st.integers(1, 8))
 def test_from_flags_equals_from_bits(flags, delta):
     a = RankBitVector.from_flags(bytes(flags), delta)
-    b = RankBitVector.from_bits(flags, delta)
+    b = RankBitVector.from_flags(bytearray(0xA5 * f for f in flags), delta)  # nonzero is set
     assert list(a.words) == list(b.words) == _reference_words(flags)
     assert list(a.ranks) == list(b.ranks) == list(accumulate(map(int.bit_count, a.words),
                                                              initial=0))
@@ -188,14 +183,14 @@ def test_from_flags_equals_from_bits(flags, delta):
 
 
 def test_from_bytes_rejects_wrong_counts():
-    blob = bytearray(build_rank([1] * 200, delta=2).to_bytes())
+    blob = bytearray(RankBitVector.from_flags(bytes([1] * 200), 2).to_bytes())
     blob[9 + 4 * 3] ^= 1  # the count word of the second block
     with pytest.raises(IndexFormatError, match="counts"):
         RankBitVector.from_bytes(bytes(blob), 0)
 
 
 def test_from_bytes_rejects_bits_past_length():
-    blob = bytearray(build_rank([0] * 40, delta=4).to_bytes())
+    blob = bytearray(RankBitVector.from_flags(bytes([0] * 40), 4).to_bytes())
     blob[9 + 4 * 2 + 1] = 0x80  # bit 47 of the second data word
     with pytest.raises(IndexFormatError, match="past its length"):
         RankBitVector.from_bytes(bytes(blob), 0)
