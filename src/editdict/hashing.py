@@ -81,7 +81,7 @@ class HashContext:
       insert c at gap g     prefix[g] + c * r**(g+1) + (total - prefix[g]) * r
     """
 
-    __slots__ = ("word", "seed", "prefix", "powers", "inv", "total")
+    __slots__ = ("prefix", "powers", "inv", "total")
 
     def __init__(self, word, seed: int):
         m = len(word)
@@ -91,8 +91,6 @@ class HashContext:
         for j in range(1, m + 1):
             h = (h + word[j - 1] * powers[j]) % MODULUS
             prefix[j] = h
-        self.word = word
-        self.seed = seed
         self.prefix = prefix
         self.powers = powers
         self.inv = inverse_of(seed)

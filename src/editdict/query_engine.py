@@ -111,14 +111,14 @@ def query(index, pattern, k: int) -> QueryResult:
     if 0 in pattern:
         raise ValidationError("pattern contains a zero byte")
     if k not in (0, 1, 2):
-        raise ValueError("k must be 0, 1 or 2")
+        raise ValidationError("k must be 0, 1 or 2")
     if k > index.errors:
         raise UnsupportedQueryError(
             f"index was built for {index.errors} error(s), cannot answer k={k}"
         )
     m = len(pattern)
     if k >= m:
-        raise ValueError(f"k={k} must be smaller than the pattern length {m}")
+        raise ValidationError(f"k={k} must be smaller than the pattern length {m}")
 
     exact = index.exact
     matches: set[bytes] = set()

@@ -18,9 +18,15 @@ bounded:
   same hash as the home slot: a key hashing to h has home slot
   h mod capacity and signature (h // capacity) & 15, the low nibble of
   the quotient the slot leaves unused, so each key is hashed once;
-* a scan that would visit more than sigma slots (sigma = alphabet size)
-  gives up and returns the whole alphabet [1..sigma] instead, bounding the
-  worst case while staying a superset.
+* a scan gives up and returns the whole alphabet [1..sigma] (sigma = the
+  largest byte value stored) instead, still a superset, when its run from
+  the home slot is _SCAN_LIMIT * sigma slots or longer, or when its
+  signature-filtered list already holds sigma characters or more.  So no
+  scan reads more than _SCAN_LIMIT * sigma slots or returns more than
+  sigma characters.  The run limit is a multiple of sigma because at load
+  alpha linear probing's expected unsuccessful run is about
+  (1 + 1/(1 - alpha)**2) / 2 slots, 13 at alpha = 0.8: a limit of sigma =
+  12 would cap ordinary runs there, not adversarial ones.
 
 Keys with one home slot differ in their quotients, so their signatures
 are as good as independent while h // capacity spans many multiples of
@@ -51,7 +57,7 @@ signatures split at half = (entry_count + 1) // 2 as above (empty without
 signatures).  The run of occupied slots from a home slot is the run of
 entries from that slot's rank, so a compacted scan tests the home bit,
 measures the run of ones one word at a time with a trailing-ones bit
-trick, decides the cap from the run length alone, computes the home
+trick, decides the length cap from the run alone, computes the home
 slot's rank inline, and then filters the run's entries with the same
 `translate` and `in` test as a plain scan.
 """
@@ -71,6 +77,9 @@ from .succinct import RankBitVector, read_occupancy, run_of_ones
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
 _EMPTY: tuple[int, ...] = ()
+
+# A run of _SCAN_LIMIT * sigma slots or more caps a scan.
+_SCAN_LIMIT = 4
 
 # Byte translation tables for splitting and joining signature nibbles.
 _LOW_NIBBLE = bytes(b & 15 for b in range(256))
@@ -109,8 +118,9 @@ def entries_for(word_length: int, level: int) -> int:
 class SubstStore:
     """Linear-probing character table keyed by wildcard patterns.
 
-    Keys are hashed under bucket_seed only.  sig_seed is kept because the
-    index and its file header carry it, but no hash uses it.
+    Keys are hashed under bucket_seed only.  The constructor still takes
+    sig_seed, which the index and its file header carry, but no hash uses
+    it and the store does not keep it.
     """
 
     __slots__ = (
@@ -119,7 +129,6 @@ class SubstStore:
         "entry_count",
         "use_signatures",
         "bucket_seed",
-        "sig_seed",
         "sigma",
         "chars",
         "sigs",
@@ -136,7 +145,6 @@ class SubstStore:
         self.entry_count = 0
         self.use_signatures = use_signatures
         self.bucket_seed = bucket_seed
-        self.sig_seed = sig_seed
         self.sigma = sigma
         self.chars = bytearray(capacity)
         self.sigs = bytearray((capacity + 1) // 2 if use_signatures else 0)
@@ -211,7 +219,8 @@ class SubstStore:
         Scans circularly from the key's home slot (bucket_hash mod
         capacity) to the next empty slot, keeping the characters whose
         stored signature equals the key's (all of them if the store has no
-        signatures).  A scan past sigma slots returns the full alphabet
+        signatures).  A run of _SCAN_LIMIT * sigma slots or more, or a kept
+        list of sigma characters or more, returns the full alphabet
         instead, with capped = True.  The result is always a superset of
         the characters stored under this key.
         """
@@ -222,9 +231,10 @@ class SubstStore:
             chars = self.chars
             if not chars[s] and sigma:  # an empty home slot: most scans end here
                 return _EMPTY, False
-            e = chars.find(0, s, s + sigma)  # the empty slot ending the run, if < sigma away
+            limit = _SCAN_LIMIT * sigma
+            e = chars.find(0, s, s + limit)  # the empty slot ending the run, if < limit away
             if e < 0:
-                e = chars.find(0, 0, s + sigma - t) if s + sigma > t else -1
+                e = chars.find(0, 0, s + limit - t) if s + limit > t else -1
                 if e < 0:
                     return range(1, sigma + 1), True
             sigs = self.sigs
@@ -238,9 +248,10 @@ class SubstStore:
             if not x & 1 and sigma:  # an empty home slot: most scans end here
                 return _EMPTY, False
             run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word w
+            limit = _SCAN_LIMIT * sigma
             if off + run == 32 or s + run == t:
-                run = run_of_ones(bits, t, s, sigma)
-            if run >= sigma:
+                run = run_of_ones(bits, t, s, limit)
+            if run >= limit:
                 return range(1, sigma + 1), True
             # From here on s and e index entries: the run's first entry is
             # the home slot's rank, and the run wraps past the last entry
@@ -267,8 +278,12 @@ class SubstStore:
             if key_sig not in nibbles:
                 return _EMPTY, False
             run = chars[s:e] if s < e else chars[s:] + chars[:e]
-            return [c for c, g in zip(run, nibbles) if g == key_sig], False
-        return list(chars[s:e] if s < e else chars[s:] + chars[:e]), False
+            out = [c for c, g in zip(run, nibbles) if g == key_sig]
+        else:
+            out = list(chars[s:e] if s < e else chars[s:] + chars[:e])
+        if len(out) >= sigma:
+            return range(1, sigma + 1), True
+        return out, False
 
     # -- compaction and serialization --------------------------------------
 
@@ -308,7 +323,6 @@ class SubstStore:
         store.capacity = capacity
         store.entry_count = entry_count
         store.bucket_seed = bucket_seed
-        store.sig_seed = sig_seed
         store.sigma = sigma
         what = f"level-{level} store"
         if store.compacted:
@@ -345,7 +359,7 @@ def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
     """Build a level-1 or level-2 store over a word list.
 
     Entries are placed and signed by one hash under bucket_seed; sig_seed
-    is only recorded on the store.
+    is accepted and ignored.
     """
     if level not in (1, 2):
         raise ValueError("store level must be 1 or 2")

@@ -1,8 +1,9 @@
-"""Reference single edits and their O(1) hashes from a HashContext.
+"""Reference single edits and their O(1) hashes from a SpecContext.
 
 The hashing tests check the O(1) formulas here, which the query engine
 and the substitution stores inline, against poly_hash of the edited
-string built by apply_edit.
+string built by apply_edit.  SpecContext is a HashContext that also keeps
+its word and seed, which the formulas read and the library does not.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ class EditOp:
 IDENTITY = EditOp("identity")
 
 
+class SpecContext(HashContext):
+    """A HashContext that remembers the word and seed it was built from."""
+
+    __slots__ = ("word", "seed")
+
+    def __init__(self, word, seed: int):
+        super().__init__(word, seed)
+        self.word = word
+        self.seed = seed
+
+
 def apply_edit(word, op: EditOp) -> tuple[int, ...]:
     """Reference application of an edit, returning a symbol tuple."""
     w = tuple(word)
@@ -42,24 +54,24 @@ def apply_edit(word, op: EditOp) -> tuple[int, ...]:
     raise ValueError(f"unknown edit kind {op.kind!r}")
 
 
-def substitute(ctx: HashContext, pos: int, char: int) -> int:
+def substitute(ctx: SpecContext, pos: int, char: int) -> int:
     """Hash of the word with the character at `pos` replaced by `char`."""
     return (ctx.total + (char - ctx.word[pos - 1]) * ctx.powers[pos]) % MODULUS
 
 
-def delete(ctx: HashContext, pos: int) -> int:
+def delete(ctx: SpecContext, pos: int) -> int:
     """Hash of the word with the character at `pos` removed."""
     p = ctx.prefix
     return (p[pos - 1] + (ctx.total - p[pos]) * ctx.inv) % MODULUS
 
 
-def insert(ctx: HashContext, gap: int, char: int) -> int:
+def insert(ctx: SpecContext, gap: int, char: int) -> int:
     """Hash of the word with `char` inserted after position `gap`."""
     p = ctx.prefix[gap]
     return (p + char * ctx.powers[gap + 1] + (ctx.total - p) * ctx.seed) % MODULUS
 
 
-def edit_hash(ctx: HashContext, op: EditOp) -> int:
+def edit_hash(ctx: SpecContext, op: EditOp) -> int:
     """Hash of apply_edit(ctx.word, op), in O(1) arithmetic operations."""
     if op.kind == "identity":
         return ctx.total

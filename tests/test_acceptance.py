@@ -16,12 +16,12 @@ from itertools import accumulate, product
 from editdict import BuildConfig, build_index, load, save
 from editdict.baseline import build_partition_index, partition_stats
 from editdict.cli import random_edit_pattern
-from editdict.hashing import MODULUS, WILDCARD, HashContext, poly_hash
+from editdict.hashing import MODULUS, WILDCARD, poly_hash
 from editdict.subst_store import list_histogram
 from editdict.succinct import RankBitVector
 from conftest import random_pattern, random_words
 from _fastoracle import FastOracle
-from _hashspec import EditOp, apply_edit, edit_hash
+from _hashspec import EditOp, SpecContext, apply_edit, edit_hash
 
 ALPHA = Fraction(7, 10)
 
@@ -88,7 +88,7 @@ def test_acceptance_02_incremental_hashing_exhaustive():
     checked = 0
     for m in range(0, 9):
         for word in product((1, 2, 3), repeat=m):
-            ctx = HashContext(word, seed)
+            ctx = SpecContext(word, seed)
             for j in range(1, m + 1):
                 for c in chars:
                     op = EditOp("substitute", j, c)

@@ -89,6 +89,12 @@ def test_query_stdin(built, capsys, monkeypatch):
     assert "banal" in lines[2].split()
 
 
+def test_query_k_not_below_pattern_length_fails(built, capsys):
+    rc = run_cli(["query", "--index", built, "--k", "2", "--pattern", "ab"])
+    assert rc == EXIT_FAILURE
+    assert "must be smaller" in capsys.readouterr().err
+
+
 def test_unknown_flag_usage_error(capsys):
     assert run_cli(["query", "--frobnicate"]) == EXIT_USAGE
 

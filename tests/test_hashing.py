@@ -15,7 +15,16 @@ from editdict.hashing import (
     powers_of,
     random_seed,
 )
-from _hashspec import IDENTITY, EditOp, apply_edit, delete, edit_hash, insert, substitute
+from _hashspec import (
+    IDENTITY,
+    EditOp,
+    SpecContext,
+    apply_edit,
+    delete,
+    edit_hash,
+    insert,
+    substitute,
+)
 
 
 def test_poly_hash_empty():
@@ -75,22 +84,22 @@ def test_powers_and_inverse():
 
 
 def test_edit_hash_substitute():
-    ctx = HashContext((3, 1, 2), 10)
+    ctx = SpecContext((3, 1, 2), 10)
     assert substitute(ctx, 2, 5) == 2530
 
 
 def test_edit_hash_delete():
-    ctx = HashContext((3, 1, 2), 10)
+    ctx = SpecContext((3, 1, 2), 10)
     assert delete(ctx, 2) == 230
 
 
 def test_edit_hash_insert():
-    ctx = HashContext((3, 1, 2), 10)
+    ctx = SpecContext((3, 1, 2), 10)
     assert insert(ctx, 1, 7) == 21730
 
 
 def test_edit_hash_identity():
-    ctx = HashContext(b"xyz", 10)
+    ctx = SpecContext(b"xyz", 10)
     assert edit_hash(ctx, IDENTITY) == ctx.total
 
 
@@ -119,7 +128,7 @@ def test_edit_hash_exhaustive_small():
     for seed in (10, 0x5EED, MODULUS - 2):
         for m in range(0, 6):
             for word in product((1, 2, 3), repeat=m):
-                ctx = HashContext(word, seed)
+                ctx = SpecContext(word, seed)
                 for op in _all_edits(m, chars):
                     assert edit_hash(ctx, op) == poly_hash(apply_edit(word, op), seed)
 
@@ -139,7 +148,7 @@ def test_edit_hash_random_property(word, seed, data):
         pos = data.draw(st.integers(1, m))
     char = data.draw(st.sampled_from([1, 77, 255, WILDCARD]))
     op = EditOp(kind, pos, char)
-    ctx = HashContext(tuple(word), seed)
+    ctx = SpecContext(tuple(word), seed)
     assert edit_hash(ctx, op) == poly_hash(apply_edit(word, op), seed)
 
 
@@ -151,6 +160,6 @@ def test_random_seed_in_range():
 
 
 def test_edit_hash_rejects_unknown_kind():
-    ctx = HashContext(b"ab", 10)
+    ctx = SpecContext(b"ab", 10)
     with pytest.raises(ValueError):
         edit_hash(ctx, EditOp("transpose", 1, 2))

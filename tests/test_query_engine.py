@@ -133,6 +133,13 @@ def test_bad_k_rejected():
         ix.query(b"abcd", 3)
 
 
+def test_bad_k_is_a_validation_error():
+    ix = build_index([b"abc"], BuildConfig(errors=2, rng_seed=1))
+    for pattern, k in [(b"abcd", 3), (b"abcd", -1), (b"ab", 2), (b"a", 1)]:
+        with pytest.raises(ValidationError):
+            ix.query(pattern, k)
+
+
 def test_str_pattern_accepted():
     ix = build_index([b"abc"], BuildConfig(errors=1, rng_seed=1))
     assert ix.query("abd", 1).matches == {b"abc"}

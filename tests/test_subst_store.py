@@ -5,11 +5,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from editdict.errors import CompactedError, IndexFormatError, TableFullError
 from editdict.hashing import WILDCARD, poly_hash
 from editdict.subst_store import (
+    _SCAN_LIMIT,
     SubstStore,
     build_store,
     entries_for,
@@ -80,8 +81,8 @@ def test_empty_store_returns_nothing():
 
 
 def test_cap_path_returns_full_alphabet():
-    # sigma words of the shape <c>b hash their first-position key to one
-    # bucket, so that key's run exceeds sigma slots and the scan gives up.
+    # sigma words of the shape <c>( share their first-position key, so its
+    # list holds sigma characters and the scan returns the alphabet instead.
     sigma = 48
     words = [bytes([c, 40]) for c in range(1, sigma + 1)]
     for sig_on in (False, True):
@@ -256,25 +257,30 @@ def test_serialization_roundtrip(rng):
                     assert list(ca) == list(cb) and fa == fb
 
 
+def fill_store(capacity: int, sig_on: bool, sigma: int, entries) -> SubstStore:
+    """A plain level-1 store holding (home slot, signature, character) entries."""
+    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
+    for slot, sig, char in entries:
+        store._insert_entry(slot + sig * capacity, char)  # home slot, then nibble
+    return store
+
+
 @st.composite
 def filled_store(draw):
     """A small plain store whose runs straddle word ends, wrap past the
-    table end and reach sigma: capacities near a multiple of 32, homes
-    drawn near word and table ends, and sigma either small or above a
-    word's 32 slots."""
+    table end and reach the scan limit: capacities near a multiple of 32,
+    homes drawn near word and table ends, and sigma either small, for a
+    limit below or above a word's 32 slots, or above 32."""
     capacity = 32 * draw(st.integers(1, 4)) + draw(st.integers(-2, 2))
     sig_on = draw(st.booleans())
     sigma = draw(st.one_of(st.integers(1, 12), st.integers(33, 100)))
-    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
     near_end = st.integers(-3, 3).map(lambda d: d % capacity)
     near_word_end = st.integers(1, max(1, capacity // 32)).flatmap(
         lambda w: st.integers(32 * w - 3, 32 * w + 3)).map(lambda s: s % capacity)
     home = st.one_of(st.integers(0, capacity - 1), near_end, near_word_end)
     entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, sigma)),
                             max_size=capacity - 1))
-    for slot, sig, char in entries:
-        store._insert_entry(slot + sig * capacity, char)  # home slot, then nibble
-    return store
+    return fill_store(capacity, sig_on, sigma, entries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,20 +300,40 @@ def reference_scan(store: SubstStore, slot: int, key_sig: int):
     """list_query of a plain store, one slot at a time from the layout's
     definition: chars[i] is slot i's character, 0 when empty; its
     signature is the low nibble of sigs[i] below half = (capacity + 1) // 2
-    and the high nibble of sigs[i - half] from there on."""
+    and the high nibble of sigs[i - half] from there on.  A run of
+    _SCAN_LIMIT * sigma slots or more, or a kept list of sigma characters
+    or more, caps the scan."""
     t, sigma = store.capacity, store.sigma
     half = (t + 1) // 2
     out = []
-    for step in range(sigma):
+    for step in range(_SCAN_LIMIT * sigma):
         i = (slot + step) % t
         char = store.chars[i]
         if char == 0:
-            return out, False
+            return capped_by_count(out, sigma)
         if not store.use_signatures:
             out.append(char)
         elif (store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4) == key_sig:
             out.append(char)
+    event("length cap")
     return list(range(1, sigma + 1)), True
+
+
+def capped_by_count(out, sigma: int):
+    """The result of a scan whose run ended with `out` kept."""
+    if len(out) >= sigma:
+        event("count cap")
+        return list(range(1, sigma + 1)), True
+    return out, False
+
+
+# A run of _SCAN_LIMIT * sigma + 2 slots from slot 0, which the length cap
+# ends, and a run of 2 * sigma slots from slot 40: two of its entries,
+# signed 3, fill that signature's list to sigma, which the count cap ends,
+# while signature 5 keeps a list of one.
+BOTH_CAPS = dict(capacity=64, sigma=2,
+                 entries=[(0, 1, 1)] * (_SCAN_LIMIT * 2 + 2)
+                 + [(40, 3, 1), (40, 5, 2), (40, 3, 2), (40, 7, 1)])
 
 
 @st.composite
@@ -318,19 +344,18 @@ def plain_store(draw):
     capacity = draw(st.integers(2, 90))
     sig_on = draw(st.booleans())
     sigma = draw(st.one_of(st.integers(1, 12), st.integers(33, 100)))
-    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
     half = (capacity + 1) // 2
     near = lambda x: st.integers(-4, 2).map(lambda d: (x + d) % capacity)  # noqa: E731
     home = st.one_of(st.integers(0, capacity - 1), near(half), near(capacity))
     entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, 255)),
                             max_size=capacity - 1))
-    for slot, sig, char in entries:
-        store._insert_entry(slot + sig * capacity, char)  # home slot, then nibble
-    return store
+    return fill_store(capacity, sig_on, sigma, entries)
 
 
 @settings(max_examples=200, deadline=None)
 @given(store=plain_store())
+@example(store=fill_store(sig_on=True, **BOTH_CAPS))
+@example(store=fill_store(sig_on=False, **BOTH_CAPS))
 def test_plain_scan_equals_per_slot_reference(store):
     for slot in range(store.capacity):
         for key_sig in range(16):
@@ -343,15 +368,18 @@ def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: in
     payload's definition: entry i (the i-th occupied slot in slot order)
     has character dense[i] and, with half = (entry_count + 1) // 2, its
     signature in the low nibble of dsigs[i] below half and in the high
-    nibble of dsigs[i - half] from there on."""
+    nibble of dsigs[i - half] from there on.  A run of _SCAN_LIMIT * sigma
+    slots or more, or a kept list of sigma characters or more, caps the
+    scan."""
     t, sigma, n = store.capacity, store.sigma, store.entry_count
     half = (n + 1) // 2
     if sigma and not occupied[slot]:
         return [], False
     run = 0
-    while run < sigma and occupied[(slot + run) % t]:
+    while run < _SCAN_LIMIT * sigma and occupied[(slot + run) % t]:
         run += 1
-    if run >= sigma:
+    if run >= _SCAN_LIMIT * sigma:
+        event("length cap")
         return list(range(1, sigma + 1)), True
     first = sum(occupied[:slot])
     out = []
@@ -361,14 +389,18 @@ def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: in
             out.append(store.dense[i])
         elif (store.dsigs[i] & 15 if i < half else store.dsigs[i - half] >> 4) == key_sig:
             out.append(store.dense[i])
-    return out, False
+    return capped_by_count(out, sigma)
 
 
 @st.composite
 def compacted_store(draw):
     """A small compacted store with odd or even entry counts, whose runs
     cross the entries' signature split and wrap past the last entry."""
-    store = draw(plain_store())
+    return compacted(draw(plain_store()))
+
+
+def compacted(store: SubstStore):
+    """The store compacted, with its slots' occupancy from before."""
     occupied = [c != 0 for c in store.chars]
     store.compact()
     return store, occupied
@@ -376,6 +408,8 @@ def compacted_store(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=compacted_store())
+@example(drawn=compacted(fill_store(sig_on=True, **BOTH_CAPS)))
+@example(drawn=compacted(fill_store(sig_on=False, **BOTH_CAPS)))
 def test_compacted_scan_equals_per_entry_reference(drawn):
     store, occupied = drawn
     for slot in range(store.capacity):
@@ -408,3 +442,58 @@ def test_insert_into_store_with_wrong_count_raises():
     store.entry_count = 0
     with pytest.raises(IndexFormatError, match="no empty slot"):
         store.insert_entries(b"ab")
+
+
+SIGMA = 4
+LIMIT = _SCAN_LIMIT * SIGMA  # the run length that caps a scan
+
+
+def one_run_store(compact: bool, sig_on: bool, home: int, entries) -> SubstStore:
+    """A 64-slot store with sigma = SIGMA whose (signature, character)
+    entries all have one home slot, so they fill the run from it."""
+    store = fill_store(64, sig_on, SIGMA, [(home, sig, char) for sig, char in entries])
+    if compact:
+        store.compact()
+    return store
+
+
+layouts = pytest.mark.parametrize("compact", [False, True])
+homes = pytest.mark.parametrize("home", [5, 28, 60])  # in a word, across a word, wrapping
+
+
+@layouts
+@homes
+def test_one_entry_in_run_longer_than_sigma_is_listed(compact, home):
+    # The key's one entry sits behind foreign ones in a run past sigma
+    # slots but short of the length cap, so the filtered list is just it.
+    store = one_run_store(compact, True, home, [(1, 1)] * (LIMIT - 2) + [(2, 3)])
+    chars, capped = store.list_query(home + 2 * store.capacity)
+    assert (list(chars), capped) == ([3], False)
+
+
+@layouts
+@homes
+@pytest.mark.parametrize("sig_on", [False, True])
+def test_sigma_entries_under_one_key_cap(compact, sig_on, home):
+    store = one_run_store(compact, sig_on, home, [(2, 1), (1, 4), (2, 2), (2, 3), (2, 1)])
+    chars, capped = store.list_query(home + 2 * store.capacity)
+    assert (list(chars), capped) == ([1, 2, 3, 4], True)
+
+
+@layouts
+@homes
+@pytest.mark.parametrize("sig_on", [False, True])
+def test_run_of_limit_slots_caps(compact, sig_on, home):
+    # None of the run's entries carries the key's signature 2: only the
+    # run's length can cap the scan.
+    store = one_run_store(compact, sig_on, home, [(1, 1)] * LIMIT)
+    chars, capped = store.list_query(home + 2 * store.capacity)
+    assert (list(chars), capped) == ([1, 2, 3, 4], True)
+
+
+@layouts
+@homes
+def test_run_one_short_of_limit_is_filtered(compact, home):
+    store = one_run_store(compact, True, home, [(1, 1)] * (LIMIT - 1))
+    chars, capped = store.list_query(home + 2 * store.capacity)
+    assert (list(chars), capped) == ([], False)
