@@ -4,17 +4,19 @@ Words shorter than the threshold beta live inline in one linear-probing
 table per length (slot width = word length, an empty slot is all zero
 bytes, which is why words must not contain NUL bytes).  Words of length
 beta or more live in a single table of 32-bit offsets into an arena of
-length-prefixed word bytes; the all-ones offset marks an empty slot.
+length-prefixed word bytes; the all-ones offset marks an empty slot.  The
+offsets are one array('I') in both layouts.
 
 Probing starts at poly_hash(word) mod capacity and scans circularly until
 the word or an empty slot is found.  Every table keeps at least one empty
-slot, so scans terminate; loading rejects a table that has none.  In a
-plain inline table the first zero byte at or after the home slot is the
-start of the empty slot that ends the run, so a probe is one
-`bytes.find(0, ...)` plus one aligned `bytes.find(word, ...)` over the
-run (two of each when the run wraps past the last slot); loading rejects
-a table whose occupied slots hold a zero byte, which would break this.
-Compaction replaces each slot array with an occupancy bit vector
+slot, so scans terminate; loading rejects a table that has none.  An
+insert runs its table's probe and writes into the empty slot that ends
+the run.  In a plain inline table the first zero byte at or after the
+home slot is the start of the empty slot that ends the run, so a probe is
+one `bytes.find(0, ...)` plus one aligned `bytes.find(word, ...)` over
+the run (two of each when the run wraps past the last slot); loading
+rejects a table whose occupied slots hold a zero byte, which would break
+this.  Compaction replaces each slot array with an occupancy bit vector
 (succinct.py) plus a dense payload, the occupied slots in slot order, and
 freezes the structure; probes compute the home slot's rank inline from
 the bit vector's word and rank arrays and search the run's bytes with the
@@ -106,22 +108,16 @@ class _ShortTable:
         w = self.width
         slots = self.slots
         lo = h % self.capacity * w
-        if not slots[lo]:  # an empty home slot: no run to search
-            slots[lo : lo + w] = word
-            self.count += 1
-            return True
-        hi = slots.find(0, lo)
-        if hi < 0:  # the run wraps past the last slot
-            if _holds(slots, word, lo, len(slots), w):
+        if slots[lo]:  # an occupied home slot: the word may be in its run
+            if self.contains(word, h):
                 return False
-            lo = 0
-            hi = slots.find(0)
-            if hi < 0:  # only a loaded table whose count was too low
-                raise IndexFormatError(f"word table (length {w}): no empty slot left, "
-                                       f"its count {self.count} is wrong")
-        if _holds(slots, word, lo, hi, w):
-            return False
-        slots[hi : hi + w] = word
+            lo = slots.find(0, lo)  # the empty slot ending the run
+            if lo < 0:  # the run wraps past the last slot
+                lo = slots.find(0)
+                if lo < 0:  # only a loaded table whose count was too low
+                    raise IndexFormatError(f"word table (length {w}): no empty slot left, "
+                                           f"its count {self.count} is wrong")
+        slots[lo : lo + w] = word
         self.count += 1
         return True
 
@@ -188,15 +184,10 @@ class _LongTable:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.count = 0
-        self.offsets: list[int] | None = [EMPTY_OFFSET] * capacity
+        self.offsets: array | None = array("I", [EMPTY_OFFSET]) * capacity
         self.arena = bytearray()
         self.occupancy: RankBitVector | None = None
         self.dense: array | None = None
-
-    def _matches(self, o: int, word) -> bool:
-        arena = self.arena
-        ln = arena[o] | (arena[o + 1] << 8)
-        return ln == len(word) and arena[o + 2 : o + 2 + ln] == word
 
     def contains(self, word, h: int) -> bool:
         t = self.capacity
@@ -234,18 +225,13 @@ class _LongTable:
         return False
 
     def insert(self, word, h: int) -> bool:
-        t = self.capacity
-        s = h % t
+        if self.contains(word, h):
+            return False
         offsets = self.offsets
-        while True:
-            o = offsets[s]
-            if o == EMPTY_OFFSET:
-                break
-            if self._matches(o, word):
-                return False
-            s += 1
-            if s == t:
-                s = 0
+        try:
+            s = offsets.index(EMPTY_OFFSET, h % self.capacity)
+        except ValueError:  # the run wraps past the last slot
+            s = offsets.index(EMPTY_OFFSET)
         o = len(self.arena)
         if o + 2 + len(word) >= EMPTY_OFFSET:
             raise ValidationError("long-word arena exceeds 32-bit offsets")
@@ -286,7 +272,7 @@ class _LongTable:
             empty_slot = count < capacity
             stored = table.dense
         else:
-            table.offsets = list(struct.unpack_from(f"<{capacity}I", buf, offset))
+            table.offsets = u32_array(take(buf, offset, 4 * capacity, what))
             table.occupancy = None
             table.dense = None
             offset += 4 * capacity
@@ -380,6 +366,7 @@ class ExactDictionary:
         m = len(word)
         if h is None:
             h = poly_hash(word, self.seed)
+        self.check_headroom(m)
         if m < self.beta:
             table = self.short_tables.get(m)
             if table is None:
@@ -387,10 +374,6 @@ class ExactDictionary:
                 self.short_tables[m] = table
         else:
             table = self.long_table
-        check_headroom(
-            table.count, 1, table.capacity,
-            f"word table (length {m})" if m < self.beta else "long-word table",
-        )
         if not table.insert(bytes(word), h):
             return False
         self.word_count += 1

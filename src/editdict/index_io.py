@@ -66,7 +66,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .exact_dict import ExactDictionary, build_exact
-from .hashing import random_seed
+from .hashing import poly_hash, random_seed
 from .subst_store import SubstStore, build_store, entries_for
 from .util import validate_word, validate_words
 
@@ -183,7 +183,8 @@ class Index:
             raise CompactedError("cannot insert into a compacted index")
         validate_word(word)
         word = bytes(word)
-        if self.exact.contains(word):
+        h = poly_hash(word, self.exact.seed)
+        if self.exact.contains(word, h):
             return False
         m = len(word)
         self.exact.check_headroom(m)
@@ -191,11 +192,11 @@ class Index:
             self.store1.check_headroom(entries_for(m, 1))
         if self.store2 is not None:
             self.store2.check_headroom(entries_for(m, 2))
-        self.exact.insert_word(word)
+        self.exact.insert_word(word, h)
         if self.store1 is not None:
-            self.store1._insert_word_entries(word)
+            self.store1.insert_entries(word)
         if self.store2 is not None:
-            self.store2._insert_word_entries(word)
+            self.store2.insert_entries(word)
         top = max(word)
         if top > self.sigma:
             self.sigma = top
@@ -341,8 +342,8 @@ def read_wordlist(source) -> list[bytes]:
     """Load a word list: raw bytes, one word per LF-terminated line.
 
     Trailing CR is stripped, empty lines are skipped, duplicates are
-    dropped (first occurrence wins), and a NUL byte anywhere is an error
-    naming the line.
+    dropped (first occurrence wins), and a NUL byte or a line over 65,535
+    bytes is an error naming the line.
     """
     if isinstance(source, (bytes, bytearray)):
         data = bytes(source)
@@ -357,10 +358,7 @@ def read_wordlist(source) -> list[bytes]:
             line = line[:-1]
         if not line:
             continue
-        if 0 in line:
-            raise ValidationError(f"line {lineno} contains a zero byte")
-        if len(line) > 0xFFFF:
-            raise ValidationError(f"line {lineno} is longer than 65535 bytes")
+        validate_word(line, f"line {lineno}")
         if line not in seen:
             seen.add(line)
             words.append(line)

@@ -53,9 +53,9 @@ def take(buf, offset: int, size: int, what: str):
     return buf[offset:end]
 
 
-def validate_word(word, index: int | None = None) -> None:
-    """Check a single word: non-empty, no NUL bytes, length under 2**16."""
-    where = "word" if index is None else f"word #{index}"
+def validate_word(word, where: str = "word") -> None:
+    """Check a single word: non-empty, no NUL bytes, length under 2**16.
+    `where` names the word in the error message."""
     if len(word) == 0:
         raise ValidationError(f"{where} is empty")
     if len(word) > MAX_WORD_LENGTH:
@@ -69,7 +69,7 @@ def validate_words(words) -> list[bytes]:
     out = []
     seen = set()
     for i, word in enumerate(words):
-        validate_word(word, i)
+        validate_word(word, f"word #{i}")
         w = bytes(word)
         if w not in seen:
             seen.add(w)

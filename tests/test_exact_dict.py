@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from editdict.errors import CompactedError, IndexFormatError, TableFullError, ValidationError
-from editdict.exact_dict import ExactDictionary, build_exact
+from editdict.exact_dict import ExactDictionary, _LongTable, _ShortTable, build_exact
+from editdict.hashing import poly_hash
 from conftest import random_words
 
 ALPHA = Fraction(7, 10)
@@ -166,6 +167,33 @@ def test_plain_probe_wrapping_runs_and_inserts_after_load(rng):
             assert d.contains(w) == (w in stored)
         wrapped += sum(t.slots[-1] != 0 for t in d.short_tables.values())
     assert wrapped
+
+
+def _stored_at(table, slot: int) -> bytes:
+    if isinstance(table, _ShortTable):
+        w = table.width
+        return bytes(table.slots[slot * w : (slot + 1) * w])
+    o = table.offsets[slot]
+    return bytes(table.arena[o + 2 : o + 2 + (table.arena[o] | table.arena[o + 1] << 8)])
+
+
+@pytest.mark.parametrize("long", [False, True])
+def test_insert_run_wraps_past_last_slot(long):
+    # Three words whose home is the last slot: the first fills it, the
+    # next two wrap to slots 0 and 1.  Re-inserting each finds it, also
+    # across the wrap.
+    t = 8
+    table = _LongTable(t) if long else _ShortTable(3, t)
+    prefix = b"q" * 17 if long else b""
+    candidates = (prefix + bytes(p) for p in product(b"abcdef", repeat=3))
+    words = [w for w in candidates if poly_hash(w, 5) % t == t - 1][:3]
+    for w in words:
+        assert table.insert(w, poly_hash(w, 5)) is True
+    assert [_stored_at(table, s) for s in (t - 1, 0, 1)] == words
+    for w in words:
+        assert table.insert(w, poly_hash(w, 5)) is False
+        assert table.contains(w, poly_hash(w, 5))
+    assert table.count == 3
 
 
 def test_insert_into_table_with_wrong_count_raises():

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 import zlib
 from array import array
 from fractions import Fraction
@@ -235,6 +236,11 @@ def test_read_wordlist_rejects_nul():
         read_wordlist(b"good\nb\x00ad\n")
 
 
+def test_read_wordlist_rejects_overlong_line():
+    with pytest.raises(ValidationError, match="line 2 is longer than 65535"):
+        read_wordlist(b"good\n" + b"a" * 65536 + b"\n")
+
+
 def test_table_report_includes_stores():
     ix = build_index([b"ab", b"cde"], BuildConfig(errors=2, rng_seed=1))
     names = [name for name, _, _ in ix.table_report()]
@@ -302,6 +308,21 @@ def _resaved(ix) -> bytes:
     return sink.getvalue()
 
 
+def test_loaded_plain_long_word_index_heap_within_file_size(rng):
+    # The plain long-word offsets load into one array('I'), 4 bytes a slot
+    # as in the file, so the loaded index is about the size of its file.
+    words = random_words(rng, 2000, 16, 40)
+    blob = _resaved(build_index(words, BuildConfig(errors=1, rng_seed=1)))
+    tracemalloc.start()
+    try:
+        ix = load(blob)
+        heap = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ix.exact.long_table.count == len(words)
+    assert heap <= 1.1 * len(blob)
+
+
 def test_load_rejects_popcount_other_than_count():
     ix = build_index([b"abc", b"abd", b"xyz"], BuildConfig(compact=True, rng_seed=1))
     ix.exact.short_tables[3].count -= 1
@@ -322,7 +343,7 @@ def _fill(table, compact):
         table.occupancy = RankBitVector.from_flags(b"\1" * t)
         table.dense = array("I", [0] * t)
     else:
-        table.offsets = [0] * t
+        table.offsets = array("I", [0] * t)
     table.count = t
 
 
