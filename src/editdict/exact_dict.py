@@ -55,6 +55,12 @@ def _holds(slots, word, lo: int, hi: int, width: int) -> bool:
     return i >= 0
 
 
+def _check_seed(table, word, seed: int, what: str) -> None:
+    """Reject a wrong seed: the table must find its first stored word, if any, under it."""
+    if word and not table.contains(word, poly_hash(word, seed)):
+        raise IndexFormatError(f"{what}: a stored word is not found under bucket seed {seed:#x}")
+
+
 class _ShortTable:
     """Inline table for words of one fixed length below beta."""
 
@@ -140,7 +146,7 @@ class _ShortTable:
 
     @classmethod
     def from_bytes(cls, buf, offset: int, compacted: bool, delta: int,
-                   min_width: int, beta: int):
+                   min_width: int, beta: int, seed: int):
         width, capacity, count = struct.unpack_from("<BQQ", buf, offset)
         offset += 17
         what = f"word table (length {width})"
@@ -173,6 +179,8 @@ class _ShortTable:
         if not compacted and any(slots[i::width].translate(_NONZERO) != firsts
                                  for i in range(1, width)):
             raise IndexFormatError(f"{what}: a slot holds a zero byte inside a word")
+        lo = 0 if compacted else firsts.find(1) * width  # the first occupied slot, or -width
+        _check_seed(table, (table.dense if compacted else slots)[lo : lo + width], seed, what)
         return table, offset
 
 
@@ -257,7 +265,7 @@ class _LongTable:
         return head + body + struct.pack("<Q", len(self.arena)) + bytes(self.arena)
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, compacted: bool, delta: int):
+    def from_bytes(cls, buf, offset: int, compacted: bool, delta: int, seed: int):
         capacity, count = struct.unpack_from("<QQ", buf, offset)
         offset += 16
         what = "long-word table"
@@ -276,17 +284,25 @@ class _LongTable:
             table.occupancy = None
             table.dense = None
             offset += 4 * capacity
-            empty_slot = EMPTY_OFFSET in table.offsets
+            occupied = capacity - table.offsets.count(EMPTY_OFFSET)
+            empty_slot = occupied < capacity
             stored = filter(EMPTY_OFFSET.__ne__, table.offsets)
         check_loaded_table(what, count, capacity, empty_slot)
+        # Inserts trust count: one below the occupied slots lets them fill
+        # the last empty slot, and then a probe never ends.
+        if not compacted and occupied != count:
+            raise IndexFormatError(f"{what}: {occupied} occupied slots, header count {count}")
         (arena_len,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
-        table.arena = bytearray(take(buf, offset, arena_len, what))
+        table.arena = arena = bytearray(take(buf, offset, arena_len, what))
         offset += arena_len
         # A probe reads the 2-byte length prefix at each stored offset.
         if max(stored, default=-2) + 2 > arena_len:
             raise IndexFormatError(f"{what}: a word offset points past the "
                                    f"end of its {arena_len}-byte arena")
+        o = next(filter(EMPTY_OFFSET.__ne__, table.dense if compacted else table.offsets), None)
+        if o is not None:
+            _check_seed(table, arena[o + 2 : o + 2 + (arena[o] | (arena[o + 1] << 8))], seed, what)
         return table, offset
 
 
@@ -418,10 +434,10 @@ class ExactDictionary:
         min_width = 1
         for _ in range(n_short):
             table, offset = _ShortTable.from_bytes(buf, offset, compacted, delta,
-                                                   min_width, beta)
+                                                   min_width, beta, seed)
             d.short_tables[table.width] = table
             min_width = table.width + 1
-        d.long_table, offset = _LongTable.from_bytes(buf, offset, compacted, delta)
+        d.long_table, offset = _LongTable.from_bytes(buf, offset, compacted, delta, seed)
         d.compacted = compacted
         return d, offset
 

@@ -8,7 +8,7 @@ where MODULUS = 2**32 - 5 is the largest prime below 2**32 and r is a
 random seed in [1, MODULUS - 2].  Preprocessing a word once into a
 HashContext (prefix hashes, powers of r, the inverse of r) makes the hash
 of any string at edit distance one from it an O(1) computation, which is
-what table placement, and with it signature filtering, leans on.
+what query enumeration leans on.
 
 Wildcard slots in store keys contribute the fixed value 257, outside the
 byte domain, so a keyed pattern can never collide with a real string by
@@ -16,6 +16,8 @@ construction.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 MODULUS = 2**32 - 5
 WILDCARD = 257
@@ -57,15 +59,12 @@ def inverse_of(seed: int) -> int:
 
 
 def poly_hash(word, seed: int) -> int:
-    """Hash of a word, evaluated by Horner's rule.
+    """Hash of a word: one C-level sum of w_i * seed**i, reduced once.
 
     `word` is any sequence of integer symbols: bytes for real strings,
     tuples mixing bytes and WILDCARD for store keys.
     """
-    h = 0
-    for c in reversed(word):
-        h = (h + c) * seed % MODULUS
-    return h
+    return sum(map(mul, word, powers_of(seed, len(word))[1 : len(word) + 1])) % MODULUS
 
 
 class HashContext:
@@ -74,7 +73,7 @@ class HashContext:
     prefix[j] = sum(w_i * r**i for i <= j) mod MODULUS, so prefix[0] == 0
     and prefix[m] == poly_hash(word).  Positions are 1-based throughout;
     insertion gaps run from 0 (front) to m (back).  With inv = r**-1, all
-    mod MODULUS, the query engine and the stores inline:
+    mod MODULUS, the query engine inlines:
 
       substitute c at j     total + (c - w_j) * r**j
       delete j              prefix[j-1] + (total - prefix[j]) * inv

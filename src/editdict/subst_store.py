@@ -5,7 +5,10 @@ which characters, substituted at the wildcard, could yield a dictionary
 word?  It is built by inserting, for every word and every position j, the
 character w[j] keyed by the word with position j blanked out.  A level-2
 store does the same for every pair of positions i < j, storing the
-character at the leftmost blank.
+character at the leftmost blank.  A word's entries are made in one batch:
+with h its hash and d[j] = (WILDCARD - w[j]) * r**j what blanking j adds,
+its keys h + d[j], or h + d[i] + d[j], come out of list comprehensions
+over d and combinations(d, 2), and one loop places them in that order.
 
 All entries of one level share a single linear-probing character table;
 the key only determines the starting slot (key hash mod capacity), so a
@@ -68,11 +71,11 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import or_
+from itertools import combinations, compress
+from operator import mul, or_
 
 from .errors import CompactedError, IndexFormatError
-from .hashing import MODULUS, WILDCARD, HashContext
+from .hashing import MODULUS, WILDCARD, powers_of
 from .succinct import RankBitVector, read_occupancy, run_of_ones
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
@@ -106,6 +109,18 @@ def _split_nibbles(nibbles: bytes) -> bytes:
     half = (len(nibbles) + 1) >> 1
     high = nibbles[half:].translate(_TO_HIGH_NIBBLE) + bytes(half - (len(nibbles) - half))
     return bytes(map(or_, nibbles[:half], high))
+
+
+def _word_keys(word, seed: int, level: int) -> list[int]:
+    """Bucket hashes under seed of a word's level-1 or level-2 keys, in
+    entry order: positions j, or pairs i < j, blanked in turn."""
+    m = len(word)
+    pw = powers_of(seed, m)[1 : m + 1]
+    h = sum(map(mul, word, pw))
+    d = [(WILDCARD - c) * p for c, p in zip(word, pw)]  # blanking one position adds d[j]
+    if level == 1:
+        return [(h + a) % MODULUS for a in d]
+    return [(h + a + b) % MODULUS for a, b in combinations(d, 2)]
 
 
 def entries_for(word_length: int, level: int) -> int:
@@ -155,50 +170,40 @@ class SubstStore:
 
     # -- building ---------------------------------------------------------
 
-    def _insert_entry(self, bucket_hash: int, char: int) -> None:
+    def _place(self, keys, chars) -> None:
+        """Write one entry per (bucket hash, character) pair, in order: each
+        at the first empty slot from its home slot, wrapping past the last."""
         t = self.capacity
-        chars = self.chars
-        s = chars.find(0, bucket_hash % t)
-        if s < 0:
-            s = chars.find(0)
-            if s < 0:  # only a loaded store whose entry count was too low
-                raise IndexFormatError(f"level-{self.level} store: no empty slot left, "
-                                       f"its entry count {self.entry_count} is wrong")
-        chars[s] = char
-        if self.use_signatures:
-            sig = (bucket_hash // t) & 15
-            sigs = self.sigs
-            half = (t + 1) >> 1
-            if s < half:
-                sigs[s] = (sigs[s] & 0xF0) | sig
-            else:
-                s -= half
-                sigs[s] = (sigs[s] & 0x0F) | (sig << 4)
-        self.entry_count += 1
+        slots = self.chars
+        sigs = self.sigs  # empty without signatures
+        half = (t + 1) >> 1
+        entries = zip(keys, chars)
+        for h, c in entries:
+            s = h % t
+            if slots[s]:
+                s = slots.find(0, s)
+                if s < 0:
+                    s = slots.find(0)
+                    if s < 0:  # only a loaded store whose entry count was too low
+                        # Count the entries placed before this one: all but it and the rest.
+                        self.entry_count += len(keys) - 1 - sum(1 for _ in entries)
+                        raise IndexFormatError(f"level-{self.level} store: no empty slot left, "
+                                               f"its entry count {self.entry_count} is wrong")
+            slots[s] = c
+            if sigs:
+                sig = (h // t) & 15
+                if s < half:
+                    sigs[s] = (sigs[s] & 0xF0) | sig
+                else:
+                    s -= half
+                    sigs[s] = (sigs[s] & 0x0F) | (sig << 4)
+        self.entry_count += len(keys)
 
     def _insert_word_entries(self, word) -> int:
         """Insert all level-appropriate entries for one word; O(1) each."""
-        m = len(word)
-        level = self.level
-        if level == 2 and m < 2:
-            return 0
-        ctx = HashContext(word, self.bucket_seed)
-        h = ctx.total
-        powers = ctx.powers
-        d = [0] * (m + 1)
-        for j in range(1, m + 1):
-            d[j] = (WILDCARD - word[j - 1]) * powers[j] % MODULUS
-        insert = self._insert_entry
-        if level == 1:
-            for j in range(1, m + 1):
-                insert((h + d[j]) % MODULUS, word[j - 1])
-            return m
-        for i in range(1, m):
-            hi = h + d[i]
-            ci = word[i - 1]
-            for j in range(i + 1, m + 1):
-                insert((hi + d[j]) % MODULUS, ci)
-        return m * (m - 1) // 2
+        keys = _word_keys(word, self.bucket_seed, self.level)
+        self._place(keys, word if self.level == 1 else [a for a, _ in combinations(word, 2)])
+        return len(keys)
 
     def check_headroom(self, added: int) -> None:
         if self.compacted:
@@ -413,28 +418,8 @@ def list_histogram(words, level: int, validated: bool = False) -> ListSizeHistog
         words = validate_words(words)
     key_counts: Counter = Counter()
     for w in words:
-        m = len(w)
-        if level == 2 and m < 2:
-            continue
-        ctx_a = HashContext(w, _HIST_SEED_A)
-        ctx_b = HashContext(w, _HIST_SEED_B)
-        ha, pa = ctx_a.total, ctx_a.powers
-        hb, pbw = ctx_b.total, ctx_b.powers
-        da = [0] * (m + 1)
-        db = [0] * (m + 1)
-        for j in range(1, m + 1):
-            da[j] = (WILDCARD - w[j - 1]) * pa[j] % MODULUS
-            db[j] = (WILDCARD - w[j - 1]) * pbw[j] % MODULUS
-        if level == 1:
-            for j in range(1, m + 1):
-                key_counts[(((ha + da[j]) % MODULUS) << 32) | ((hb + db[j]) % MODULUS)] += 1
-        else:
-            for i in range(1, m):
-                ai = (ha + da[i]) % MODULUS
-                bi = (hb + db[i]) % MODULUS
-                for j in range(i + 1, m + 1):
-                    key_counts[(((ai + da[j]) % MODULUS) << 32) | ((bi + db[j]) % MODULUS)] += 1
-    entries_by_size: Counter = Counter()
-    for count in key_counts.values():
-        entries_by_size[count] += count
+        key_counts.update([(a << 32) | b for a, b in zip(_word_keys(w, _HIST_SEED_A, level),
+                                                         _word_keys(w, _HIST_SEED_B, level))])
+    sizes = Counter(key_counts.values())  # list size -> keys with a list that long
+    entries_by_size = Counter({size: size * keys for size, keys in sizes.items()})
     return ListSizeHistogram(level, sum(key_counts.values()), entries_by_size)

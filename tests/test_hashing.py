@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from editdict.hashing import (
     MODULUS,
@@ -47,6 +47,24 @@ def test_poly_hash_always_below_modulus():
         seed = random_seed(rng)
         word = bytes(rng.randint(1, 255) for _ in range(rng.randint(0, 40)))
         assert 0 <= poly_hash(word, seed) < MODULUS
+
+
+def horner(word, seed: int) -> int:
+    h = 0
+    for c in reversed(word):
+        h = (h + c) * seed % MODULUS
+    return h
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=st.one_of(st.binary(max_size=300),
+                      st.lists(st.one_of(st.integers(1, 255), st.just(WILDCARD)),
+                               max_size=300).map(tuple)),
+       seed=st.integers(1, MODULUS - 2))
+@example(word=bytes(range(1, 256)) * 2, seed=10)
+def test_poly_hash_equals_horner(word, seed):
+    # Words past 80 symbols outgrow the first powers list cached per seed.
+    assert poly_hash(word, seed) == horner(word, seed)
 
 
 def test_make_context_prefixes():

@@ -371,6 +371,28 @@ def test_load_rejects_full_plain_table_with_low_count(long):
         load(_resaved(ix))
 
 
+def test_load_rejects_plain_long_table_count_below_occupied_slots(rng):
+    # Such a file used to load; inserts then filled the last empty slot,
+    # and the next probe for an absent long word never returned.
+    ix = build_index(random_words(rng, 12, 16, 30), BuildConfig(rng_seed=1))
+    ix.exact.long_table.count = 0
+    with pytest.raises(IndexFormatError, match="12 occupied slots, header count 0"):
+        load(_resaved(ix))
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_load_rejects_changed_bucket_seed(rng, compact):
+    # Such a file used to load, and then every probe missed.  The index has
+    # a table for each length from 1 to 20 (beta = 16 and up in the
+    # long-word table), so the first word of some table is not found.
+    words = [w for m in range(1, 21) for w in random_words(rng, 8, m, m)]
+    blob = bytearray(_resaved(build_index(words, BuildConfig(compact=compact, rng_seed=1))))
+    seed = struct.unpack_from("<I", blob, 16)[0]
+    struct.pack_into("<I", blob, 16, seed % (MODULUS - 2) + 1)
+    with pytest.raises(IndexFormatError, match="not found under bucket seed"):
+        load(_rechecksummed(blob))
+
+
 def test_load_rejects_zero_capacity_table():
     ix = build_index([b"abc"], BuildConfig(rng_seed=1))
     table = ix.exact.short_tables[3]

@@ -1,6 +1,7 @@
 """Substitution stores: entry layout, list queries, caps, compaction."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from editdict.hashing import WILDCARD, poly_hash
 from editdict.subst_store import (
     _SCAN_LIMIT,
     SubstStore,
+    _word_keys,
     build_store,
     entries_for,
     list_histogram,
@@ -268,7 +270,7 @@ def fill_store(capacity: int, sig_on: bool, sigma: int, entries) -> SubstStore:
     """A plain level-1 store holding (home slot, signature, character) entries."""
     store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
     for slot, sig, char in entries:
-        store._insert_entry(slot + sig * capacity, char)  # home slot, then nibble
+        store._place([slot + sig * capacity], [char])  # home slot, then nibble
     return store
 
 
@@ -431,12 +433,80 @@ def test_signature_is_low_nibble_of_quotient(compact):
     # home slot and nibble as h, h + capacity the same slot, another nibble.
     store = SubstStore(1, 64, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
     h = 0x9E3779B1
-    store._insert_entry(h, 97)
+    store._place([h], [97])
     if compact:
         store.compact()
     t = store.capacity
     assert list(store.list_query(h + 16 * t)[0]) == [97]
     assert list(store.list_query(h + t)[0]) == []
+
+
+def reference_place(store: SubstStore, bucket_hash: int, char: int) -> None:
+    """Write one entry the slow way: at the first empty slot from its home
+    slot bucket_hash % capacity, circularly, with signature
+    (bucket_hash // capacity) & 15 in the split-nibble layout."""
+    t = store.capacity
+    s = next((i % t for i in range(bucket_hash % t, bucket_hash % t + t) if not store.chars[i % t]),
+             None)
+    if s is None:
+        raise IndexFormatError(f"level-{store.level} store: no empty slot left, "
+                               f"its entry count {store.entry_count} is wrong")
+    store.chars[s] = char
+    if store.use_signatures:
+        half = (t + 1) // 2
+        sig = (bucket_hash // t) & 15
+        if s < half:
+            store.sigs[s] = (store.sigs[s] & 0xF0) | sig
+        else:
+            store.sigs[s - half] = (store.sigs[s - half] & 0x0F) | (sig << 4)
+    store.entry_count += 1
+
+
+@st.composite
+def placed_batches(draw):
+    """A store shape plus batches of (bucket hash, character) entries whose
+    homes cluster near half and the last slot, so runs cross the signature
+    split and wrap; at times more entries than the store has room for."""
+    capacity = draw(st.integers(2, 70))
+    half = (capacity + 1) // 2
+    near = lambda x: st.integers(-3, 2).map(lambda d: (x + d) % capacity)  # noqa: E731
+    home = st.one_of(st.integers(0, capacity - 1), near(half), near(capacity))
+    entry = st.tuples(home, st.integers(0, 2**24), st.integers(1, 255)).map(
+        lambda e: (e[0] + e[1] * capacity, e[2]))
+    batches = draw(st.lists(st.lists(entry, min_size=1, max_size=8), max_size=capacity))
+    return draw(st.sampled_from((1, 2))), capacity, draw(st.booleans()), batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=placed_batches())
+def test_place_equals_per_entry_reference(drawn):
+    level, capacity, sig_on, batches = drawn
+    fast = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], 122)
+    slow = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], 122)
+    for batch in batches:
+        keys = [h for h, _ in batch]
+        chars = bytes(c for _, c in batch)
+        try:
+            fast._place(keys, chars)
+        except IndexFormatError as exc:
+            with pytest.raises(IndexFormatError, match=re.escape(str(exc))):
+                for h, c in batch:
+                    reference_place(slow, h, c)
+            event("full part-way through a batch")
+            break
+        for h, c in batch:
+            reference_place(slow, h, c)
+    assert fast.entry_count == slow.entry_count
+    assert fast.to_bytes() == slow.to_bytes()
+
+
+def test_word_keys_are_poly_hashes_of_blanked_words():
+    for level, m in ((1, 9), (2, 9), (2, 1)):
+        word = bytes(range(97, 97 + m))
+        blanks = [(j,) for j in range(1, m + 1)] if level == 1 else \
+            list(combinations(range(1, m + 1), 2))
+        want = [poly_hash(key_of(word, b), SEEDS["bucket_seed"]) for b in blanks]
+        assert _word_keys(word, SEEDS["bucket_seed"], level) == want
 
 
 def test_insert_into_store_with_wrong_count_raises():
@@ -445,10 +515,11 @@ def test_insert_into_store_with_wrong_count_raises():
     # write onto an occupied one.
     store = SubstStore(1, 4, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
     for slot in range(3):
-        store._insert_entry(slot + 1 * store.capacity, 97)
+        store._place([slot + 1 * store.capacity], [97])
     store.entry_count = 0
     with pytest.raises(IndexFormatError, match="no empty slot"):
         store.insert_entries(b"ab")
+    assert store.entry_count == 1  # the first entry took the last empty slot
 
 
 SIGMA = 4
