@@ -32,7 +32,7 @@ from itertools import compress
 
 from .errors import CompactedError, IndexFormatError, ValidationError
 from .hashing import poly_hash
-from .succinct import RankBitVector, read_occupancy, run_of_ones, u32_array
+from .succinct import RankBitVector, read_occupancy, run_of_ones, u32_array, u32_bytes
 from .util import (capacity_for, check_headroom, check_loaded_table, take,
                    validate_word, validate_words)
 
@@ -259,9 +259,9 @@ class _LongTable:
     def to_bytes(self) -> bytes:
         head = struct.pack("<QQ", self.capacity, self.count)
         if self.offsets is not None:
-            body = struct.pack(f"<{self.capacity}I", *self.offsets)
+            body = u32_bytes(self.offsets)
         else:
-            body = self.occupancy.to_bytes() + struct.pack(f"<{self.count}I", *self.dense)
+            body = self.occupancy.to_bytes() + u32_bytes(self.dense)
         return head + body + struct.pack("<Q", len(self.arena)) + bytes(self.arena)
 
     @classmethod

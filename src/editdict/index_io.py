@@ -80,12 +80,12 @@ ALPHA_MAX = Fraction(19, 20)
 
 
 def _as_fraction(alpha) -> Fraction:
-    if isinstance(alpha, Fraction):
-        f = alpha
-    elif isinstance(alpha, float):
-        f = Fraction(alpha).limit_denominator(1000)
-    else:
+    try:
         f = Fraction(alpha)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"load factor {alpha!r} is not a number: {exc}") from exc
+    if isinstance(alpha, float):
+        f = f.limit_denominator(1000)
     if not ALPHA_MIN <= f <= ALPHA_MAX:
         raise ValidationError(f"load factor {alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
     if f.numerator > 0xFFFF or f.denominator > 0xFFFF:

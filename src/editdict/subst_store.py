@@ -72,11 +72,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
-from operator import mul, or_
+from operator import mul
 
 from .errors import CompactedError, IndexFormatError
 from .hashing import MODULUS, WILDCARD, powers_of
-from .succinct import RankBitVector, read_occupancy, run_of_ones
+from .succinct import _CHUNK, RankBitVector, read_occupancy, run_of_ones
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
 _EMPTY: tuple[int, ...] = ()
@@ -84,10 +84,9 @@ _EMPTY: tuple[int, ...] = ()
 # A run of _SCAN_LIMIT * sigma slots or more caps a scan.
 _SCAN_LIMIT = 4
 
-# Byte translation tables for splitting and joining signature nibbles.
+# Byte translation tables for reading signature nibbles.
 _LOW_NIBBLE = bytes(b & 15 for b in range(256))
 _HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
-_TO_HIGH_NIBBLE = bytes((b << 4) & 0xFF for b in range(256))
 
 # Fixed seeds for list_histogram key fingerprints; any two distinct values
 # in [1, MODULUS - 2] work, these are arbitrary odd constants.
@@ -104,11 +103,17 @@ def _nibbles(sigs, half: int, a: int, b: int) -> bytes:
     return sigs[a:].translate(_LOW_NIBBLE) + sigs[: b - half].translate(_HIGH_NIBBLE)
 
 
-def _split_nibbles(nibbles: bytes) -> bytes:
-    """Pack one signature per byte into the split-nibble layout."""
+def _split_nibbles(nibbles) -> bytes:
+    """Pack one signature per byte (each below 16) into the split-nibble layout.
+
+    Reads both halves through a memoryview and joins them as integers:
+    shifting the little-endian integer of the upper half left by 4 moves
+    each of its bytes into the high nibble of the byte at the same index.
+    """
     half = (len(nibbles) + 1) >> 1
-    high = nibbles[half:].translate(_TO_HIGH_NIBBLE) + bytes(half - (len(nibbles) - half))
-    return bytes(map(or_, nibbles[:half], high))
+    view = memoryview(nibbles)
+    low = int.from_bytes(view[:half], "little")
+    return (low | int.from_bytes(view[half:], "little") << 4).to_bytes(half, "little")
 
 
 def _word_keys(word, seed: int, level: int) -> list[int]:
@@ -294,19 +299,38 @@ class SubstStore:
 
     def compact(self, delta: int = 4) -> None:
         """Replace the slot arrays with occupancy bits plus the entries of
-        the occupied slots, in the plain layout over entries."""
+        the occupied slots, in the plain layout over entries.
+
+        Streams over the slot arrays _CHUNK slots at a time into outputs
+        sized once from the occupancy bits' popcount, and drops the slot
+        arrays before the final copy and the nibble split.  Its peak beyond
+        the plain store is the occupancy bits (a quarter byte per slot)
+        plus two bytes per entry and a few chunks, not about four bytes
+        per slot.
+        """
         if self.compacted:
             return
-        chars = bytes(self.chars)
-        if self.use_signatures:
-            t = self.capacity
-            kept = bytes(compress(_nibbles(self.sigs, (t + 1) >> 1, 0, t), chars))
-            self.dsigs = _split_nibbles(kept)
-        else:
-            self.dsigs = b""
+        t = self.capacity
+        chars, sigs = self.chars, self.sigs
         self.occupancy = RankBitVector.from_flags(chars, delta)
-        self.dense = chars.translate(None, b"\0")
+        n = self.occupancy.total_ones
+        dense = bytearray(n)
+        kept = bytearray(n if sigs else 0)
+        half = (t + 1) >> 1
+        d = 0
+        for a in range(0, t, _CHUNK):
+            chunk = chars[a : a + _CHUNK]
+            run = chunk.translate(None, b"\0")
+            e = d + len(run)
+            dense[d:e] = run
+            if sigs:
+                kept[d:e] = compress(_nibbles(sigs, half, a, a + len(chunk)), chunk)
+            d = e
         self.chars = self.sigs = None
+        del chars, sigs
+        self.dense = bytes(dense)
+        del dense
+        self.dsigs = _split_nibbles(kept)  # b"" without signatures
         self.compacted = True
 
     def to_bytes(self) -> bytes:

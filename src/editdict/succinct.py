@@ -37,6 +37,12 @@ from .util import take
 _DIGITS = b"0" + b"1" * 255
 _BIG_ENDIAN = sys.byteorder == "big"
 
+# Flags (slots) per chunk where from_flags and SubstStore.compact stream
+# over a slot array: the copies a chunk makes stay small beside the
+# table, and there are few chunks to loop over.  A multiple of 32, so
+# each chunk fills whole words.
+_CHUNK = 1 << 16
+
 
 def u32_array(data) -> array:
     """array('I') of the little-endian 32-bit words in data.
@@ -49,6 +55,14 @@ def u32_array(data) -> array:
     if _BIG_ENDIAN:
         words.byteswap()
     return words
+
+
+def u32_bytes(words: array) -> bytes:
+    """The little-endian bytes of an array('I'); the inverse of u32_array."""
+    if _BIG_ENDIAN:
+        words = array("I", words)
+        words.byteswap()
+    return words.tobytes()
 
 
 def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
@@ -88,16 +102,25 @@ class RankBitVector:
 
     @classmethod
     def from_flags(cls, flags, delta: int = 4) -> "RankBitVector":
-        """Build from bytes or a bytearray holding one byte per bit, nonzero meaning set."""
+        """Build from bytes or a bytearray holding one byte per bit, nonzero meaning set.
+
+        Fills a preallocated word array one chunk of _CHUNK flags at a
+        time, so the copies it makes besides the words and ranks it keeps
+        are a few chunks long, not a few times len(flags).
+        """
         if delta < 1:
             raise ValueError("delta must be >= 1")
         n_bits = len(flags)
-        n_words = (n_bits + 31) >> 5
-        words = array("I")
-        if n_bits:
-            # Bit i of the integer is flags[i]; int() parses base 2 in linear time.
-            value = int(flags[::-1].translate(_DIGITS), 2)
-            words = u32_array(value.to_bytes(4 * n_words, "little"))
+        words = array("I", [0]) * ((n_bits + 31) >> 5)
+        with memoryview(words).cast("B") as out:
+            for a in range(0, n_bits, _CHUNK):
+                chunk = flags[a : a + _CHUNK]
+                # Bit i of the integer is chunk[i]; int() parses base 2 in linear time.
+                value = int(chunk[::-1].translate(_DIGITS), 2)
+                n_bytes = ((len(chunk) + 31) >> 5) << 2
+                out[a >> 3 : (a >> 3) + n_bytes] = value.to_bytes(n_bytes, "little")
+        if _BIG_ENDIAN:
+            words.byteswap()
         return cls(n_bits, delta, words)
 
     def rank1(self, i: int) -> int:
@@ -122,9 +145,7 @@ class RankBitVector:
         out[0::step] = self.ranks[0:n_words:delta]
         for r in range(delta):
             out[r + 1 :: step] = self.words[r::delta]
-        if _BIG_ENDIAN:
-            out.byteswap()
-        return struct.pack("<QB", self.n_bits, delta) + out.tobytes()
+        return struct.pack("<QB", self.n_bits, delta) + u32_bytes(out)
 
     @classmethod
     def from_bytes(cls, buf, offset: int = 0) -> tuple["RankBitVector", int]:

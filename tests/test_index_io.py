@@ -55,6 +55,12 @@ def test_config_validation():
         BuildConfig(rng_seed=-1)
 
 
+@pytest.mark.parametrize("alpha", ["abc", None, "1/0", float("nan"), float("inf")])
+def test_config_rejects_alpha_that_is_no_number(alpha):
+    with pytest.raises(ValidationError, match="not a number"):
+        BuildConfig(alpha=alpha)
+
+
 def test_derive_seeds_deterministic_distinct():
     a = derive_seeds(42)
     b = derive_seeds(42)

@@ -2,12 +2,15 @@
 
 import math
 import re
+import tracemalloc
+from array import array
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, zip_longest
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from editdict import subst_store, succinct
 from editdict.errors import CompactedError, IndexFormatError, TableFullError
 from editdict.hashing import WILDCARD, poly_hash
 from editdict.subst_store import (
@@ -18,6 +21,7 @@ from editdict.subst_store import (
     entries_for,
     list_histogram,
 )
+from editdict.succinct import RankBitVector
 from conftest import random_words
 
 ALPHA = Fraction(7, 10)
@@ -207,6 +211,83 @@ def test_compacted_dense_is_packed():
         store.compact()
         entries = store.entry_count
         assert len(store.dense) + len(store.dsigs) == entries + math.ceil(entries / 2)
+
+
+def reference_compact(store: SubstStore, delta: int) -> None:
+    """Compact in one shot: every step reads the whole slot array at once."""
+    t = store.capacity
+    chars = bytes(store.chars)
+    if store.use_signatures:
+        half = (t + 1) // 2
+        nibbles = [store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4
+                   for i in range(t)]
+        kept = bytes(compress(nibbles, chars))
+        h = (len(kept) + 1) // 2
+        store.dsigs = bytes(a | (b << 4) for a, b in zip_longest(kept[:h], kept[h:], fillvalue=0))
+    else:
+        store.dsigs = b""
+    value = int(chars[::-1].translate(b"0" + b"1" * 255), 2)
+    words = array("I", [(value >> (32 * i)) & 0xFFFFFFFF for i in range((t + 31) // 32)])
+    store.occupancy = RankBitVector(t, delta, words)
+    store.dense = chars.translate(None, b"\0")
+    store.chars = store.sigs = None
+    store.compacted = True
+
+
+def set_chunk(mp: pytest.MonkeyPatch, chunk: int) -> None:
+    mp.setattr(succinct, "_CHUNK", chunk)
+    mp.setattr(subst_store, "_CHUNK", chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), capacity=st.integers(1, 300), sig_on=st.booleans(),
+       chunk=st.sampled_from([32, 64, 96]), delta=st.integers(1, 8))
+def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta):
+    half = (capacity + 1) // 2
+    occupied = data.draw(st.lists(st.booleans(), min_size=capacity, max_size=capacity))
+    values = data.draw(st.binary(min_size=capacity, max_size=capacity))
+    chars = bytes((v or 1) if o else 0 for o, v in zip(occupied, values))
+    sigs = data.draw(st.binary(min_size=half, max_size=half))  # empty slots get nibbles too
+    stores = [SubstStore(2, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], 255)
+              for _ in range(2)]
+    for store in stores:
+        store.chars[:] = chars
+        if sig_on:
+            store.sigs[:] = sigs
+        store.entry_count = capacity - chars.count(0)
+    chunked, one_shot = stores
+    event(f"entries {'odd' if chunked.entry_count % 2 else 'even'}")
+    event(f"capacity % 32 {'== 0' if capacity % 32 == 0 else '!= 0'}")
+    event(f"a chunk straddles half: {capacity > chunk and half % chunk != 0}")
+    with pytest.MonkeyPatch.context() as mp:
+        set_chunk(mp, chunk)
+        chunked.compact(delta)
+    reference_compact(one_shot, delta)
+    assert chunked.dense == one_shot.dense
+    assert chunked.dsigs == one_shot.dsigs
+    assert list(chunked.occupancy.words) == list(one_shot.occupancy.words)
+    assert chunked.to_bytes() == one_shot.to_bytes()
+
+
+def test_compact_transient_is_bounded(rng):
+    # Compaction streams over the slot arrays: beyond the plain store it
+    # holds the occupancy bits (a quarter byte per slot) and two bytes per
+    # entry, 1.65 bytes per slot at load 7/10.  Copying the whole slot
+    # array several times, as a one-shot compaction does, takes about 4.
+    words = random_words(rng, 1500, 6, 10)
+    with pytest.MonkeyPatch.context() as mp:
+        set_chunk(mp, 1024)
+        tracemalloc.start()
+        try:
+            store = build_store(words, 2, ALPHA, True, **SEEDS)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            store.compact()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert store.capacity >= 32 * 1024
+    assert peak - before <= 2.5 * store.capacity
 
 
 def test_histogram_single_word():

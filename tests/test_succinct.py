@@ -7,6 +7,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from editdict import succinct
 from editdict.errors import IndexFormatError
 from editdict.succinct import RankBitVector, run_of_ones
 
@@ -171,11 +172,14 @@ def test_bytes_roundtrip_identical(data, n, delta):
     assert back.to_bytes() == blob
 
 
-@settings(max_examples=80, deadline=None)
-@given(flags=st.lists(st.integers(0, 1), max_size=200), delta=st.integers(1, 8))
-def test_from_flags_equals_from_bits(flags, delta):
-    a = RankBitVector.from_flags(bytes(flags), delta)
-    b = RankBitVector.from_flags(bytearray(0xA5 * f for f in flags), delta)  # nonzero is set
+@settings(max_examples=120, deadline=None)
+@given(flags=st.lists(st.integers(0, 1), max_size=300), delta=st.integers(1, 8),
+       chunk=st.sampled_from([32, 64, 96, succinct._CHUNK]))
+def test_from_flags_equals_from_bits(flags, delta, chunk):
+    with pytest.MonkeyPatch.context() as mp:  # small chunks: several per vector
+        mp.setattr(succinct, "_CHUNK", chunk)
+        a = RankBitVector.from_flags(bytes(flags), delta)
+        b = RankBitVector.from_flags(bytearray(0xA5 * f for f in flags), delta)  # nonzero is set
     assert list(a.words) == list(b.words) == _reference_words(flags)
     assert list(a.ranks) == list(b.ranks) == list(accumulate(map(int.bit_count, a.words),
                                                              initial=0))
