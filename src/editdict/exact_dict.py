@@ -18,9 +18,10 @@ the run (two of each when the run wraps past the last slot); loading
 rejects a table whose occupied slots hold a zero byte, which would break
 this.  Compaction replaces each slot array with an occupancy bit vector
 (succinct.py) plus a dense payload, the occupied slots in slot order, and
-freezes the structure; probes compute the home slot's rank inline from
-the bit vector's word and rank arrays and search the run's bytes with the
-same aligned find.
+freezes the structure; probes measure the run of ones from the home slot
+inside its 64-bit word (run_of_ones only when the run reaches the word's
+end), compute the home slot's rank inline from the bit vector's word and
+rank arrays, and search the run's bytes with the same aligned find.
 """
 
 from __future__ import annotations
@@ -93,13 +94,13 @@ class _ShortTable:
         # from byte w * rank1(s) on.
         occ = self.occupancy
         bits = occ.words
-        i = s >> 5
-        off = s & 31
+        i = s >> 6
+        off = s & 63
         x = bits[i] >> off
         if not x & 1:
             return False
         run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word i
-        if off + run == 32 or s + run == t:
+        if off + run == 64 or s + run == t:
             run = run_of_ones(bits, t, s, t)
         lo = w * (occ.ranks[i] + (bits[i] & ((1 << off) - 1)).bit_count())
         hi = lo + w * run
@@ -215,13 +216,13 @@ class _LongTable:
                     s = 0
         occ = self.occupancy
         bits = occ.words
-        i = s >> 5
-        off = s & 31
+        i = s >> 6
+        off = s & 63
         x = bits[i] >> off
         if not x & 1:
             return False
         run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word i
-        if off + run == 32 or s + run == t:
+        if off + run == 64 or s + run == t:
             run = run_of_ones(bits, t, s, t)
         j = occ.ranks[i] + (bits[i] & ((1 << off) - 1)).bit_count()
         dense = self.dense
@@ -378,7 +379,7 @@ class ExactDictionary:
         """
         if self.compacted:
             raise CompactedError("cannot insert into a compacted dictionary")
-        validate_word(word)
+        word = validate_word(word)
         m = len(word)
         if h is None:
             h = poly_hash(word, self.seed)
@@ -390,7 +391,7 @@ class ExactDictionary:
                 self.short_tables[m] = table
         else:
             table = self.long_table
-        if not table.insert(bytes(word), h):
+        if not table.insert(word, h):
             return False
         self.word_count += 1
         self.total_length += m

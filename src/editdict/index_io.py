@@ -68,7 +68,7 @@ from .errors import (
 from .exact_dict import ExactDictionary, build_exact
 from .hashing import poly_hash, random_seed
 from .subst_store import SubstStore, build_store, entries_for
-from .util import validate_word, validate_words
+from .util import as_bytes, validate_word, validate_words
 
 MAGIC = b"ASDI"
 VERSION = 3
@@ -171,7 +171,8 @@ class Index:
         return query_engine.query(self, pattern, k)
 
     def contains(self, word) -> bool:
-        return self.exact.contains(word)
+        """True iff the word, bytes-like or a latin-1 str, is stored."""
+        return self.exact.contains(as_bytes(word))
 
     def insert_word(self, word) -> bool:
         """Add a word and all of its store entries; False if already present.
@@ -181,8 +182,7 @@ class Index:
         """
         if self.compacted:
             raise CompactedError("cannot insert into a compacted index")
-        validate_word(word)
-        word = bytes(word)
+        word = validate_word(word)
         h = poly_hash(word, self.exact.seed)
         if self.exact.contains(word, h):
             return False

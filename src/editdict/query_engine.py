@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedQueryError, ValidationError
 from .hashing import MODULUS as _P, WILDCARD as _W, HashContext
+from .util import as_bytes
 
 
 @dataclass
@@ -103,11 +104,10 @@ def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars):
 def query(index, pattern, k: int) -> QueryResult:
     """All dictionary words at edit distance <= k from the pattern.
 
-    Requires k in {0, 1, 2}, k not above the index's error level, and
-    k < len(pattern).
+    The pattern is bytes-like or a latin-1 str.  Requires k in {0, 1, 2},
+    k not above the index's error level, and k < len(pattern).
     """
-    if isinstance(pattern, str):
-        pattern = pattern.encode("latin-1")
+    pattern = as_bytes(pattern, "pattern")
     if 0 in pattern:
         raise ValidationError("pattern contains a zero byte")
     if k not in (0, 1, 2):
@@ -134,7 +134,7 @@ def query(index, pattern, k: int) -> QueryResult:
     identity = 0 if probe_same is None else 1  # probes of the pattern itself
 
     if identity and probe_same(pattern, hb):
-        matches.add(bytes(pattern))
+        matches.add(pattern)
     if k == 0:
         return QueryResult(matches, QueryStats(0, 0, identity, 0))
 

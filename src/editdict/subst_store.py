@@ -53,16 +53,18 @@ test before any per-slot work.
 
 Compaction freezes a store and drops its empty slots.  It keeps the
 occupancy bits (the interleaved count/data layout of succinct.py on
-disk, flat arrays of 32-bit data words and per-word ranks in memory) and
-a payload in the plain layout over entries instead of slots: `dense`, the
-characters of the occupied slots in slot order, and `dsigs`, their
-signatures split at half = (entry_count + 1) // 2 as above (empty without
-signatures).  The run of occupied slots from a home slot is the run of
-entries from that slot's rank, so a compacted scan tests the home bit,
-measures the run of ones one word at a time with a trailing-ones bit
-trick, decides the length cap from the run alone, computes the home
-slot's rank inline, and then filters the run's entries with the same
-`translate` and `in` test as a plain scan.
+disk; in memory, flat arrays of 64-bit data words and a rank per data
+word, 3/16 byte per slot) and a payload in the plain layout over entries
+instead of slots: `dense`, the characters of the occupied slots in slot
+order, and `dsigs`, their signatures split at half = (entry_count + 1)
+// 2 as above (empty without signatures).  The run of occupied slots
+from a home slot is the run of entries from that slot's rank, so a
+compacted scan tests the home bit, measures the run of ones inside the
+home slot's 64-bit word with a trailing-ones bit trick (run_of_ones
+continues only a run that reaches the word's end), decides the length
+cap from the run alone, computes the home slot's rank inline, and then
+filters the run's entries with the same `translate` and `in` test as a
+plain scan.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from operator import mul
 
 from .errors import CompactedError, IndexFormatError
 from .hashing import MODULUS, WILDCARD, powers_of
-from .succinct import _CHUNK, RankBitVector, read_occupancy, run_of_ones
+from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
 _EMPTY: tuple[int, ...] = ()
@@ -252,14 +254,14 @@ class SubstStore:
         else:
             occ = self.occupancy
             bits = occ.words
-            w = s >> 5
-            off = s & 31
+            w = s >> 6
+            off = s & 63
             x = bits[w] >> off
             if not x & 1 and sigma:  # an empty home slot: most scans end here
                 return _EMPTY, False
             run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word w
             limit = _SCAN_LIMIT * sigma
-            if off + run == 32 or s + run == t:
+            if off + run == 64 or s + run == t:
                 run = run_of_ones(bits, t, s, limit)
             if run >= limit:
                 return range(1, sigma + 1), True
@@ -301,10 +303,11 @@ class SubstStore:
         """Replace the slot arrays with occupancy bits plus the entries of
         the occupied slots, in the plain layout over entries.
 
-        Streams over the slot arrays _CHUNK slots at a time into outputs
+        Streams over the slot arrays chunk_size(capacity) slots at a time
+        (about an eighth of the table, at most succinct._CHUNK) into outputs
         sized once from the occupancy bits' popcount, and drops the slot
         arrays before the final copy and the nibble split.  Its peak beyond
-        the plain store is the occupancy bits (a quarter byte per slot)
+        the plain store is the occupancy bits and ranks (3/16 byte per slot)
         plus two bytes per entry and a few chunks, not about four bytes
         per slot.
         """
@@ -318,8 +321,9 @@ class SubstStore:
         kept = bytearray(n if sigs else 0)
         half = (t + 1) >> 1
         d = 0
-        for a in range(0, t, _CHUNK):
-            chunk = chars[a : a + _CHUNK]
+        step = chunk_size(t)
+        for a in range(0, t, step):
+            chunk = chars[a : a + step]
             run = chunk.translate(None, b"\0")
             e = d + len(run)
             dense[d:e] = run

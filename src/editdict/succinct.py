@@ -1,21 +1,34 @@
-"""Rank-supporting bit vector over 32-bit words.
+"""Rank-supporting bit vector over 64-bit words.
 
-In memory, bit i lives in bit i & 31 of data word i >> 5 of one
-array('I'), and a second array('I') holds, for every data word, the
-number of ones in the words before it, with the total as a last entry.
-This is a one-level word rank directory in the style of rank9 (Vigna,
-"Broadword Implementation of Rank/Select Queries", WEA 2008): rank1(i)
-is ranks[i >> 5] plus the popcount of word i >> 5 below bit i, so the
-probe loops of the compacted tables compute it inline.  Both arrays take
-n_bits / 8 bytes each.
+In memory, bit i lives in bit i & 63 of data word i >> 6 of one
+array('Q'), and an array('I') holds, for every data word, the number of
+ones in the words before it, with the total as a last entry.  This is a
+one-level word rank directory in the style of rank9 (Vigna, "Broadword
+Implementation of Rank/Select Queries", WEA 2008): rank1(i) is
+ranks[i >> 6] plus the popcount of word i >> 6 below bit i, so the probe
+loops of the compacted tables compute it inline.  The data words take
+n_bits / 8 bytes and the ranks n_bits / 16.  The ranks are computed a
+chunk of words at a time with no call per word: a 256-entry table
+translates the words' bytes into their popcounts, and the eight strided
+byte columns, read as integers and summed, hold one word's popcount per
+byte (at most 64, so no byte carries into the next); one accumulate then
+runs over those bytes.
 
-On disk (to_bytes / from_bytes) the same words are interleaved with
-running counts: a header <QB of n_bits and delta, then one count word and
-delta data words, repeated, all little-endian 32-bit.  Count number i
-holds the number of ones in the data words before block i.  The file
-therefore takes n_bits * (1 + 1/delta) bits plus rounding, delta = 4 by
-default; loading recomputes the per-word ranks and rejects a file whose
-stored counts disagree with them.
+On disk (to_bytes / from_bytes) the words are 32-bit and interleaved
+with running counts: a header <QB of n_bits and delta, then one count
+word and delta data words, repeated, all little-endian 32-bit.  Count
+number i holds the number of ones in the data words before block i.
+The file therefore takes n_bits * (1 + 1/delta) bits plus rounding,
+delta = 4 by default.  File data word 2j is the low half of memory word
+j and file data word 2j + 1 its high half, so for even delta the counts
+are every (delta / 2)-th rank; for odd delta a count that falls after a
+low half adds that half's popcount.  Loading computes the ranks from the
+bits and rejects a file whose stored counts disagree with them.
+
+The file is little-endian whatever the host.  Only the four array
+helpers below (u32_array, u32_bytes, _u64_array, _u64_bytes) and the
+byteswap that ends from_flags depend on the host's byte order; those
+big-endian branches have not been run on a big-endian host.
 
 Compacted tables keep a linear-probing slot array as (occupancy bits,
 dense payload): the payload of original slot s sits at dense[rank1(s)]
@@ -29,19 +42,30 @@ import struct
 import sys
 from array import array
 from itertools import accumulate
+from operator import add
 
 from .errors import IndexFormatError
 from .util import take
 
 # Flag byte -> binary digit: 0 stays "0", any other value becomes "1".
 _DIGITS = b"0" + b"1" * 255
+# Byte -> the number of ones in it.
+_POPCOUNT = bytes(map(int.bit_count, range(256)))
+_LOW_HALF = 0xFFFFFFFF
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# Flags (slots) per chunk where from_flags and SubstStore.compact stream
-# over a slot array: the copies a chunk makes stay small beside the
-# table, and there are few chunks to loop over.  A multiple of 32, so
-# each chunk fills whole words.
+# Most flags (slots) per chunk where from_flags, the rank computation and
+# SubstStore.compact stream over a table: the copies a chunk makes stay
+# small beside the table, and there are few chunks to loop over.  A
+# multiple of 64, so each chunk fills whole words.
 _CHUNK = 1 << 16
+
+
+def chunk_size(n_bits: int) -> int:
+    """Flags per chunk for a table of n_bits slots: about an eighth of
+    the table, so that a small table's chunk copies stay small beside it,
+    and at most _CHUNK; always a positive multiple of 64."""
+    return min(_CHUNK, ((n_bits >> 9) + 1) << 6)
 
 
 def u32_array(data) -> array:
@@ -65,18 +89,54 @@ def u32_bytes(words: array) -> bytes:
     return words.tobytes()
 
 
+def _u64_array(data, n_words: int) -> array:
+    """array('Q') of n_words little-endian 64-bit words: the bytes of data,
+    then zeros.  Sized exactly, like u32_array."""
+    words = array("Q", [0]) * n_words
+    memoryview(words).cast("B")[: len(data)] = data
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
+
+
+def _u64_bytes(words: array) -> bytes:
+    """The little-endian bytes of an array('Q'); the inverse of _u64_array."""
+    if _BIG_ENDIAN:
+        words = array("Q", words)
+        words.byteswap()
+    return words.tobytes()
+
+
+def _ranks(words: array, chunk: int) -> array:
+    """Ones in the words before each word, and the total as a last entry:
+    an array('I') of exactly len(words) + 1 entries, filled chunk / 64
+    words at a time.  A word's popcount does not depend on the order of
+    its bytes, so this reads the host's bytes as they are."""
+    n = len(words)
+    ranks = array("I", [0]) * (n + 1)
+    step = chunk >> 6
+    with memoryview(words).cast("B") as raw:
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            counts = raw[a << 3 : b << 3].tobytes().translate(_POPCOUNT)
+            per_word = sum(int.from_bytes(counts[j::8], "little") for j in range(8))
+            ranks[a : b + 1] = array("I", accumulate(per_word.to_bytes(b - a, "little"),
+                                                     initial=ranks[a]))
+    return ranks
+
+
 def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
     """Length of the run of ones starting at bit i, wrapping from the last
     bit to bit 0.
 
-    Counts one 32-bit word at a time with the trailing-ones trick and
+    Counts one 64-bit word at a time with the trailing-ones trick and
     stops as soon as the run reaches `limit`, so the result is exact below
     `limit` and some value >= `limit` otherwise.  Bits past n_bits in the
     last word must be clear.
     """
     run = 0
     while True:
-        x = words[i >> 5] >> (i & 31)
+        x = words[i >> 6] >> (i & 63)
         ones = (x ^ (x + 1)).bit_length() - 1  # trailing ones of x
         run += ones
         if run >= limit or not ones:
@@ -84,7 +144,7 @@ def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
         i += ones
         if i == n_bits:
             i = 0
-        elif i & 31:
+        elif i & 63:
             return run
 
 
@@ -94,30 +154,35 @@ class RankBitVector:
     __slots__ = ("n_bits", "delta", "total_ones", "words", "ranks")
 
     def __init__(self, n_bits: int, delta: int, words: array):
+        """words: an array('Q') of (n_bits + 63) // 64 words, clear past n_bits."""
         self.n_bits = n_bits
         self.delta = delta
         self.words = words
-        self.ranks = array("I", accumulate(map(int.bit_count, words), initial=0))
+        # The rank loop copies about 0.4 bytes per bit where from_flags
+        # copies about 2 per flag, so its chunks are four times as long.
+        self.ranks = _ranks(words, chunk_size(n_bits) << 2)
         self.total_ones = self.ranks[-1]
 
     @classmethod
     def from_flags(cls, flags, delta: int = 4) -> "RankBitVector":
         """Build from bytes or a bytearray holding one byte per bit, nonzero meaning set.
 
-        Fills a preallocated word array one chunk of _CHUNK flags at a
-        time, so the copies it makes besides the words and ranks it keeps
-        are a few chunks long, not a few times len(flags).
+        Fills a preallocated word array one chunk of chunk_size(len(flags))
+        flags at a time, so the copies it makes besides the words and ranks
+        it keeps are a few chunks long, not a few times len(flags).
         """
         if delta < 1:
             raise ValueError("delta must be >= 1")
         n_bits = len(flags)
-        words = array("I", [0]) * ((n_bits + 31) >> 5)
+        words = array("Q", [0]) * ((n_bits + 63) >> 6)
+        chunk = chunk_size(n_bits)
         with memoryview(words).cast("B") as out:
-            for a in range(0, n_bits, _CHUNK):
-                chunk = flags[a : a + _CHUNK]
-                # Bit i of the integer is chunk[i]; int() parses base 2 in linear time.
-                value = int(chunk[::-1].translate(_DIGITS), 2)
-                n_bytes = ((len(chunk) + 31) >> 5) << 2
+            for a in range(0, n_bits, chunk):
+                b = min(a + chunk, n_bits)
+                # flags[b - 1], ..., flags[a] in one slice, so bit i of the
+                # integer is flags[a + i]; int() parses base 2 in linear time.
+                value = int(flags[b - 1 : a - 1 if a else None : -1].translate(_DIGITS), 2)
+                n_bytes = ((b - a + 63) >> 6) << 3
                 out[a >> 3 : (a >> 3) + n_bytes] = value.to_bytes(n_bytes, "little")
         if _BIG_ENDIAN:
             words.byteswap()
@@ -129,22 +194,35 @@ class RankBitVector:
             raise IndexError(f"rank position {i} out of range [0, {self.n_bits}]")
         if i == self.n_bits:
             return self.total_ones
-        w = i >> 5
-        return self.ranks[w] + (self.words[w] & ((1 << (i & 31)) - 1)).bit_count()
+        w = i >> 6
+        return self.ranks[w] + (self.words[w] & ((1 << (i & 63)) - 1)).bit_count()
 
-    def _stored_words(self) -> int:
-        """Count words plus data words in the on-disk layout."""
-        n_words = len(self.words)
-        return n_words + -(-n_words // self.delta)
+    def _counts(self) -> array:
+        """The on-disk counts: the ones before every delta-th 32-bit data word."""
+        delta, ranks, words = self.delta, self.ranks, self.words
+        n_words = len(words)
+        if not delta & 1:
+            return ranks[0 : n_words : delta >> 1]
+        # Count i comes before 32-bit word i * delta, the start of memory
+        # word i * delta / 2 for even i and the high half of memory word
+        # (i * delta) >> 1 for odd i.
+        n32 = (self.n_bits + 31) >> 5
+        counts = array("I", [0]) * -(-n32 // delta)
+        counts[0::2] = ranks[0:n_words:delta]
+        odd = slice(delta >> 1, n32 >> 1, delta)
+        lows = map(int.bit_count, map(_LOW_HALF.__and__, words[odd]))
+        counts[1::2] = array("I", map(add, ranks[odd], lows))
+        return counts
 
     def to_bytes(self) -> bytes:
         delta = self.delta
         step = delta + 1
-        n_words = len(self.words)
-        out = array("I", bytes(4 * self._stored_words()))
-        out[0::step] = self.ranks[0:n_words:delta]
+        n32 = (self.n_bits + 31) >> 5
+        data = u32_array(_u64_bytes(self.words)[: 4 * n32])
+        out = array("I", [0]) * (n32 + -(-n32 // delta))
+        out[0::step] = self._counts()
         for r in range(delta):
-            out[r + 1 :: step] = self.words[r::delta]
+            out[r + 1 :: step] = data[r::delta]
         return struct.pack("<QB", self.n_bits, delta) + u32_bytes(out)
 
     @classmethod
@@ -158,15 +236,16 @@ class RankBitVector:
         offset += 9
         if delta < 1:
             raise IndexFormatError("rank bit vector has sampling interval 0")
-        n_words = (n_bits + 31) >> 5
-        size = 4 * (n_words + -(-n_words // delta))
-        words = u32_array(take(buf, offset, size, f"rank bit vector of {n_bits} bits"))
-        counts = words[0 :: delta + 1]
-        del words[0 :: delta + 1]
+        n32 = (n_bits + 31) >> 5
+        size = 4 * (n32 + -(-n32 // delta))
+        stored = u32_array(take(buf, offset, size, f"rank bit vector of {n_bits} bits"))
+        counts = stored[0 :: delta + 1]
+        del stored[0 :: delta + 1]
+        words = _u64_array(u32_bytes(stored), (n_bits + 63) >> 6)
         rbv = cls(n_bits, delta, words)
-        if counts != rbv.ranks[0:n_words:delta]:
+        if counts != rbv._counts():
             raise IndexFormatError("rank bit vector counts disagree with its bits")
-        if n_bits & 31 and words[-1] >> (n_bits & 31):
+        if n_bits & 63 and words[-1] >> (n_bits & 63):
             raise IndexFormatError("rank bit vector has bits set past its length")
         return rbv, offset + size
 

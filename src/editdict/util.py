@@ -53,15 +53,35 @@ def take(buf, offset: int, size: int, what: str):
     return buf[offset:end]
 
 
-def validate_word(word, where: str = "word") -> None:
-    """Check a single word: non-empty, no NUL bytes, length under 2**16.
-    `where` names the word in the error message."""
+def as_bytes(value, what: str = "word") -> bytes:
+    """value as bytes: the bytes of a bytes-like value, or a str encoded
+    as latin-1.  ValidationError, naming `what`, for anything else."""
+    if type(value) is bytes:
+        return value
+    if isinstance(value, str):
+        try:
+            return value.encode("latin-1")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{what} has a character above U+00FF") from None
+    try:
+        with memoryview(value) as view:
+            return view.tobytes()
+    except TypeError:
+        raise ValidationError(f"{what} must be bytes-like or a str, "
+                              f"not {type(value).__name__}") from None
+
+
+def validate_word(word, where: str = "word") -> bytes:
+    """A single word as bytes (see as_bytes), checked: non-empty, no NUL
+    bytes, length under 2**16.  `where` names the word in the error message."""
+    word = as_bytes(word, where)
     if len(word) == 0:
         raise ValidationError(f"{where} is empty")
     if len(word) > MAX_WORD_LENGTH:
         raise ValidationError(f"{where} is longer than {MAX_WORD_LENGTH} bytes")
     if 0 in word:
         raise ValidationError(f"{where} contains a zero byte (reserved as empty-slot sentinel)")
+    return word
 
 
 def validate_words(words) -> list[bytes]:
@@ -69,8 +89,7 @@ def validate_words(words) -> list[bytes]:
     out = []
     seen = set()
     for i, word in enumerate(words):
-        validate_word(word, f"word #{i}")
-        w = bytes(word)
+        w = validate_word(word, f"word #{i}")
         if w not in seen:
             seen.add(w)
             out.append(w)

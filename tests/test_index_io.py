@@ -1,6 +1,8 @@
 """Build configuration, index composition, and the file format."""
 
+import hashlib
 import io
+import random
 import struct
 import tracemalloc
 import zlib
@@ -8,12 +10,14 @@ from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from editdict import BuildConfig, build_index, load, read_wordlist, save
 from editdict.errors import (
     BadMagicError,
     ChecksumError,
     CompactedError,
+    EditDictError,
     IndexFormatError,
     TableFullError,
     TruncatedError,
@@ -466,3 +470,77 @@ def test_load_rejects_word_table_lengths_not_increasing():
     blob[second] = 5  # a second table for length 5 would replace the first
     with pytest.raises(IndexFormatError, match="must increase"):
         load(_rechecksummed(blob))
+
+
+# sha256 of the saved file for each (compact, use_signatures, delta), all
+# at errors=2 over _golden_words(), recorded from format version 3 as it
+# was before the in-memory words of the occupancy bits went to 64 bits.
+# A change that moves any of them changes the bytes an index is saved as.
+GOLDEN_SHA256 = {
+    (False, True, 4): "a8b2a2860637e0201d0e5382bb0b46872ab86b181bcb044e419c33e8be333852",
+    (False, False, 4): "91fb0eb2de740e505f95fa3c00d0501a560519f7bb5b1aea58a2de6514d58985",
+    (True, True, 4): "67b32abb56357a10328ef8bf449c60af22eebebd997c6e28c16711e09a23ddce",
+    (True, False, 4): "b300728e2d163fea38bcfcb97e5575c2d81bcb4e4d874fa159bf4342e8f86fb5",
+    (True, True, 1): "0006a3f07a4b62b874f0ec9d6ceff65772205c33ab2ae534a0a6a556c822eec4",
+    (True, True, 3): "e4edc86a87e41a2792cd7f70df156efb4c185d7a312fe58028b4b073df7462ee",
+}
+
+
+def _golden_words() -> list[bytes]:
+    """400 distinct words of 2 to 24 bytes over a-z plus two bytes above 127:
+    short tables of 13 to 40 slots, a long-word table and both stores."""
+    rng = random.Random(20131)
+    words = set()
+    while len(words) < 400:
+        n = rng.randint(2, 24)
+        words.add(bytes(rng.choice(b"abcdefghijklmnopqrstuvwxyz\xe9\xfc") for _ in range(n)))
+    return sorted(words)
+
+
+def test_saved_bytes_are_pinned():
+    words = _golden_words()
+    for (compact, sig_on, delta), expected in GOLDEN_SHA256.items():
+        index = build_index(words, errors=2, compact=compact, use_signatures=sig_on,
+                            delta=delta, rng_seed=7)
+        sink = io.BytesIO()
+        save(index, sink)
+        assert hashlib.sha256(sink.getvalue()).hexdigest() == expected, (compact, sig_on, delta)
+
+
+def test_bad_patterns_and_words_raise_validation_error():
+    index = build_index([b"abc", b"abd", b"hello"], errors=1, alpha="1/5")  # room to insert
+    for pattern in ("ab€", None, 5, [97, 300, 99], [97, 98, 99], 2.5):
+        with pytest.raises(ValidationError):
+            index.query(pattern, 1)
+    for word in ("ab€", None, 5, [97, 300], [97, 98], "a\0b"):
+        with pytest.raises(ValidationError):
+            index.insert_word(word)
+        with pytest.raises(ValidationError):
+            build_index([b"abc", word])
+    # A str is its latin-1 bytes, and any bytes-like value works.
+    assert index.insert_word("ab\xe9")
+    assert index.contains(b"ab\xe9") and index.contains("ab\xe9")
+    assert index.query("abz", 1).matches == {b"abc", b"abd", b"ab\xe9"}
+    assert index.query(memoryview(b"abz"), 1).matches == index.query(bytearray(b"abz"), 1).matches
+    assert index.insert_word(array("B", b"xyz")) and index.contains(b"xyz")
+
+
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.binary(max_size=6), st.binary(max_size=6).map(bytearray),
+    st.binary(max_size=6).map(memoryview), st.lists(st.integers(-2, 300), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_ANY_VALUE, k=st.one_of(st.integers(-1, 3), _ANY_VALUE))
+def test_any_value_returns_or_raises_typed(value, k):
+    index = build_index([b"abc", b"abd", b"hello"], errors=2)
+    calls = [lambda: index.query(value, k), lambda: index.insert_word(value),
+             lambda: index.contains(value), lambda: build_index([b"abc", value])]
+    for call in calls:
+        try:
+            call()
+        except EditDictError:
+            pass

@@ -227,7 +227,7 @@ def reference_compact(store: SubstStore, delta: int) -> None:
     else:
         store.dsigs = b""
     value = int(chars[::-1].translate(b"0" + b"1" * 255), 2)
-    words = array("I", [(value >> (32 * i)) & 0xFFFFFFFF for i in range((t + 31) // 32)])
+    words = array("Q", [(value >> (64 * i)) & (2**64 - 1) for i in range((t + 63) // 64)])
     store.occupancy = RankBitVector(t, delta, words)
     store.dense = chars.translate(None, b"\0")
     store.chars = store.sigs = None
@@ -235,13 +235,14 @@ def reference_compact(store: SubstStore, delta: int) -> None:
 
 
 def set_chunk(mp: pytest.MonkeyPatch, chunk: int) -> None:
-    mp.setattr(succinct, "_CHUNK", chunk)
-    mp.setattr(subst_store, "_CHUNK", chunk)
+    """Make every chunked loop take `chunk` slots at a time."""
+    mp.setattr(succinct, "chunk_size", lambda n_bits: chunk)
+    mp.setattr(subst_store, "chunk_size", lambda n_bits: chunk)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), capacity=st.integers(1, 300), sig_on=st.booleans(),
-       chunk=st.sampled_from([32, 64, 96]), delta=st.integers(1, 8))
+       chunk=st.sampled_from([64, 128, 192]), delta=st.integers(1, 8))
 def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta):
     half = (capacity + 1) // 2
     occupied = data.draw(st.lists(st.booleans(), min_size=capacity, max_size=capacity))
@@ -271,23 +272,27 @@ def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta
 
 def test_compact_transient_is_bounded(rng):
     # Compaction streams over the slot arrays: beyond the plain store it
-    # holds the occupancy bits (a quarter byte per slot) and two bytes per
-    # entry, 1.65 bytes per slot at load 7/10.  Copying the whole slot
+    # holds the occupancy bits and ranks (3/16 byte per slot) and two bytes
+    # per entry, 1.59 bytes per slot at load 7/10.  Copying the whole slot
     # array several times, as a one-shot compaction does, takes about 4.
+    # The table is smaller than succinct._CHUNK, so at the default the
+    # chunks come from chunk_size, about an eighth of the table.
     words = random_words(rng, 1500, 6, 10)
-    with pytest.MonkeyPatch.context() as mp:
-        set_chunk(mp, 1024)
-        tracemalloc.start()
-        try:
-            store = build_store(words, 2, ALPHA, True, **SEEDS)
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            store.compact()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert store.capacity >= 32 * 1024
-    assert peak - before <= 2.5 * store.capacity
+    for chunk in (1024, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                set_chunk(mp, chunk)
+            tracemalloc.start()
+            try:
+                store = build_store(words, 2, ALPHA, True, **SEEDS)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                store.compact()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 32 * 1024 <= store.capacity < succinct._CHUNK
+        assert peak - before <= 2.5 * store.capacity, chunk
 
 
 def test_histogram_single_word():

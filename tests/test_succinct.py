@@ -1,5 +1,6 @@
 """Rank bit vector: rank, run scans, serialization."""
 
+import math
 import random
 import struct
 from itertools import accumulate
@@ -142,10 +143,31 @@ def test_probe_replay_equivalence():
 
 
 def _reference_words(bits) -> list[int]:
+    """The 32-bit data words of the on-disk layout: bit i in bit i & 31 of word i >> 5."""
     words = [0] * ((len(bits) + 31) // 32)
     for i, b in enumerate(bits):
         words[i >> 5] |= bool(b) << (i & 31)
     return words
+
+
+def _reference_ranks(bits) -> list[int]:
+    """Ones before each 32-bit reference word, with the total as a last entry."""
+    return list(accumulate((bin(w).count("1") for w in _reference_words(bits)), initial=0))
+
+
+def _reference_rank1(bits, i: int) -> int:
+    """rank1 from the 32-bit reference words and ranks."""
+    words, ranks = _reference_words(bits), _reference_ranks(bits)
+    if i == len(bits):
+        return ranks[-1]
+    return ranks[i >> 5] + bin(words[i >> 5] & ((1 << (i & 31)) - 1)).count("1")
+
+
+def _in_memory_words(bits) -> list[int]:
+    """The in-memory 64-bit words: 32-bit reference words 2j and 2j + 1 as
+    the low and high half of word j."""
+    words = _reference_words(bits) + [0]
+    return [words[j] | words[j + 1] << 32 for j in range(0, len(words) - 1, 2)]
 
 
 def _reference_bytes(bits, delta: int) -> bytes:
@@ -172,29 +194,83 @@ def test_bytes_roundtrip_identical(data, n, delta):
     assert back.to_bytes() == blob
 
 
+# Lengths are drawn evenly from 0..300, so most vectors span several
+# blocks; st.lists alone draws mostly short ones.
+_BITS = st.integers(0, 300).flatmap(lambda n: st.lists(st.booleans(), min_size=n, max_size=n))
+
+
 @settings(max_examples=120, deadline=None)
-@given(flags=st.lists(st.integers(0, 1), max_size=300), delta=st.integers(1, 8),
-       chunk=st.sampled_from([32, 64, 96, succinct._CHUNK]))
+@given(flags=_BITS, delta=st.integers(1, 8), chunk=st.sampled_from([64, 128, 192, None]))
 def test_from_flags_equals_from_bits(flags, delta, chunk):
-    with pytest.MonkeyPatch.context() as mp:  # small chunks: several per vector
-        mp.setattr(succinct, "_CHUNK", chunk)
+    with pytest.MonkeyPatch.context() as mp:  # chunks of 64 to 192 flags, or chunk_size's
+        if chunk is not None:
+            mp.setattr(succinct, "chunk_size", lambda n_bits: chunk)
         a = RankBitVector.from_flags(bytes(flags), delta)
         b = RankBitVector.from_flags(bytearray(0xA5 * f for f in flags), delta)  # nonzero is set
-    assert list(a.words) == list(b.words) == _reference_words(flags)
+    assert list(a.words) == list(b.words) == _in_memory_words(flags)
     assert list(a.ranks) == list(b.ranks) == list(accumulate(map(int.bit_count, a.words),
                                                              initial=0))
     assert (a.n_bits, a.delta, a.total_ones) == (b.n_bits, b.delta, b.total_ones)
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 511, 512, 513, 10**5, 10**7])
+def test_chunk_size_is_a_bounded_multiple_of_64(n):
+    chunk = succinct.chunk_size(n)
+    assert chunk > 0 and chunk % 64 == 0
+    assert chunk <= min(succinct._CHUNK, n // 8 + 64)
+
+
+def _naive_runs(bits) -> list[float]:
+    """The run of ones from each start, wrapping; infinite when every bit is set."""
+    n = len(bits)
+    if all(bits):
+        return [math.inf] * n
+    runs = [0] * (2 * n + 1)
+    for j in range(2 * n - 1, -1, -1):  # over bits twice, so a run may wrap once
+        runs[j] = runs[j + 1] + 1 if bits[j % n] else 0
+    return runs[:n]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=_BITS, delta=st.integers(1, 8))
+def test_matches_32_bit_reference(bits, delta):
+    rbv = RankBitVector.from_flags(bytes(bits), delta)
+    n = len(bits)
+    assert [rbv.rank1(i) for i in range(n + 1)] == [_reference_rank1(bits, i)
+                                                    for i in range(n + 1)]
+    for start, expected in enumerate(_naive_runs(bits)):
+        for limit in (1, 7, 63, 64, 65, 130, n + 1):
+            run = run_of_ones(rbv.words, n, start, limit)
+            if expected < limit:
+                assert run == expected
+            else:
+                assert run >= limit
+    blob = rbv.to_bytes()
+    assert blob == _reference_bytes(bits, delta)
+    back, end = RankBitVector.from_bytes(blob + b"tail", 0)
+    assert end == len(blob)
+    assert (back.n_bits, back.delta, back.total_ones) == (n, delta, sum(bits))
+    assert back.words == rbv.words and back.ranks == rbv.ranks
+    assert back.to_bytes() == blob
+
+
 def test_from_bytes_rejects_wrong_counts():
-    blob = bytearray(RankBitVector.from_flags(bytes([1] * 200), 2).to_bytes())
-    blob[9 + 4 * 3] ^= 1  # the count word of the second block
-    with pytest.raises(IndexFormatError, match="counts"):
-        RankBitVector.from_bytes(bytes(blob), 0)
+    # Count word i is at 32-bit position i * (delta + 1).  At odd delta the
+    # count of an odd block falls after the low half of a 64-bit word.
+    for delta, block in [(2, 1), (2, 3), (3, 1), (3, 2), (1, 5)]:
+        blob = bytearray(RankBitVector.from_flags(bytes([1] * 200), delta).to_bytes())
+        blob[9 + 4 * (delta + 1) * block] ^= 1
+        with pytest.raises(IndexFormatError, match="counts"):
+            RankBitVector.from_bytes(bytes(blob), 0)
 
 
 def test_from_bytes_rejects_bits_past_length():
-    blob = bytearray(RankBitVector.from_flags(bytes([0] * 40), 4).to_bytes())
-    blob[9 + 4 * 2 + 1] = 0x80  # bit 47 of the second data word
-    with pytest.raises(IndexFormatError, match="past its length"):
-        RankBitVector.from_bytes(bytes(blob), 0)
+    # 40 bits take two 32-bit words (one full 64-bit word); 70 bits take
+    # three, the last one the low half of a 64-bit word whose high half is
+    # padding not on disk.
+    for n_bits, byte in [(40, 9 + 4 * 2 + 1),   # bit 47, in data word 1
+                         (70, 9 + 4 * 3 + 2)]:  # bit 80, in data word 2
+        blob = bytearray(RankBitVector.from_flags(bytes([0] * n_bits), 4).to_bytes())
+        blob[byte] = 0x01 if n_bits == 70 else 0x80
+        with pytest.raises(IndexFormatError, match="past its length"):
+            RankBitVector.from_bytes(bytes(blob), 0)
