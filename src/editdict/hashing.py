@@ -17,6 +17,7 @@ construction.
 
 from __future__ import annotations
 
+from itertools import combinations
 from operator import mul
 
 MODULUS = 2**32 - 5
@@ -67,13 +68,28 @@ def poly_hash(word, seed: int) -> int:
     return sum(map(mul, word, powers_of(seed, len(word))[1 : len(word) + 1])) % MODULUS
 
 
+def blank_keys(word, seed: int, level: int) -> list[int]:
+    """Substitution-store keys of a word: its hashes under seed with each
+    position j (level 1), or each pair i < j (level 2, in combinations
+    order), replaced by WILDCARD.  The store build and the query engine
+    both derive their keys here."""
+    m = len(word)
+    pw = powers_of(seed, m)[1 : m + 1]
+    h = sum(map(mul, word, pw))
+    if level == 1:
+        return [(h + (WILDCARD - c) * p) % MODULUS for c, p in zip(word, pw)]
+    d = [(WILDCARD - c) * p for c, p in zip(word, pw)]  # blanking one position adds d[j]
+    return [(h + a + b) % MODULUS for a, b in combinations(d, 2)]
+
+
 class HashContext:
     """Preprocessed per-word state for O(1) hashes of single-edit variants.
 
     prefix[j] = sum(w_i * r**i for i <= j) mod MODULUS, so prefix[0] == 0
     and prefix[m] == poly_hash(word).  Positions are 1-based throughout;
     insertion gaps run from 0 (front) to m (back).  With inv = r**-1, all
-    mod MODULUS, the query engine inlines:
+    mod MODULUS, the query engine inlines delete and insert (its
+    substitution keys come from blank_keys):
 
       substitute c at j     total + (c - w_j) * r**j
       delete j              prefix[j-1] + (total - prefix[j]) * inv

@@ -48,6 +48,7 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import operator
 import random
 import struct
 import zlib
@@ -106,15 +107,18 @@ class BuildConfig:
     rng_seed: int = 1
 
     def __post_init__(self):
-        if self.errors not in (0, 1, 2):
-            raise ValidationError("errors must be 0, 1 or 2")
+        for name, lo, hi in (("errors", 0, 2), ("beta", 2, 255), ("delta", 1, 255),
+                             ("rng_seed", 0, 2**64 - 1)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, "
+                                      f"not {type(value).__name__}") from None
+            if not lo <= value <= hi:
+                raise ValidationError(f"{name} must be in [{lo}, {hi}]")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
-        if not 2 <= self.beta <= 255:
-            raise ValidationError("beta must be in [2, 255]")
-        if not 1 <= self.delta <= 255:
-            raise ValidationError("delta must be in [1, 255]")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValidationError("rng_seed must fit in 64 bits")
 
 
 def derive_seeds(rng_seed: int) -> tuple[int, int]:

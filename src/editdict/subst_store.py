@@ -6,9 +6,9 @@ word?  It is built by inserting, for every word and every position j, the
 character w[j] keyed by the word with position j blanked out.  A level-2
 store does the same for every pair of positions i < j, storing the
 character at the leftmost blank.  A word's entries are made in one batch:
-with h its hash and d[j] = (WILDCARD - w[j]) * r**j what blanking j adds,
-its keys h + d[j], or h + d[i] + d[j], come out of list comprehensions
-over d and combinations(d, 2), and one loop places them in that order.
+hashing.blank_keys gives its keys, the hashes of the word with j or i < j
+blanked, and one loop places them in that order.  The query engine scans
+the keys of a pattern with the same function.
 
 All entries of one level share a single linear-probing character table;
 the key only determines the starting slot (key hash mod capacity), so a
@@ -74,10 +74,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
-from operator import mul
 
 from .errors import CompactedError, IndexFormatError
-from .hashing import MODULUS, WILDCARD, powers_of
+from .hashing import blank_keys
 from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
@@ -116,18 +115,6 @@ def _split_nibbles(nibbles) -> bytes:
     view = memoryview(nibbles)
     low = int.from_bytes(view[:half], "little")
     return (low | int.from_bytes(view[half:], "little") << 4).to_bytes(half, "little")
-
-
-def _word_keys(word, seed: int, level: int) -> list[int]:
-    """Bucket hashes under seed of a word's level-1 or level-2 keys, in
-    entry order: positions j, or pairs i < j, blanked in turn."""
-    m = len(word)
-    pw = powers_of(seed, m)[1 : m + 1]
-    h = sum(map(mul, word, pw))
-    d = [(WILDCARD - c) * p for c, p in zip(word, pw)]  # blanking one position adds d[j]
-    if level == 1:
-        return [(h + a) % MODULUS for a in d]
-    return [(h + a + b) % MODULUS for a, b in combinations(d, 2)]
 
 
 def entries_for(word_length: int, level: int) -> int:
@@ -208,7 +195,7 @@ class SubstStore:
 
     def _insert_word_entries(self, word) -> int:
         """Insert all level-appropriate entries for one word; O(1) each."""
-        keys = _word_keys(word, self.bucket_seed, self.level)
+        keys = blank_keys(word, self.bucket_seed, self.level)
         self._place(keys, word if self.level == 1 else [a for a, _ in combinations(word, 2)])
         return len(keys)
 
@@ -446,8 +433,8 @@ def list_histogram(words, level: int, validated: bool = False) -> ListSizeHistog
         words = validate_words(words)
     key_counts: Counter = Counter()
     for w in words:
-        key_counts.update([(a << 32) | b for a, b in zip(_word_keys(w, _HIST_SEED_A, level),
-                                                         _word_keys(w, _HIST_SEED_B, level))])
+        key_counts.update([(a << 32) | b for a, b in zip(blank_keys(w, _HIST_SEED_A, level),
+                                                         blank_keys(w, _HIST_SEED_B, level))])
     sizes = Counter(key_counts.values())  # list size -> keys with a list that long
     entries_by_size = Counter({size: size * keys for size, keys in sizes.items()})
     return ListSizeHistogram(level, sum(key_counts.values()), entries_by_size)

@@ -86,6 +86,10 @@ def validate_word(word, where: str = "word") -> bytes:
 
 def validate_words(words) -> list[bytes]:
     """Validate and deduplicate a word list, preserving first-seen order."""
+    try:
+        words = iter(words)
+    except TypeError:
+        raise ValidationError(f"word list must be iterable, not {type(words).__name__}") from None
     out = []
     seen = set()
     for i, word in enumerate(words):

@@ -1,9 +1,11 @@
 """Reference single edits and their O(1) hashes from a SpecContext.
 
-The hashing tests check the O(1) formulas here, which the query engine
-and the substitution stores inline, against poly_hash of the edited
-string built by apply_edit.  SpecContext is a HashContext that also keeps
-its word and seed, which the formulas read and the library does not.
+The hashing tests check the O(1) formulas here against poly_hash of the
+edited string built by apply_edit.  The query engine inlines the delete
+and insert formulas; its substitution keys, like the stores', come from
+hashing.blank_keys, which the store tests check against poly_hash of the
+blanked word.  SpecContext is a HashContext that also keeps its word and
+seed, which the formulas read and the library does not.
 """
 
 from __future__ import annotations

@@ -65,6 +65,19 @@ def test_config_rejects_alpha_that_is_no_number(alpha):
         BuildConfig(alpha=alpha)
 
 
+@pytest.mark.parametrize("field, value", [("beta", None), ("beta", 2.5), ("delta", 1.5),
+                                          ("rng_seed", 1.5), ("errors", 1.0)])
+def test_config_rejects_fields_that_are_no_integers(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        BuildConfig(**{field: value})
+
+
+@pytest.mark.parametrize("words", [None, 5])
+def test_build_rejects_a_word_list_that_is_not_iterable(words):
+    with pytest.raises(ValidationError, match="word list must be iterable"):
+        build_index(words)
+
+
 def test_derive_seeds_deterministic_distinct():
     a = derive_seeds(42)
     b = derive_seeds(42)

@@ -1,5 +1,6 @@
 """Query engine: oracle equivalence, its keys and candidates, contracts."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -140,6 +141,12 @@ def test_bad_k_is_a_validation_error():
             ix.query(pattern, k)
 
 
+@pytest.mark.parametrize("k, same", [(0.0, 0), (1.0, 1), (True, 1), (Fraction(2), 2)])
+def test_k_equal_to_an_int_queries_as_that_int(k, same):
+    ix = build_index([b"abc", b"abd", b"xbd", b"abde"], BuildConfig(errors=2, rng_seed=1))
+    assert ix.query(b"abd", k) == ix.query(b"abd", same)
+
+
 def test_str_pattern_accepted():
     ix = build_index([b"abc"], BuildConfig(errors=1, rng_seed=1))
     assert ix.query("abd", 1).matches == {b"abc"}
@@ -218,28 +225,73 @@ def test_engine_probes_the_whole_neighbourhood(k):
         assert r_dup.stats == r.stats
 
 
+def _has_run(x) -> bool:
+    """True if x has two equal adjacent characters."""
+    return any(a == b for a, b in zip(x, x[1:]))
+
+
+RUNLESS = [bytes(p) for m in range(3, 8) for p in product(SYMBOLS, repeat=m) if not _has_run(p)]
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_engine_scans_every_pattern_key(k):
     # Empty scans leave only the store keys and the deletion candidates.
-    for x in PATTERNS:
-        m = len(x)
+    # Each key is scanned once, except at k=2 on a pattern with a run:
+    # there two different edit pairs can make one key as long as x (delins
+    # at gap 2 of y_2 and sub at 3 of "baa" are both "ba*") or one
+    # two-wildcard key (sub 1 + ins at gap 2 and sub 2 + ins at gap 0 of
+    # "aa" are both "*a*"), which the engine does not look for.  Keys
+    # shorter or longer than x are scanned once on every pattern.
+    for x in PATTERNS + [x for x in RUNLESS if len(x) > 5]:
         r, scans, probes = _recorded_query(x, k, ((), False))
-        keys = {1: set(), 2: set()}
+        keys = {}  # (wildcards, length) -> key hashes
         for p in _ball(x, k, (WILDCARD,)):
-            blanks = p.count(WILDCARD)
-            if blanks:
-                keys[blanks].add(poly_hash(p, SEED))
-        assert set(scans[1]) == keys[1] and set(scans[2]) == keys[2], x
-        level1 = m + (m + 1)  # sub, ins
-        level2 = 0
-        deletions = m  # del
-        if k == 2:
-            level1 += m * (m - 1) + m * (m - 1)  # delsub, delins
-            level2 = m * (m - 1) // 2 + m * m + (m + 2) * (m + 1) // 2  # subsub, subins, insins
-            deletions += m * (m - 1) // 2  # deldel
-        assert (len(scans[1]), len(scans[2])) == (level1, level2), x
-        assert {tuple(b) for b, _ in probes} == _ball(x, k, ())  # deletions and x
-        assert r.stats.as_tuple() == (level1 + level2, deletions, deletions + 1, 0)
+            if WILDCARD in p:
+                keys.setdefault((p.count(WILDCARD), len(p)), set()).add(poly_hash(p, SEED))
+        for level in (1, 2):
+            assert set(scans[level]) == set().union(
+                *(hashes for (n, _), hashes in keys.items() if n == level)), x
+            counts = Counter(scans[level])
+            for (n, length), hashes in keys.items():
+                if n == level and (k == 1 or not _has_run(x) or (n == 1 and length != len(x))):
+                    assert all(counts[h] == 1 for h in hashes), (x, n, length)
+        probed = [b for b, _ in probes]
+        assert {tuple(b) for b in probed} == _ball(x, k, ())  # deletions and x
+        if k == 1:
+            assert len(probed) == len(set(probed)), x
+        assert r.stats.as_tuple() == (len(scans[1]) + len(scans[2]), len(probes) - 1,
+                                      len(probes), 0)
+
+
+def test_fills_do_not_rescan_one_edit_keys():
+    # A two-wildcard key whose left blank is filled with x's own character
+    # is one of x's sub or ins keys, which the k=1 classes scan; on a
+    # pattern without a run no other route makes those keys.
+    for x in RUNLESS:
+        if len(x) < 7:
+            _, scans, _ = _recorded_query(x, 2, (range(1, 4), True))
+            counts = Counter(scans[1])
+            for p in _ball(x, 1, (WILDCARD,)):
+                if WILDCARD in p and len(p) >= len(x):
+                    assert counts[poly_hash(p, SEED)] == 1, (x, p)
+
+
+# Runs of equal characters are where the engine skips structurally
+# repeated rows and positions.
+RUN_PATTERNS = [b"aaaa", b"aabb", b"abba", b"baaab", b"aabbaa", b"abbbba", b"aaabbb",
+                b"aabaab", b"abbabba", b"aaaaaaaa", b"bbbbabbb", b"abbaabba"]
+
+
+def test_runs_match_oracle():
+    # Every string within distance 2 of each pattern is a word, so every
+    # route of every class has a match to find.
+    words = sorted({bytes(s) for x in RUN_PATTERNS for s in _ball(x, 2, b"ab")})
+    indexes = build_variants(words, rng_seed=17)
+    for x in RUN_PATTERNS:
+        for k in (1, 2):
+            want = oracle_query(words, x, k)
+            for ix in indexes:
+                assert ix.query(x, k).matches == want, (x, k)
 
 
 def test_stats_counters_consistent(rng):

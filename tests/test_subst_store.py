@@ -12,11 +12,10 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from editdict import subst_store, succinct
 from editdict.errors import CompactedError, IndexFormatError, TableFullError
-from editdict.hashing import WILDCARD, poly_hash
+from editdict.hashing import WILDCARD, blank_keys, poly_hash
 from editdict.subst_store import (
     _SCAN_LIMIT,
     SubstStore,
-    _word_keys,
     build_store,
     entries_for,
     list_histogram,
@@ -592,7 +591,7 @@ def test_word_keys_are_poly_hashes_of_blanked_words():
         blanks = [(j,) for j in range(1, m + 1)] if level == 1 else \
             list(combinations(range(1, m + 1), 2))
         want = [poly_hash(key_of(word, b), SEEDS["bucket_seed"]) for b in blanks]
-        assert _word_keys(word, SEEDS["bucket_seed"], level) == want
+        assert blank_keys(word, SEEDS["bucket_seed"], level) == want
 
 
 def test_insert_into_store_with_wrong_count_raises():
