@@ -22,6 +22,8 @@ freezes the structure; probes measure the run of ones from the home slot
 inside its 64-bit word (run_of_ones only when the run reaches the word's
 end), compute the home slot's rank inline from the bit vector's word and
 rank arrays, and search the run's bytes with the same aligned find.
+Loading also rejects an inline table, in either layout, that holds a
+byte above the index's sigma: capped scans return only 1..sigma.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ from .util import (capacity_for, check_headroom, check_loaded_table, take,
                    validate_word, validate_words)
 
 EMPTY_OFFSET = 0xFFFFFFFF
-
-# Byte translation table: 0 for a zero byte, 1 for any other.
-_NONZERO = bytes([0]) + bytes([1]) * 255
 
 # Capacity of a per-length table created on demand by insert_word for a
 # length unseen at build time.  Tables are never grown.
@@ -147,7 +146,7 @@ class _ShortTable:
 
     @classmethod
     def from_bytes(cls, buf, offset: int, compacted: bool, delta: int,
-                   min_width: int, beta: int, seed: int):
+                   min_width: int, beta: int, seed: int, sigma: int):
         width, capacity, count = struct.unpack_from("<BQQ", buf, offset)
         offset += 17
         what = f"word table (length {width})"
@@ -167,19 +166,32 @@ class _ShortTable:
             table.dense = bytes(take(buf, offset, count * width, what))
             offset += count * width
             empty_slot = count < capacity
+            # Deleting bytes 0..sigma leaves only those above it, and
+            # writes less than mapping every byte would.
+            above_sigma = bool(table.dense.translate(None, bytes(range(sigma + 1))))
         else:
             slots = table.slots = bytearray(take(buf, offset, capacity * width, what))
             table.occupancy = None
             table.dense = None
             offset += capacity * width
-            firsts = slots[0::width].translate(_NONZERO)
+            # 0 for a zero byte, 1 for a byte in 1..sigma, 2 for one above sigma
+            bands = bytes([0]) + bytes([1]) * sigma + bytes([2]) * (255 - sigma)
+            firsts = slots[0::width].translate(bands)
             empty_slot = 0 in firsts
+            above_sigma = 2 in firsts
         check_loaded_table(what, count, capacity, empty_slot)
+        # A capped scan returns only the characters 1..sigma, so a stored
+        # byte above sigma would drop matches silently.
+        if above_sigma:
+            raise IndexFormatError(f"{what}: a stored byte is above sigma = {sigma}")
         # A plain probe takes the first zero byte after its home slot for the
         # start of an empty slot: each slot must be all zero or hold none.
-        if not compacted and any(slots[i::width].translate(_NONZERO) != firsts
+        # With the first bytes all 0 or 1, a column that differs holds a
+        # zero byte inside a word or a byte above sigma.
+        if not compacted and any(slots[i::width].translate(bands) != firsts
                                  for i in range(1, width)):
-            raise IndexFormatError(f"{what}: a slot holds a zero byte inside a word")
+            raise IndexFormatError(f"{what}: a slot holds a zero byte inside a word "
+                                   "or a byte above sigma")
         lo = 0 if compacted else firsts.find(1) * width  # the first occupied slot, or -width
         _check_seed(table, (table.dense if compacted else slots)[lo : lo + width], seed, what)
         return table, offset
@@ -428,14 +440,19 @@ class ExactDictionary:
 
     @classmethod
     def from_bytes(cls, buf, offset: int, alpha: Fraction, beta: int, seed: int,
-                   compacted: bool, delta: int):
+                   compacted: bool, delta: int, sigma: int):
+        """Parse the section at offset; returns (dictionary, end offset).
+
+        sigma is the index's largest stored byte: a short table holding a
+        byte above it is rejected.  The long-word arena is not checked.
+        """
         d = cls(alpha, beta, seed)
         d.word_count, d.total_length, n_short = struct.unpack_from("<QQB", buf, offset)
         offset += 17
         min_width = 1
         for _ in range(n_short):
             table, offset = _ShortTable.from_bytes(buf, offset, compacted, delta,
-                                                   min_width, beta, seed)
+                                                   min_width, beta, seed, sigma)
             d.short_tables[table.width] = table
             min_width = table.width + 1
         d.long_table, offset = _LongTable.from_bytes(buf, offset, compacted, delta, seed)

@@ -4,9 +4,8 @@ File layout (all little-endian):
 
     offset  size  field
     0       4     magic "ASDI"
-    4       1     format version (3)
-    5       1     checksum id (1 = crc32 of body in the high 32 bits,
-                  adler32 in the low 32 bits)
+    4       1     format version (4)
+    5       1     checksum id (2 = crc32 of the body)
     6       1     flags: bit0 signatures, bit1 compacted
     7       1     error level (0, 1 or 2)
     8       2     load factor numerator
@@ -22,7 +21,7 @@ File layout (all little-endian):
     40      8     level-1 store section length (0 if absent)
     48      8     level-2 store section length (0 if absent)
     56      ...   sections, in that order
-    end-8   8     checksum over everything before it
+    end-4   4     crc32 of everything before it
 
 Version 2 changed only the plain substitution-store section: header,
 then one character byte per slot, then the split-nibble signature array
@@ -40,6 +39,13 @@ store's payload in the plain layout over entries: the payload length,
 then one character byte per entry, then the entries' signatures split
 at half = (entry_count + 1) // 2, in place of 3 bytes per two entries.
 A compacted store with an odd entry count is one byte smaller.
+
+Version 4 keeps only the crc32 of the body, in a 4-byte trailer under
+checksum id 2; versions 1-3 had a 64-bit trailer that also held an
+adler32 (checksum id 1), and a file of any of them is refused.  The sum
+only catches accidents: a file that passes it but is structurally
+inconsistent is rejected by the checks made while parsing.  Header and
+sections are as in version 3.
 
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed
@@ -72,9 +78,10 @@ from .subst_store import SubstStore, build_store, entries_for
 from .util import as_bytes, validate_word, validate_words
 
 MAGIC = b"ASDI"
-VERSION = 3
-CHECKSUM_ID = 1
+VERSION = 4
+CHECKSUM_ID = 2  # crc32 of the body
 _HEADER = struct.Struct("<4sBBBBHHBBBBIIQQQQ")
+_TRAILER = struct.Struct("<I")
 
 ALPHA_MIN = Fraction(1, 5)
 ALPHA_MAX = Fraction(19, 20)
@@ -250,10 +257,6 @@ def build_index(words, config: BuildConfig | None = None, **overrides) -> Index:
     return Index(config, exact, store1, store2, bucket_seed, sig_seed, sigma)
 
 
-def _checksum(data) -> int:
-    return (zlib.crc32(data) << 32) | zlib.adler32(data)
-
-
 def save(index: Index, sink) -> int:
     """Serialize to a path or binary file object; returns bytes written."""
     cfg = index.config
@@ -269,7 +272,7 @@ def save(index: Index, sink) -> int:
         len(exact_bytes), len(s1), len(s2),
     )
     body = header + exact_bytes + s1 + s2
-    blob = body + struct.pack("<Q", _checksum(body))
+    blob = body + _TRAILER.pack(zlib.crc32(body))
     if hasattr(sink, "write"):
         sink.write(blob)
     else:
@@ -285,7 +288,7 @@ def load(source) -> Index:
         blob = source.read()
     else:
         blob = Path(source).read_bytes()
-    if len(blob) < _HEADER.size + 8:
+    if len(blob) < _HEADER.size + _TRAILER.size:
         raise TruncatedError(f"file is {len(blob)} bytes, shorter than any valid index")
     (magic, version, checksum_id, flags, errors, num, den, beta, delta, sigma,
      _reserved, bucket_seed, sig_seed, rng_seed, exact_len, s1_len, s2_len,
@@ -296,15 +299,16 @@ def load(source) -> Index:
         raise VersionMismatchError(f"format version {version}, expected {VERSION}")
     if checksum_id != CHECKSUM_ID:
         raise IndexFormatError(f"unknown checksum id {checksum_id}")
-    expected = _HEADER.size + exact_len + s1_len + s2_len + 8
+    body_len = _HEADER.size + exact_len + s1_len + s2_len
+    expected = body_len + _TRAILER.size
     if len(blob) < expected:
         raise TruncatedError(f"file is {len(blob)} bytes, layout declares {expected}")
     if len(blob) > expected:
         raise IndexFormatError(f"{len(blob) - expected} trailing bytes after checksum")
-    (stored_sum,) = struct.unpack_from("<Q", blob, expected - 8)
+    (stored_sum,) = _TRAILER.unpack_from(blob, body_len)
     # Sections are parsed from a view, so each is copied once, into its table.
     view = memoryview(blob)
-    if _checksum(view[: expected - 8]) != stored_sum:
+    if zlib.crc32(view[:body_len]) != stored_sum:
         raise ChecksumError("checksum mismatch, file body is corrupt")
     use_signatures = bool(flags & 1)
     compacted = bool(flags & 2)
@@ -318,7 +322,7 @@ def load(source) -> Index:
     offset = _HEADER.size
     try:
         exact, end = ExactDictionary.from_bytes(
-            view, offset, config.alpha, beta, bucket_seed, compacted, delta
+            view, offset, config.alpha, beta, bucket_seed, compacted, delta, sigma
         )
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")

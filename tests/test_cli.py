@@ -118,6 +118,15 @@ def test_malformed_index(tmp_path, wordfile, capsys):
     assert "bad index file" in capsys.readouterr().err
 
 
+def test_old_format_version_is_bad_index(built, capsys):
+    with open(built, "r+b") as f:
+        f.seek(4)
+        f.write(bytes([3]))  # the version byte
+    rc = run_cli(["query", "--index", built, "--k", "1", "--pattern", "banana"])
+    assert rc == EXIT_BAD_INDEX
+    assert "format version 3, expected 4" in capsys.readouterr().err
+
+
 def test_verify_passes(built, wordfile, capsys):
     rc = run_cli(["verify", "--index", built, "--input", wordfile,
                   "--k", "2", "--samples", "60", "--seed", "7"])

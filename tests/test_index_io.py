@@ -177,6 +177,27 @@ def test_load_flipped_body_byte_is_checksum_error():
         load(bytes(blob))
 
 
+def test_trailer_is_crc32_of_the_body():
+    for cfg in ({}, {"errors": 2, "compact": True}):
+        blob = bytes(_saved_blob(**cfg))
+        assert blob[-4:] == struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def test_load_flipped_byte_in_each_part_is_checksum_error():
+    blob = _saved_blob(errors=2)
+    exact_len, s1_len, s2_len = struct.unpack_from("<QQQ", blob, 32)
+    s1 = 56 + exact_len
+    s2 = s1 + s1_len
+    end = s2 + s2_len
+    assert end + 4 == len(blob)
+    # bucket seed, each section's middle byte, the trailer's first byte
+    for at in (16, 56 + exact_len // 2, s1 + s1_len // 2, s2 + s2_len // 2, end):
+        flipped = bytearray(blob)
+        flipped[at] ^= 0x01
+        with pytest.raises(ChecksumError):
+            load(bytes(flipped))
+
+
 def test_load_bad_magic():
     blob = _saved_blob()
     blob[0:4] = b"JUNK"
@@ -185,8 +206,9 @@ def test_load_bad_magic():
 
 
 def test_load_bad_version():
-    # 1 had the interleaved plain-store layout, 2 signatures from a second hash
-    for version in (1, 2, 99):
+    # 1 had the interleaved plain-store layout, 2 signatures from a second
+    # hash, 3 a 64-bit crc32 + adler32 trailer
+    for version in (1, 2, 3, 99):
         blob = _saved_blob()
         blob[4] = version
         with pytest.raises(VersionMismatchError):
@@ -282,8 +304,8 @@ def test_build_index_kwargs_shortcut():
 # so only the structural checks in load() stand between it and a query.
 
 def _rechecksummed(blob: bytearray) -> bytes:
-    body = bytes(blob[:-8])
-    return body + struct.pack("<Q", (zlib.crc32(body) << 32) | zlib.adler32(body))
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _store1_offset(blob) -> int:
@@ -368,6 +390,23 @@ def _fill(table, compact):
     else:
         table.offsets = array("I", [0] * t)
     table.count = t
+
+
+@pytest.mark.parametrize("compact", [False, True])
+def test_load_rejects_sigma_below_a_stored_byte(compact):
+    # A capped scan returns the characters 1..sigma: with the header's sigma
+    # at 10, the k=1 query for bytes([65, 64]) found 10 of its 64 matches.
+    words = [bytes([c, 64]) for c in range(1, 65)]
+    blob = _saved_blob(words, errors=1, compact=compact)
+    assert blob[14] == 64
+    blob[14] = 10
+    with pytest.raises(IndexFormatError, match="above sigma"):
+        load(_rechecksummed(blob))
+    # Only a byte past the first of a word lies above sigma.
+    blob = _saved_blob([b"ab", b"az"], errors=1, compact=compact)
+    blob[14] = ord("b")
+    with pytest.raises(IndexFormatError, match="above sigma"):
+        load(_rechecksummed(blob))
 
 
 @pytest.mark.parametrize("compact", [False, True])
@@ -486,16 +525,15 @@ def test_load_rejects_word_table_lengths_not_increasing():
 
 
 # sha256 of the saved file for each (compact, use_signatures, delta), all
-# at errors=2 over _golden_words(), recorded from format version 3 as it
-# was before the in-memory words of the occupancy bits went to 64 bits.
+# at errors=2 over _golden_words(), recorded from format version 4.
 # A change that moves any of them changes the bytes an index is saved as.
 GOLDEN_SHA256 = {
-    (False, True, 4): "a8b2a2860637e0201d0e5382bb0b46872ab86b181bcb044e419c33e8be333852",
-    (False, False, 4): "91fb0eb2de740e505f95fa3c00d0501a560519f7bb5b1aea58a2de6514d58985",
-    (True, True, 4): "67b32abb56357a10328ef8bf449c60af22eebebd997c6e28c16711e09a23ddce",
-    (True, False, 4): "b300728e2d163fea38bcfcb97e5575c2d81bcb4e4d874fa159bf4342e8f86fb5",
-    (True, True, 1): "0006a3f07a4b62b874f0ec9d6ceff65772205c33ab2ae534a0a6a556c822eec4",
-    (True, True, 3): "e4edc86a87e41a2792cd7f70df156efb4c185d7a312fe58028b4b073df7462ee",
+    (False, True, 4): "d15914b02a9a669930bc65c26f7e1b272e787ceab430b695aa57f3a9307cd713",
+    (False, False, 4): "7fdb0ba0d66ea574fa901a487470119e3c5f1236f07de4a7277dae6e260e05b8",
+    (True, True, 4): "b593bfc3256411da2862eab3c5f3dfe4ca88e36dd0f21a20619b9e97174a49f1",
+    (True, False, 4): "0bd8309b1b61a2dc1c3007b1ab86c4808b0a8f21d595edda054df63e932473de",
+    (True, True, 1): "9b6117db26652df2ed74979d588055c99a0fed24be6a52f915264100c9074f0b",
+    (True, True, 3): "1c2ce57d5dfbaa185092312f8c2746607e7c461e09148c3b0d2896b050e68330",
 }
 
 
