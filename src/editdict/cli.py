@@ -356,12 +356,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index file from a word list")
     p.add_argument("--input", required=True, help="word list, one word per line")
     p.add_argument("--output", required=True, help="index file to write")
-    p.add_argument("--errors", type=int, default=1, choices=(0, 1, 2))
-    p.add_argument("--load-factor", default="0.7", help="table load factor (default 0.7)")
-    p.add_argument("--signatures", action="store_true", help="store 4-bit key signatures")
-    p.add_argument("--compact", action="store_true", help="bit-compact the finished tables")
-    p.add_argument("--beta", type=int, default=16, help="inline-word length threshold")
-    p.add_argument("--delta", type=int, default=4, help="rank sampling interval in words")
+    defaults = BuildConfig()
+    p.add_argument("--errors", type=int, default=defaults.errors, choices=(0, 1, 2))
+    p.add_argument("--load-factor", default=str(defaults.alpha),
+                   help=f"table load factor (default {defaults.alpha})")
+    p.add_argument("--signatures", action=argparse.BooleanOptionalAction,
+                   default=defaults.use_signatures,
+                   help="store 4-bit key signatures (default: on)")
+    p.add_argument("--compact", action="store_true", default=defaults.compact,
+                   help="bit-compact the finished tables")
+    p.add_argument("--beta", type=int, default=defaults.beta,
+                   help="inline-word length threshold")
+    p.add_argument("--delta", type=int, default=defaults.delta,
+                   help="rank sampling interval in 64-bit words")
     p.add_argument("--seed", type=int, default=None, help="build seed (env EDITDICT_SEED)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_build)

@@ -162,7 +162,7 @@ class _ShortTable:
         table.count = count
         if compacted:
             table.slots = None
-            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, what)
+            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, delta, what)
             table.dense = bytes(take(buf, offset, count * width, what))
             offset += count * width
             empty_slot = count < capacity
@@ -287,7 +287,7 @@ class _LongTable:
         table.count = count
         if compacted:
             table.offsets = None
-            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, what)
+            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, delta, what)
             table.dense = u32_array(take(buf, offset, 4 * count, what))
             offset += 4 * count
             empty_slot = count < capacity
@@ -326,8 +326,6 @@ class ExactDictionary:
         "alpha",
         "beta",
         "seed",
-        "word_count",
-        "total_length",
         "short_tables",
         "long_table",
         "compacted",
@@ -337,11 +335,21 @@ class ExactDictionary:
         self.alpha = alpha
         self.beta = beta
         self.seed = seed
-        self.word_count = 0
-        self.total_length = 0
         self.short_tables: dict[int, _ShortTable] = {}
         self.long_table = _LongTable(capacity_for(0, alpha))
         self.compacted = False
+
+    @property
+    def word_count(self) -> int:
+        return sum(t.count for t in self.short_tables.values()) + self.long_table.count
+
+    @property
+    def total_length(self) -> int:
+        """Bytes in all stored words; a long word's arena entry is its
+        2-byte length prefix and its bytes."""
+        long = self.long_table
+        return (sum(w * t.count for w, t in self.short_tables.items())
+                + len(long.arena) - 2 * long.count)
 
     def contains(self, word, h: int | None = None) -> bool:
         """True iff the word was stored.  h may carry a precomputed hash."""
@@ -403,11 +411,7 @@ class ExactDictionary:
                 self.short_tables[m] = table
         else:
             table = self.long_table
-        if not table.insert(word, h):
-            return False
-        self.word_count += 1
-        self.total_length += m
-        return True
+        return table.insert(word, h)
 
     def compact(self, delta: int = 4) -> None:
         """Replace every slot array with occupancy bits plus dense payload."""
@@ -428,11 +432,7 @@ class ExactDictionary:
         return rows
 
     def to_bytes(self) -> bytes:
-        parts = [
-            struct.pack(
-                "<QQB", self.word_count, self.total_length, len(self.short_tables)
-            )
-        ]
+        parts = [struct.pack("<B", len(self.short_tables))]
         for width in sorted(self.short_tables):
             parts.append(self.short_tables[width].to_bytes())
         parts.append(self.long_table.to_bytes())
@@ -447,8 +447,8 @@ class ExactDictionary:
         byte above it is rejected.  The long-word arena is not checked.
         """
         d = cls(alpha, beta, seed)
-        d.word_count, d.total_length, n_short = struct.unpack_from("<QQB", buf, offset)
-        offset += 17
+        (n_short,) = struct.unpack_from("<B", buf, offset)
+        offset += 1
         min_width = 1
         for _ in range(n_short):
             table, offset = _ShortTable.from_bytes(buf, offset, compacted, delta,
@@ -485,6 +485,4 @@ def build_exact(words, alpha: Fraction, beta: int = 16, seed: int = 1,
         h = poly_hash(w, seed)
         table = d.short_tables[m] if m < beta else d.long_table
         table.insert(w, h)
-    d.word_count = len(words)
-    d.total_length = sum(len(w) for w in words)
     return d

@@ -4,14 +4,14 @@ File layout (all little-endian):
 
     offset  size  field
     0       4     magic "ASDI"
-    4       1     format version (4)
+    4       1     format version (5)
     5       1     checksum id (2 = crc32 of the body)
     6       1     flags: bit0 signatures, bit1 compacted
     7       1     error level (0, 1 or 2)
     8       2     load factor numerator
     10      2     load factor denominator
     12      1     beta (inline-word length threshold)
-    13      1     delta (rank sampling interval, in 32-bit words)
+    13      1     delta (rank sampling interval, in 64-bit words)
     14      1     sigma (alphabet size = largest byte value stored)
     15      1     reserved (0)
     16      4     bucket seed
@@ -22,6 +22,15 @@ File layout (all little-endian):
     48      8     level-2 store section length (0 if absent)
     56      ...   sections, in that order
     end-4   4     crc32 of everything before it
+
+The exact section is the number of short word tables (1 byte), each of
+them (<BQQ width, capacity, count, then its slots or its occupancy bits
+and dense words), and the long-word table (<QQ capacity, count, then its
+offsets or its occupancy bits and dense offsets, then <Q arena length
+and the arena).  A store section is <QQ capacity and entry count, then
+its payload (subst_store.py).  A compacted table's occupancy bits follow
+succinct.py: its capacity gives their length and the header's delta
+their sampling.
 
 Version 2 changed only the plain substitution-store section: header,
 then one character byte per slot, then the split-nibble signature array
@@ -46,6 +55,19 @@ adler32 (checksum id 1), and a file of any of them is refused.  The sum
 only catches accidents: a file that passes it but is structurally
 inconsistent is rejected by the checks made while parsing.  Header and
 sections are as in version 3.
+
+Version 5 stores each fact once.  A compacted table's occupancy bits
+are written as they are held in memory, 64-bit data words followed by
+every delta-th rank, with no header of their own, so delta counts 64-bit
+words; version 4 interleaved a count with every delta 32-bit data words
+behind a header repeating the table's capacity and the file's delta.  A
+store section no longer holds its level (given by its position), flags
+(the header's) or compacted payload length (given by its entry count),
+and the exact section no longer holds the word count and total length,
+which are computed from the tables.  A store section the header's error
+level does not declare is refused, and so is a compacted table whose
+capacity is not the one its count and the load factor give.  A file of
+version 4 or older is refused.
 
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed
@@ -75,10 +97,10 @@ from .errors import (
 from .exact_dict import ExactDictionary, build_exact
 from .hashing import poly_hash, random_seed
 from .subst_store import SubstStore, build_store, entries_for
-from .util import as_bytes, validate_word, validate_words
+from .util import as_bytes, capacity_for, validate_word, validate_words
 
 MAGIC = b"ASDI"
-VERSION = 4
+VERSION = 5
 CHECKSUM_ID = 2  # crc32 of the body
 _HEADER = struct.Struct("<4sBBBBHHBBBBIIQQQQ")
 _TRAILER = struct.Struct("<I")
@@ -125,6 +147,11 @@ class BuildConfig:
             if not lo <= value <= hi:
                 raise ValidationError(f"{name} must be in [{lo}, {hi}]")
             object.__setattr__(self, name, value)
+        for name in ("use_signatures", "compact"):
+            value = getattr(self, name)
+            if value not in (False, True):
+                raise ValidationError(f"{name} must be True or False, not {value!r}")
+            object.__setattr__(self, name, bool(value))
         object.__setattr__(self, "alpha", _as_fraction(self.alpha))
 
 
@@ -327,23 +354,31 @@ def load(source) -> Index:
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")
         offset = end
-        store1 = store2 = None
-        if s1_len:
-            store1, end = SubstStore.from_bytes(view, offset, bucket_seed, sig_seed, sigma)
-            if end != offset + s1_len:
-                raise IndexFormatError("level-1 store section length mismatch")
-            offset = end
-        if s2_len:
-            store2, end = SubstStore.from_bytes(view, offset, bucket_seed, sig_seed, sigma)
-            if end != offset + s2_len:
-                raise IndexFormatError("level-2 store section length mismatch")
+        stores = [None, None]
+        for level, length in ((1, s1_len), (2, s2_len)):
+            # The level comes from the section's position, so only the
+            # sections the error level declares may be there.
+            if bool(length) != (errors >= level):
+                raise IndexFormatError(f"header declares {errors} errors, but the level-{level} "
+                                       f"store is {'present' if length else 'missing'}")
+            if length:
+                stores[level - 1], end = SubstStore.from_bytes(
+                    view, offset, level, use_signatures, compacted, delta, bucket_seed, sigma)
+                if end != offset + length:
+                    raise IndexFormatError(f"level-{level} store section length mismatch")
+                offset = end
     except struct.error as exc:
         raise TruncatedError(f"section parsing ran off the end: {exc}") from exc
-    if errors >= 1 and store1 is None:
-        raise IndexFormatError("header declares 1+ errors but the level-1 store is missing")
-    if errors >= 2 and store2 is None:
-        raise IndexFormatError("header declares 2 errors but the level-2 store is missing")
-    return Index(config, exact, store1, store2, bucket_seed, sig_seed, sigma)
+    index = Index(config, exact, *stores, bucket_seed, sig_seed, sigma)
+    # A compacted index takes no inserts, so each table keeps the capacity
+    # its build gave it; the occupancy bits alone would not show a
+    # capacity moved within their last word.
+    if compacted:
+        for name, count, capacity in index.table_report():
+            if capacity != capacity_for(count, config.alpha):
+                raise IndexFormatError(f"{name}: capacity {capacity} for {count} entries at "
+                                       f"load factor {config.alpha}")
+    return index
 
 
 def read_wordlist(source) -> list[bytes]:

@@ -52,19 +52,25 @@ without a nibble equal to the key's signature is rejected by one `in`
 test before any per-slot work.
 
 Compaction freezes a store and drops its empty slots.  It keeps the
-occupancy bits (the interleaved count/data layout of succinct.py on
-disk; in memory, flat arrays of 64-bit data words and a rank per data
-word, 3/16 byte per slot) and a payload in the plain layout over entries
-instead of slots: `dense`, the characters of the occupied slots in slot
-order, and `dsigs`, their signatures split at half = (entry_count + 1)
-// 2 as above (empty without signatures).  The run of occupied slots
-from a home slot is the run of entries from that slot's rank, so a
-compacted scan tests the home bit, measures the run of ones inside the
-home slot's 64-bit word with a trailing-ones bit trick (run_of_ones
-continues only a run that reaches the word's end), decides the length
-cap from the run alone, computes the home slot's rank inline, and then
-filters the run's entries with the same `translate` and `in` test as a
-plain scan.
+occupancy bits (succinct.py: in memory, flat arrays of 64-bit data words
+and a rank per data word, 3/16 byte per slot) and a payload in the plain
+layout over entries instead of slots: `dense`, the characters of the
+occupied slots in slot order, and `dsigs`, their signatures split at
+half = (entry_count + 1) // 2 as above (empty without signatures).  The
+run of occupied slots from a home slot is the run of entries from that
+slot's rank, so a compacted scan tests the home bit, measures the run of
+ones inside the home slot's 64-bit word with a trailing-ones bit trick
+(run_of_ones continues only a run that reaches the word's end), decides
+the length cap from the run alone, computes the home slot's rank inline,
+and then filters the run's entries with the same `translate` and `in`
+test as a plain scan.
+
+On disk a store section is its capacity and entry count (<QQ), then the
+arrays above: `chars` and `sigs` when plain, the occupancy bits, `dense`
+and `dsigs` when compacted.  Everything else a store needs comes from
+the file header (signatures, compaction, delta, bucket seed, sigma) or
+from the section's position (its level), and each array's length
+follows from the two counts.
 """
 
 from __future__ import annotations
@@ -125,12 +131,8 @@ def entries_for(word_length: int, level: int) -> int:
 
 
 class SubstStore:
-    """Linear-probing character table keyed by wildcard patterns.
-
-    Keys are hashed under bucket_seed only.  The constructor still takes
-    sig_seed, which the index and its file header carry, but no hash uses
-    it and the store does not keep it.
-    """
+    """Linear-probing character table keyed by wildcard patterns, hashed
+    under bucket_seed."""
 
     __slots__ = (
         "level",
@@ -148,7 +150,7 @@ class SubstStore:
     )
 
     def __init__(self, level: int, capacity: int, use_signatures: bool,
-                 bucket_seed: int, sig_seed: int, sigma: int):
+                 bucket_seed: int, sigma: int):
         self.level = level
         self.capacity = capacity
         self.entry_count = 0
@@ -325,35 +327,32 @@ class SubstStore:
         self.compacted = True
 
     def to_bytes(self) -> bytes:
-        flags = (1 if self.use_signatures else 0) | (2 if self.compacted else 0)
-        head = struct.pack("<BBQQ", self.level, flags, self.capacity, self.entry_count)
+        head = struct.pack("<QQ", self.capacity, self.entry_count)
         if self.compacted:
-            payload_len = struct.pack("<Q", len(self.dense) + len(self.dsigs))
-            return head + self.occupancy.to_bytes() + payload_len + self.dense + self.dsigs
+            return head + self.occupancy.to_bytes() + self.dense + self.dsigs
         return head + bytes(self.chars) + bytes(self.sigs)
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, bucket_seed: int, sig_seed: int, sigma: int):
-        level, flags, capacity, entry_count = struct.unpack_from("<BBQQ", buf, offset)
-        offset += 18
+    def from_bytes(cls, buf, offset: int, level: int, use_signatures: bool, compacted: bool,
+                   delta: int, bucket_seed: int, sigma: int):
+        """Parse the section at offset; returns (store, end offset).  The
+        file header gives all but the two counts, the level its position."""
+        capacity, entry_count = struct.unpack_from("<QQ", buf, offset)
+        offset += 16
         store = cls.__new__(cls)
         store.level = level
-        store.use_signatures = bool(flags & 1)
-        store.compacted = bool(flags & 2)
+        store.use_signatures = use_signatures
+        store.compacted = compacted
         store.capacity = capacity
         store.entry_count = entry_count
         store.bucket_seed = bucket_seed
         store.sigma = sigma
         what = f"level-{level} store"
-        if store.compacted:
+        if compacted:
             store.chars = store.sigs = None
-            store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count, what)
-            (payload_len,) = struct.unpack_from("<Q", buf, offset)
-            offset += 8
-            n_sigs = (entry_count + 1) // 2 if store.use_signatures else 0
-            if payload_len != entry_count + n_sigs:
-                raise IndexFormatError(f"{what}: payload of {payload_len} bytes, "
-                                       f"{entry_count} entries need {entry_count + n_sigs}")
+            store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count,
+                                                     delta, what)
+            n_sigs = (entry_count + 1) // 2 if use_signatures else 0
             store.dense = bytes(take(buf, offset, entry_count, what))
             offset += entry_count
             store.dsigs = bytes(take(buf, offset, n_sigs, what))
@@ -362,7 +361,7 @@ class SubstStore:
         else:
             store.chars = bytearray(take(buf, offset, capacity, what))
             offset += capacity
-            n_sigs = (capacity + 1) // 2 if store.use_signatures else 0
+            n_sigs = (capacity + 1) // 2 if use_signatures else 0
             store.sigs = bytearray(take(buf, offset, n_sigs, what))
             offset += n_sigs
             store.occupancy = None
@@ -388,8 +387,7 @@ def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
     if sigma is None:
         sigma = max((max(w) for w in words), default=0)
     total = sum(entries_for(len(w), level) for w in words)
-    store = SubstStore(level, capacity_for(total, alpha), use_signatures,
-                       bucket_seed, sig_seed, sigma)
+    store = SubstStore(level, capacity_for(total, alpha), use_signatures, bucket_seed, sigma)
     for w in words:
         store._insert_word_entries(w)
     return store

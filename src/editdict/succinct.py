@@ -14,16 +14,16 @@ byte columns, read as integers and summed, hold one word's popcount per
 byte (at most 64, so no byte carries into the next); one accumulate then
 runs over those bytes.
 
-On disk (to_bytes / from_bytes) the words are 32-bit and interleaved
-with running counts: a header <QB of n_bits and delta, then one count
-word and delta data words, repeated, all little-endian 32-bit.  Count
-number i holds the number of ones in the data words before block i.
-The file therefore takes n_bits * (1 + 1/delta) bits plus rounding,
-delta = 4 by default.  File data word 2j is the low half of memory word
-j and file data word 2j + 1 its high half, so for even delta the counts
-are every (delta / 2)-th rank; for odd delta a count that falls after a
-low half adds that half's popcount.  Loading computes the ranks from the
-bits and rejects a file whose stored counts disagree with them.
+On disk (to_bytes / from_bytes) the vector is its in-memory form: the
+(n_bits + 63) // 64 data words as little-endian 64-bit words, then every
+delta-th rank, ranks[0 : n_words : delta], as little-endian 32-bit
+counts.  Count number i holds the number of ones in the data words before
+word i * delta.  The vector has no header of its own: n_bits is the
+capacity of the table it belongs to and delta the file header's.  The
+file therefore takes n_bits * (1 + 1/(2 * delta)) bits plus rounding,
+delta = 4 by default.  Loading computes the ranks from the bits and
+rejects a file whose stored counts disagree with them or that sets a bit
+past n_bits.
 
 The file is little-endian whatever the host.  Only the four array
 helpers below (u32_array, u32_bytes, _u64_array, _u64_bytes) and the
@@ -38,11 +38,9 @@ continues at dense[0] because probing is circular.
 
 from __future__ import annotations
 
-import struct
 import sys
 from array import array
 from itertools import accumulate
-from operator import add
 
 from .errors import IndexFormatError
 from .util import take
@@ -51,7 +49,6 @@ from .util import take
 _DIGITS = b"0" + b"1" * 255
 # Byte -> the number of ones in it.
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
-_LOW_HALF = 0xFFFFFFFF
 _BIG_ENDIAN = sys.byteorder == "big"
 
 # Most flags (slots) per chunk where from_flags, the rank computation and
@@ -89,11 +86,11 @@ def u32_bytes(words: array) -> bytes:
     return words.tobytes()
 
 
-def _u64_array(data, n_words: int) -> array:
-    """array('Q') of n_words little-endian 64-bit words: the bytes of data,
-    then zeros.  Sized exactly, like u32_array."""
-    words = array("Q", [0]) * n_words
-    memoryview(words).cast("B")[: len(data)] = data
+def _u64_array(data) -> array:
+    """array('Q') of the little-endian 64-bit words in data, sized exactly
+    like u32_array."""
+    words = array("Q", [0]) * (len(data) >> 3)
+    memoryview(words).cast("B")[:] = data
     if _BIG_ENDIAN:
         words.byteswap()
     return words
@@ -197,66 +194,35 @@ class RankBitVector:
         w = i >> 6
         return self.ranks[w] + (self.words[w] & ((1 << (i & 63)) - 1)).bit_count()
 
-    def _counts(self) -> array:
-        """The on-disk counts: the ones before every delta-th 32-bit data word."""
-        delta, ranks, words = self.delta, self.ranks, self.words
-        n_words = len(words)
-        if not delta & 1:
-            return ranks[0 : n_words : delta >> 1]
-        # Count i comes before 32-bit word i * delta, the start of memory
-        # word i * delta / 2 for even i and the high half of memory word
-        # (i * delta) >> 1 for odd i.
-        n32 = (self.n_bits + 31) >> 5
-        counts = array("I", [0]) * -(-n32 // delta)
-        counts[0::2] = ranks[0:n_words:delta]
-        odd = slice(delta >> 1, n32 >> 1, delta)
-        lows = map(int.bit_count, map(_LOW_HALF.__and__, words[odd]))
-        counts[1::2] = array("I", map(add, ranks[odd], lows))
-        return counts
-
     def to_bytes(self) -> bytes:
-        delta = self.delta
-        step = delta + 1
-        n32 = (self.n_bits + 31) >> 5
-        data = u32_array(_u64_bytes(self.words)[: 4 * n32])
-        out = array("I", [0]) * (n32 + -(-n32 // delta))
-        out[0::step] = self._counts()
-        for r in range(delta):
-            out[r + 1 :: step] = data[r::delta]
-        return struct.pack("<QB", self.n_bits, delta) + u32_bytes(out)
+        """The data words, then every delta-th rank (see the module docstring)."""
+        return _u64_bytes(self.words) + u32_bytes(self.ranks[0 : len(self.words) : self.delta])
 
     @classmethod
-    def from_bytes(cls, buf, offset: int = 0) -> tuple["RankBitVector", int]:
-        """Parse from a buffer; returns (vector, offset past the vector).
+    def from_bytes(cls, buf, offset: int, n_bits: int, delta: int) -> tuple["RankBitVector", int]:
+        """Parse the vector of n_bits bits sampled every delta words from a
+        buffer; returns (vector, offset past the vector).
 
-        Raises IndexFormatError unless the stored block counts equal the
-        prefix popcounts and the bits past n_bits are clear.
+        Raises IndexFormatError unless the stored counts equal the prefix
+        popcounts and the bits past n_bits are clear.
         """
-        n_bits, delta = struct.unpack_from("<QB", buf, offset)
-        offset += 9
-        if delta < 1:
-            raise IndexFormatError("rank bit vector has sampling interval 0")
-        n32 = (n_bits + 31) >> 5
-        size = 4 * (n32 + -(-n32 // delta))
-        stored = u32_array(take(buf, offset, size, f"rank bit vector of {n_bits} bits"))
-        counts = stored[0 :: delta + 1]
-        del stored[0 :: delta + 1]
-        words = _u64_array(u32_bytes(stored), (n_bits + 63) >> 6)
+        n_words = (n_bits + 63) >> 6
+        size = 8 * n_words + 4 * -(-n_words // delta)
+        data = take(buf, offset, size, f"rank bit vector of {n_bits} bits")
+        words = _u64_array(data[: 8 * n_words])
         rbv = cls(n_bits, delta, words)
-        if counts != rbv._counts():
+        if data[8 * n_words :] != u32_bytes(rbv.ranks[0:n_words:delta]):
             raise IndexFormatError("rank bit vector counts disagree with its bits")
         if n_bits & 63 and words[-1] >> (n_bits & 63):
             raise IndexFormatError("rank bit vector has bits set past its length")
         return rbv, offset + size
 
 
-def read_occupancy(buf, offset: int, n_slots: int, count: int,
+def read_occupancy(buf, offset: int, n_slots: int, count: int, delta: int,
                    what: str) -> tuple[RankBitVector, int]:
     """from_bytes for the occupancy bits of a table with n_slots slots
     holding count entries; IndexFormatError if the bits disagree."""
-    occ, offset = RankBitVector.from_bytes(buf, offset)
-    if occ.n_bits != n_slots:
-        raise IndexFormatError(f"{what}: occupancy of {occ.n_bits} bits for {n_slots} slots")
+    occ, offset = RankBitVector.from_bytes(buf, offset, n_slots, delta)
     if occ.total_ones != count:
         raise IndexFormatError(f"{what}: {occ.total_ones} occupied slots, header count {count}")
     return occ, offset

@@ -20,7 +20,7 @@ from editdict.cli import (
     random_edit_pattern,
     run_cli,
 )
-from editdict.index_io import save
+from editdict.index_io import load, save
 from conftest import random_words
 
 
@@ -62,6 +62,19 @@ def test_build_json(tmp_path, wordfile, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["words"] == 4
     assert payload["file_bytes"] > 0
+
+
+def test_build_defaults_are_the_library_defaults(tmp_path, wordfile, capsys):
+    # Without flags the CLI used to write an unsigned index, where the
+    # library signs by default.
+    out = tmp_path / "ix.bin"
+    assert run_cli(["build", "--input", wordfile, "--output", str(out), "--seed", "7"]) == EXIT_OK
+    assert out.read_bytes()[6] & 1  # header flags, bit 0: signatures
+    assert load(str(out)).config == BuildConfig(rng_seed=7)
+    unsigned = tmp_path / "unsigned.bin"
+    assert run_cli(["build", "--input", wordfile, "--output", str(unsigned),
+                    "--no-signatures"]) == EXIT_OK
+    assert not unsigned.read_bytes()[6] & 1
 
 
 def test_query_pattern(built, capsys):
@@ -121,10 +134,10 @@ def test_malformed_index(tmp_path, wordfile, capsys):
 def test_old_format_version_is_bad_index(built, capsys):
     with open(built, "r+b") as f:
         f.seek(4)
-        f.write(bytes([3]))  # the version byte
+        f.write(bytes([4]))  # the version byte
     rc = run_cli(["query", "--index", built, "--k", "1", "--pattern", "banana"])
     assert rc == EXIT_BAD_INDEX
-    assert "format version 3, expected 4" in capsys.readouterr().err
+    assert "format version 4, expected 5" in capsys.readouterr().err
 
 
 def test_verify_passes(built, wordfile, capsys):

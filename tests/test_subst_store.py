@@ -138,10 +138,10 @@ def test_signatures_only_shrink_lists(rng):
 
 
 def test_insert_entries_counts():
-    store = SubstStore(1, 64, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
+    store = SubstStore(1, 64, True, SEEDS["bucket_seed"], sigma=122)
     assert store.insert_entries(b"abc") == 3
     assert store.entry_count == 3
-    store2 = SubstStore(2, 64, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
+    store2 = SubstStore(2, 64, True, SEEDS["bucket_seed"], sigma=122)
     assert store2.insert_entries(b"abcd") == 6
     assert store2.entry_count == 6
 
@@ -248,7 +248,7 @@ def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta
     values = data.draw(st.binary(min_size=capacity, max_size=capacity))
     chars = bytes((v or 1) if o else 0 for o, v in zip(occupied, values))
     sigs = data.draw(st.binary(min_size=half, max_size=half))  # empty slots get nibbles too
-    stores = [SubstStore(2, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], 255)
+    stores = [SubstStore(2, capacity, sig_on, SEEDS["bucket_seed"], 255)
               for _ in range(2)]
     for store in stores:
         store.chars[:] = chars
@@ -341,7 +341,7 @@ def test_serialization_roundtrip(rng):
                     store.compact()
                 blob = store.to_bytes()
                 back, consumed = SubstStore.from_bytes(
-                    blob, 0, SEEDS["bucket_seed"], SEEDS["sig_seed"], store.sigma
+                    blob, 0, level, sig_on, compacted, 4, SEEDS["bucket_seed"], store.sigma
                 )
                 assert consumed == len(blob)
                 assert back.entry_count == store.entry_count
@@ -353,7 +353,7 @@ def test_serialization_roundtrip(rng):
 
 def fill_store(capacity: int, sig_on: bool, sigma: int, entries) -> SubstStore:
     """A plain level-1 store holding (home slot, signature, character) entries."""
-    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma)
+    store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], sigma)
     for slot, sig, char in entries:
         store._place([slot + sig * capacity], [char])  # home slot, then nibble
     return store
@@ -380,8 +380,8 @@ def filled_store(draw):
 @settings(max_examples=150, deadline=None)
 @given(store=filled_store())
 def test_compacted_scan_equals_plain_scan(store):
-    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, SEEDS["bucket_seed"],
-                                         SEEDS["sig_seed"], store.sigma)
+    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, 1, store.use_signatures, False,
+                                         4, SEEDS["bucket_seed"], store.sigma)
     compacted.compact()
     t = store.capacity
     for slot in range(t):
@@ -516,7 +516,7 @@ def test_compacted_scan_equals_per_entry_reference(drawn):
 def test_signature_is_low_nibble_of_quotient(compact):
     # One hash places and signs an entry: h + 16 * capacity has the same
     # home slot and nibble as h, h + capacity the same slot, another nibble.
-    store = SubstStore(1, 64, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
+    store = SubstStore(1, 64, True, SEEDS["bucket_seed"], sigma=122)
     h = 0x9E3779B1
     store._place([h], [97])
     if compact:
@@ -566,8 +566,8 @@ def placed_batches(draw):
 @given(drawn=placed_batches())
 def test_place_equals_per_entry_reference(drawn):
     level, capacity, sig_on, batches = drawn
-    fast = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], 122)
-    slow = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], SEEDS["sig_seed"], 122)
+    fast = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], 122)
+    slow = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], 122)
     for batch in batches:
         keys = [h for h, _ in batch]
         chars = bytes(c for _, c in batch)
@@ -598,7 +598,7 @@ def test_insert_into_store_with_wrong_count_raises():
     # A loaded store whose entry count is below its occupied slots passes
     # the headroom check; filling its last empty slot must not wrap the
     # write onto an occupied one.
-    store = SubstStore(1, 4, True, SEEDS["bucket_seed"], SEEDS["sig_seed"], sigma=122)
+    store = SubstStore(1, 4, True, SEEDS["bucket_seed"], sigma=122)
     for slot in range(3):
         store._place([slot + 1 * store.capacity], [97])
     store.entry_count = 0

@@ -91,10 +91,10 @@ def test_rank_increment_equals_bit(bits, delta):
 
 
 def test_serialized_size_bound():
-    # At delta = 4, bits on disk stay within n*(1 + 1/4) plus a small constant.
+    # At delta = 4, bits on disk stay within n*(1 + 1/8) plus a small constant.
     for n in (0, 1, 31, 32, 33, 1000, 100_000):
         rbv = RankBitVector.from_flags(bytes([1] * n), 4)
-        assert 8 * len(rbv.to_bytes()) <= n * 1.25 + 512
+        assert 8 * len(rbv.to_bytes()) <= n * 1.125 + 512
 
 
 def test_bytes_roundtrip():
@@ -103,7 +103,7 @@ def test_bytes_roundtrip():
         bits = [rng.randint(0, 1) for _ in range(n)]
         rbv = RankBitVector.from_flags(bytes(bits), 4)
         blob = rbv.to_bytes()
-        back, consumed = RankBitVector.from_bytes(blob, 0)
+        back, consumed = RankBitVector.from_bytes(blob, 0, n, 4)
         assert consumed == len(blob)
         assert back.n_bits == rbv.n_bits
         assert back.total_ones == rbv.total_ones
@@ -142,54 +142,40 @@ def test_probe_replay_equivalence():
             assert got == expected
 
 
-def _reference_words(bits) -> list[int]:
-    """The 32-bit data words of the on-disk layout: bit i in bit i & 31 of word i >> 5."""
-    words = [0] * ((len(bits) + 31) // 32)
+def _reference_words(bits, width: int = 64) -> list[int]:
+    """The data words of `width` bits: bit i in bit i % width of word i // width."""
+    words = [0] * ((len(bits) + width - 1) // width)
     for i, b in enumerate(bits):
-        words[i >> 5] |= bool(b) << (i & 31)
+        words[i // width] |= bool(b) << (i % width)
     return words
 
 
-def _reference_ranks(bits) -> list[int]:
-    """Ones before each 32-bit reference word, with the total as a last entry."""
-    return list(accumulate((bin(w).count("1") for w in _reference_words(bits)), initial=0))
-
-
 def _reference_rank1(bits, i: int) -> int:
-    """rank1 from the 32-bit reference words and ranks."""
-    words, ranks = _reference_words(bits), _reference_ranks(bits)
+    """rank1 from 32-bit words and the ones before each of them, a layout
+    the library does not use."""
+    words = _reference_words(bits, 32)
+    ranks = list(accumulate((bin(w).count("1") for w in words), initial=0))
     if i == len(bits):
         return ranks[-1]
     return ranks[i >> 5] + bin(words[i >> 5] & ((1 << (i & 31)) - 1)).count("1")
 
 
-def _in_memory_words(bits) -> list[int]:
-    """The in-memory 64-bit words: 32-bit reference words 2j and 2j + 1 as
-    the low and high half of word j."""
-    words = _reference_words(bits) + [0]
-    return [words[j] | words[j + 1] << 32 for j in range(0, len(words) - 1, 2)]
-
-
 def _reference_bytes(bits, delta: int) -> bytes:
-    """The on-disk layout, written out from its definition."""
+    """The on-disk layout, written out from its definition: the 64-bit
+    data words, then the ones before every delta-th of them."""
     words = _reference_words(bits)
-    stored, ones = [], 0
-    for base in range(0, len(words), delta):
-        stored.append(ones)
-        for w in words[base : base + delta]:
-            stored.append(w)
-            ones += bin(w).count("1")
-    return struct.pack("<QB", len(bits), delta) + struct.pack(f"<{len(stored)}I", *stored)
+    counts = [sum(bin(w).count("1") for w in words[:j]) for j in range(0, len(words), delta)]
+    return struct.pack(f"<{len(words)}Q{len(counts)}I", *words, *counts)
 
 
 @settings(max_examples=120, deadline=None)
-@given(data=st.data(), n=st.sampled_from([0, 1, 31, 32, 33, 127, 128, 129]),
+@given(data=st.data(), n=st.sampled_from([0, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129]),
        delta=st.integers(1, 8))
 def test_bytes_roundtrip_identical(data, n, delta):
     bits = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     blob = RankBitVector.from_flags(bytes(bits), delta).to_bytes()
     assert blob == _reference_bytes(bits, delta)
-    back, end = RankBitVector.from_bytes(blob, 0)
+    back, end = RankBitVector.from_bytes(blob, 0, n, delta)
     assert end == len(blob)
     assert back.to_bytes() == blob
 
@@ -207,7 +193,7 @@ def test_from_flags_equals_from_bits(flags, delta, chunk):
             mp.setattr(succinct, "chunk_size", lambda n_bits: chunk)
         a = RankBitVector.from_flags(bytes(flags), delta)
         b = RankBitVector.from_flags(bytearray(0xA5 * f for f in flags), delta)  # nonzero is set
-    assert list(a.words) == list(b.words) == _in_memory_words(flags)
+    assert list(a.words) == list(b.words) == _reference_words(flags)
     assert list(a.ranks) == list(b.ranks) == list(accumulate(map(int.bit_count, a.words),
                                                              initial=0))
     assert (a.n_bits, a.delta, a.total_ones) == (b.n_bits, b.delta, b.total_ones)
@@ -247,7 +233,7 @@ def test_matches_32_bit_reference(bits, delta):
                 assert run >= limit
     blob = rbv.to_bytes()
     assert blob == _reference_bytes(bits, delta)
-    back, end = RankBitVector.from_bytes(blob + b"tail", 0)
+    back, end = RankBitVector.from_bytes(blob + b"tail", 0, n, delta)
     assert end == len(blob)
     assert (back.n_bits, back.delta, back.total_ones) == (n, delta, sum(bits))
     assert back.words == rbv.words and back.ranks == rbv.ranks
@@ -255,22 +241,21 @@ def test_matches_32_bit_reference(bits, delta):
 
 
 def test_from_bytes_rejects_wrong_counts():
-    # Count word i is at 32-bit position i * (delta + 1).  At odd delta the
-    # count of an odd block falls after the low half of a 64-bit word.
-    for delta, block in [(2, 1), (2, 3), (3, 1), (3, 2), (1, 5)]:
+    # 200 bits take four 64-bit words (32 bytes); count i follows them at
+    # byte 32 + 4 * i and holds the ones before word i * delta.
+    for delta, count in [(1, 1), (1, 3), (2, 1), (3, 1)]:
         blob = bytearray(RankBitVector.from_flags(bytes([1] * 200), delta).to_bytes())
-        blob[9 + 4 * (delta + 1) * block] ^= 1
+        blob[32 + 4 * count] ^= 1
         with pytest.raises(IndexFormatError, match="counts"):
-            RankBitVector.from_bytes(bytes(blob), 0)
+            RankBitVector.from_bytes(bytes(blob), 0, 200, delta)
 
 
 def test_from_bytes_rejects_bits_past_length():
-    # 40 bits take two 32-bit words (one full 64-bit word); 70 bits take
-    # three, the last one the low half of a 64-bit word whose high half is
-    # padding not on disk.
-    for n_bits, byte in [(40, 9 + 4 * 2 + 1),   # bit 47, in data word 1
-                         (70, 9 + 4 * 3 + 2)]:  # bit 80, in data word 2
+    # 40 bits take one 64-bit word and 70 bits two, the rest of the last
+    # word padding that must stay clear.
+    for n_bits, byte, value in [(40, 5, 0x80),    # bit 47, in data word 0
+                                (70, 10, 0x01)]:  # bit 80, in data word 1
         blob = bytearray(RankBitVector.from_flags(bytes([0] * n_bits), 4).to_bytes())
-        blob[byte] = 0x01 if n_bits == 70 else 0x80
+        blob[byte] = value
         with pytest.raises(IndexFormatError, match="past its length"):
-            RankBitVector.from_bytes(bytes(blob), 0)
+            RankBitVector.from_bytes(bytes(blob), 0, n_bits, 4)
