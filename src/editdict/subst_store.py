@@ -110,19 +110,6 @@ def _nibbles(sigs, half: int, a: int, b: int) -> bytes:
     return sigs[a:].translate(_LOW_NIBBLE) + sigs[: b - half].translate(_HIGH_NIBBLE)
 
 
-def _split_nibbles(nibbles) -> bytes:
-    """Pack one signature per byte (each below 16) into the split-nibble layout.
-
-    Reads both halves through a memoryview and joins them as integers:
-    shifting the little-endian integer of the upper half left by 4 moves
-    each of its bytes into the high nibble of the byte at the same index.
-    """
-    half = (len(nibbles) + 1) >> 1
-    view = memoryview(nibbles)
-    low = int.from_bytes(view[:half], "little")
-    return (low | int.from_bytes(view[half:], "little") << 4).to_bytes(half, "little")
-
-
 def entries_for(word_length: int, level: int) -> int:
     """Number of store entries a single word contributes."""
     if level == 1:
@@ -162,7 +149,7 @@ class SubstStore:
         self.compacted = False
         self.occupancy: RankBitVector | None = None
         self.dense: bytes | None = None
-        self.dsigs: bytes | None = None
+        self.dsigs: bytes | bytearray | None = None
 
     # -- building ---------------------------------------------------------
 
@@ -292,13 +279,22 @@ class SubstStore:
         """Replace the slot arrays with occupancy bits plus the entries of
         the occupied slots, in the plain layout over entries.
 
-        Streams over the slot arrays chunk_size(capacity) slots at a time
-        (about an eighth of the table, at most succinct._CHUNK) into outputs
-        sized once from the occupancy bits' popcount, and drops the slot
-        arrays before the final copy and the nibble split.  Its peak beyond
-        the plain store is the occupancy bits and ranks (3/16 byte per slot)
-        plus two bytes per entry and a few chunks, not about four bytes
-        per slot.
+        One pass over the slot arrays, a quarter of chunk_size(capacity)
+        slots at a time (about a thirty-second of the table, at most
+        succinct._CHUNK / 4), writes only outputs of their final size.
+        Each chunk's kept signatures go straight into `dsigs`, sized once
+        from the occupancy bits' popcount: entries below
+        dhalf = (entry_count + 1) // 2 into low nibbles by one slice
+        assignment, later ones OR-ed into high nibbles by one integer join,
+        which is safe because entry e arrives before entry e + dhalf.  Each
+        chunk's characters move to the front of `chars` itself: the write
+        offset never passes the read offset, and the chunk is copied out
+        before its run is written back.  Then `sigs` is dropped, the first
+        entry_count bytes of `chars` are copied out as `dense`, and `chars`
+        is dropped.  Beyond the plain store the peak is the occupancy bits
+        and ranks (3/16 byte per slot), half a byte per entry in `dsigs`,
+        and one byte per entry in `dense` less the freed `sigs` (half a
+        byte per slot): about 0.74 byte per slot at load 7/10.
         """
         if self.compacted:
             return
@@ -306,24 +302,34 @@ class SubstStore:
         chars, sigs = self.chars, self.sigs
         self.occupancy = RankBitVector.from_flags(chars, delta)
         n = self.occupancy.total_ones
-        dense = bytearray(n)
-        kept = bytearray(n if sigs else 0)
+        # A chunk's slice, nibbles, kept signatures and the integers of its
+        # high-nibble join are alive at once, so the chunks are a quarter
+        # of chunk_size's: together they stay small beside the table.
+        step = chunk_size(t) >> 2
+        dhalf = (n + 1) >> 1
+        dsigs = bytearray(dhalf if sigs else 0)
         half = (t + 1) >> 1
         d = 0
-        step = chunk_size(t)
         for a in range(0, t, step):
             chunk = chars[a : a + step]
             run = chunk.translate(None, b"\0")
             e = d + len(run)
-            dense[d:e] = run
             if sigs:
-                kept[d:e] = compress(_nibbles(sigs, half, a, a + len(chunk)), chunk)
+                kept = bytes(compress(_nibbles(sigs, half, a, a + len(chunk)), chunk))
+                m = max(d, min(e, dhalf))  # entries d..m-1 take low nibbles, m..e-1 high ones
+                dsigs[d:m] = kept[: m - d]
+                if m < e:
+                    lo, hi = m - dhalf, e - dhalf
+                    high = int.from_bytes(kept[m - d :], "little") << 4
+                    dsigs[lo:hi] = (int.from_bytes(dsigs[lo:hi], "little") | high).to_bytes(
+                        hi - lo, "little")
+            chars[d:e] = run
             d = e
-        self.chars = self.sigs = None
-        del chars, sigs
-        self.dense = bytes(dense)
-        del dense
-        self.dsigs = _split_nibbles(kept)  # b"" without signatures
+        self.sigs = sigs = None
+        with memoryview(chars) as view:
+            self.dense = view[:n].tobytes()
+        self.chars = chars = None
+        self.dsigs = dsigs  # empty without signatures
         self.compacted = True
 
     def to_bytes(self) -> bytes:

@@ -385,6 +385,24 @@ def test_loaded_plain_long_word_index_heap_within_file_size(rng):
     assert heap <= 1.1 * len(blob)
 
 
+def test_compacted_build_peak_is_bounded(rng):
+    # Compaction writes only outputs of their final size and frees each
+    # store's signatures before copying out its characters, so a compacted
+    # build peaks at about 1.5 times the plain build.  Staging whole
+    # nibble and character arrays beside the slot arrays takes about 1.8.
+    words = random_words(rng, 3000)
+    peaks = []
+    for compact in (False, True):
+        tracemalloc.start()
+        try:
+            build_index(words, BuildConfig(errors=2, compact=compact, rng_seed=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    plain, compacted = peaks
+    assert compacted <= 1.6 * plain
+
+
 def test_load_rejects_popcount_other_than_count():
     ix = build_index([b"abc", b"abd", b"xyz"], BuildConfig(compact=True, rng_seed=1))
     ix.exact.short_tables[3].count -= 1
@@ -457,6 +475,20 @@ def test_load_rejects_plain_long_table_count_below_occupied_slots(rng):
     ix.exact.long_table.count = 0
     with pytest.raises(IndexFormatError, match="12 occupied slots, header count 0"):
         load(_resaved(ix))
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_load_rejects_plain_short_table_count_other_than_occupied_slots(count):
+    # Such files used to load.  With count 0 the k=0 query for abcdef and
+    # the k=1 query for abcdez returned nothing, since a probe skips a
+    # length whose count is 0; with count 4 word_count read 4.
+    blob = _saved_blob([b"abcdef", b"ghijkl", b"mnopqr"], errors=1)
+    table = 56 + 1  # the length-6 table: width, capacity, count, slots
+    assert blob[table] == 6
+    assert struct.unpack_from("<QQ", blob, table + 1) == (5, 3)
+    struct.pack_into("<Q", blob, table + 9, count)
+    with pytest.raises(IndexFormatError, match=f"3 occupied slots, header count {count}"):
+        load(_rechecksummed(blob))
 
 
 @pytest.mark.parametrize("compact", [False, True])

@@ -234,7 +234,8 @@ def reference_compact(store: SubstStore, delta: int) -> None:
 
 
 def set_chunk(mp: pytest.MonkeyPatch, chunk: int) -> None:
-    """Make every chunked loop take `chunk` slots at a time."""
+    """Make every chunked loop take `chunk` slots at a time, and
+    SubstStore.compact's a quarter of that."""
     mp.setattr(succinct, "chunk_size", lambda n_bits: chunk)
     mp.setattr(subst_store, "chunk_size", lambda n_bits: chunk)
 
@@ -256,13 +257,25 @@ def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta
             store.sigs[:] = sigs
         store.entry_count = capacity - chars.count(0)
     chunked, one_shot = stores
-    event(f"entries {'odd' if chunked.entry_count % 2 else 'even'}")
+    n = chunked.entry_count
+    event(f"entries {'odd' if n % 2 else 'even'}")
     event(f"capacity % 32 {'== 0' if capacity % 32 == 0 else '!= 0'}")
-    event(f"a chunk straddles half: {capacity > chunk and half % chunk != 0}")
+    step = chunk >> 2  # compaction's chunk
+    event(f"a chunk straddles the slots' half: {capacity > step and half % step != 0}")
+    # dhalf splits the entries' signatures into low and high nibbles; a
+    # chunk whose entries run across it writes both, and a later chunk's
+    # high nibbles are OR-ed over low ones an earlier chunk wrote.
+    dhalf = (n + 1) // 2
+    entries_before = [b - chars[:b].count(0) for b in range(0, capacity, step)] + [n]
+    straddles = [d < dhalf < e for d, e in zip(entries_before, entries_before[1:])]
+    event("a chunk straddles the entries' half: "
+          + ("the first" if straddles[0] else "a later one" if any(straddles) else "none"))
     with pytest.MonkeyPatch.context() as mp:
         set_chunk(mp, chunk)
         chunked.compact(delta)
     reference_compact(one_shot, delta)
+    assert len(chunked.dense) == n
+    assert len(chunked.dsigs) == (dhalf if sig_on else 0)
     assert chunked.dense == one_shot.dense
     assert chunked.dsigs == one_shot.dsigs
     assert list(chunked.occupancy.words) == list(one_shot.occupancy.words)
@@ -270,12 +283,17 @@ def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta
 
 
 def test_compact_transient_is_bounded(rng):
-    # Compaction streams over the slot arrays: beyond the plain store it
-    # holds the occupancy bits and ranks (3/16 byte per slot) and two bytes
-    # per entry, 1.59 bytes per slot at load 7/10.  Copying the whole slot
-    # array several times, as a one-shot compaction does, takes about 4.
+    # Compaction streams over the slot arrays and writes only outputs of
+    # their final size: beyond the plain store it holds the occupancy bits
+    # and ranks (3/16 byte per slot), half a byte per entry in dsigs, and
+    # one per entry in dense less the freed sigs (half a byte per slot),
+    # about 0.74 byte per slot at load 7/10.  Staging a whole nibble or
+    # character array beside the slot arrays takes 0.7 more; copying the
+    # whole slot array several times, as a one-shot compaction does,
+    # takes about 4.
     # The table is smaller than succinct._CHUNK, so at the default the
-    # chunks come from chunk_size, about an eighth of the table.
+    # chunks come from chunk_size: compaction's are about a thirty-second
+    # of the table, and a few of them are alive at once.
     words = random_words(rng, 1500, 6, 10)
     for chunk in (1024, None):
         with pytest.MonkeyPatch.context() as mp:
@@ -291,7 +309,7 @@ def test_compact_transient_is_bounded(rng):
             finally:
                 tracemalloc.stop()
         assert 32 * 1024 <= store.capacity < succinct._CHUNK
-        assert peak - before <= 2.5 * store.capacity, chunk
+        assert peak - before <= 1.0 * store.capacity, chunk
 
 
 def test_histogram_single_word():
