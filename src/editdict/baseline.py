@@ -15,6 +15,8 @@ how badly this degrades on dense dictionaries.
 
 from __future__ import annotations
 
+from .util import as_bytes
+
 
 def levenshtein(a, b) -> int:
     """Unit-cost edit distance via the full (|a|+1) x (|b|+1) table."""
@@ -37,6 +39,7 @@ def levenshtein(a, b) -> int:
 
 def oracle_query(words, pattern, k: int) -> set[bytes]:
     """All words at edit distance <= k from the pattern, by linear scan."""
+    pattern = as_bytes(pattern, "pattern")
     return {bytes(w) for w in words if levenshtein(w, pattern) <= k}
 
 
@@ -47,6 +50,7 @@ def oracle_query_bounded(words, pattern, k: int) -> set[bytes]:
     than k, so the prefilter never changes the answer; it only makes large
     verification runs affordable.
     """
+    pattern = as_bytes(pattern, "pattern")
     m = len(pattern)
     return {
         bytes(w)
@@ -88,7 +92,7 @@ def build_partition_index(words) -> PartitionIndex:
 def partition_query(index: PartitionIndex, pattern) -> list[bytes]:
     """Candidate words for a one-substitution query: both piece lists,
     concatenated.  The caller is responsible for verifying candidates."""
-    prefix, suffix = split_pieces(pattern)
+    prefix, suffix = split_pieces(as_bytes(pattern, "pattern"))
     out = []
     if prefix:
         out.extend(index.prefixes.get(prefix, ()))

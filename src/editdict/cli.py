@@ -179,7 +179,6 @@ def _cmd_build(args) -> int:
         alpha=args.load_factor,
         use_signatures=args.signatures,
         compact=args.compact,
-        beta=args.beta,
         delta=args.delta,
         rng_seed=args.seed if args.seed is not None else _default_seed(),
     )
@@ -365,8 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="store 4-bit key signatures (default: on)")
     p.add_argument("--compact", action="store_true", default=defaults.compact,
                    help="bit-compact the finished tables")
-    p.add_argument("--beta", type=int, default=defaults.beta,
-                   help="inline-word length threshold")
     p.add_argument("--delta", type=int, default=defaults.delta,
                    help="rank sampling interval in 64-bit words")
     p.add_argument("--seed", type=int, default=None, help="build seed (env EDITDICT_SEED)")

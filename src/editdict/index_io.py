@@ -4,13 +4,13 @@ File layout (all little-endian):
 
     offset  size  field
     0       4     magic "ASDI"
-    4       1     format version (5)
+    4       1     format version (6)
     5       1     checksum id (2 = crc32 of the body)
     6       1     flags: bit0 signatures, bit1 compacted
     7       1     error level (0, 1 or 2)
     8       2     load factor numerator
     10      2     load factor denominator
-    12      1     beta (inline-word length threshold)
+    12      1     reserved (0; beta up to version 5)
     13      1     delta (rank sampling interval, in 64-bit words)
     14      1     sigma (alphabet size = largest byte value stored)
     15      1     reserved (0)
@@ -23,14 +23,12 @@ File layout (all little-endian):
     56      ...   sections, in that order
     end-4   4     crc32 of everything before it
 
-The exact section is the number of short word tables (1 byte), each of
-them (<BQQ width, capacity, count, then its slots or its occupancy bits
-and dense words), and the long-word table (<QQ capacity, count, then its
-offsets or its occupancy bits and dense offsets, then <Q arena length
-and the arena).  A store section is <QQ capacity and entry count, then
-its payload (subst_store.py).  A compacted table's occupancy bits follow
-succinct.py: its capacity gives their length and the header's delta
-their sampling.
+The exact section is the number of word tables (<H), then each of them
+by increasing width (<HQQ width, capacity, count, then its slots or its
+occupancy bits and dense words).  A store section is <QQ capacity and
+entry count, then its payload (subst_store.py).  A compacted table's
+occupancy bits follow succinct.py: its capacity gives their length and
+the header's delta their sampling.
 
 Version 2 changed only the plain substitution-store section: header,
 then one character byte per slot, then the split-nibble signature array
@@ -69,6 +67,16 @@ level does not declare is refused, and so is a compacted table whose
 capacity is not the one its count and the load factor give.  A file of
 version 4 or older is refused.
 
+Version 6 stores every word, whatever its length, in the inline table
+of its length.  Up to version 5, words of beta (header byte 12) bytes or
+more went to one table of 32-bit offsets into an arena of length-prefixed
+words.  A table's width and the table count are 16-bit fields, so every
+word length up to util.MAX_WORD_LENGTH has its table; byte 12 is
+reserved and written as 0.  The arena's words had no check against sigma
+or the seed, and its length prefixes none that cost less than the whole
+load; inline tables carry every check.  A file of version 5 or older is
+refused.
+
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed
 produces byte-identical files.
@@ -77,10 +85,11 @@ produces byte-identical files.
 from __future__ import annotations
 
 import operator
+import os
 import random
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,7 +109,7 @@ from .subst_store import SubstStore, build_store, entries_for
 from .util import as_bytes, capacity_for, validate_word, validate_words
 
 MAGIC = b"ASDI"
-VERSION = 5
+VERSION = 6
 CHECKSUM_ID = 2  # crc32 of the body
 _HEADER = struct.Struct("<4sBBBBHHBBBBIIQQQQ")
 _TRAILER = struct.Struct("<I")
@@ -125,13 +134,18 @@ def _as_fraction(alpha) -> Fraction:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Everything that determines the built index, bit for bit."""
+    """Everything that determines the built index, bit for bit.
+
+    beta is validated and read by nothing: every word is stored inline
+    since format version 6.  It stays for callers that pass it, and it
+    takes no part in comparisons.
+    """
 
     errors: int = 1
     alpha: Fraction = Fraction(7, 10)
     use_signatures: bool = True
     compact: bool = False
-    beta: int = 16
+    beta: int = field(default=16, compare=False)
     delta: int = 4
     rng_seed: int = 1
 
@@ -284,8 +298,27 @@ def build_index(words, config: BuildConfig | None = None, **overrides) -> Index:
     return Index(config, exact, store1, store2, bucket_seed, sig_seed, sigma)
 
 
+def _read_all(source, what: str) -> bytes:
+    """The bytes of a bytes-like value, a binary file object or the file
+    at a path; ValidationError, naming `what`, for anything else."""
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return bytes(source)
+    if hasattr(source, "read"):
+        data = source.read()
+        if not isinstance(data, (bytes, bytearray)):
+            raise ValidationError(f"{what} must be opened in binary mode")
+        return bytes(data)
+    if isinstance(source, (str, os.PathLike)):
+        return Path(source).read_bytes()
+    raise ValidationError(f"{what} must be a path, bytes-like value or binary file object, "
+                          f"not {type(source).__name__}")
+
+
 def save(index: Index, sink) -> int:
     """Serialize to a path or binary file object; returns bytes written."""
+    if not (hasattr(sink, "write") or isinstance(sink, (str, os.PathLike))):
+        raise ValidationError(f"index sink must be a path or binary file object, "
+                              f"not {type(sink).__name__}")
     cfg = index.config
     exact_bytes = index.exact.to_bytes()
     s1 = index.store1.to_bytes() if index.store1 is not None else b""
@@ -294,7 +327,7 @@ def save(index: Index, sink) -> int:
     header = _HEADER.pack(
         MAGIC, VERSION, CHECKSUM_ID, flags, cfg.errors,
         cfg.alpha.numerator, cfg.alpha.denominator,
-        cfg.beta, cfg.delta, index.sigma, 0,
+        0, cfg.delta, index.sigma, 0,
         index.bucket_seed, index.sig_seed, cfg.rng_seed,
         len(exact_bytes), len(s1), len(s2),
     )
@@ -309,16 +342,11 @@ def save(index: Index, sink) -> int:
 
 def load(source) -> Index:
     """Read an index back from a path, bytes, or binary file object."""
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        blob = bytes(source)
-    elif hasattr(source, "read"):
-        blob = source.read()
-    else:
-        blob = Path(source).read_bytes()
+    blob = _read_all(source, "index source")
     if len(blob) < _HEADER.size + _TRAILER.size:
         raise TruncatedError(f"file is {len(blob)} bytes, shorter than any valid index")
-    (magic, version, checksum_id, flags, errors, num, den, beta, delta, sigma,
-     _reserved, bucket_seed, sig_seed, rng_seed, exact_len, s1_len, s2_len,
+    (magic, version, checksum_id, flags, errors, num, den, _reserved12, delta, sigma,
+     _reserved15, bucket_seed, sig_seed, rng_seed, exact_len, s1_len, s2_len,
      ) = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -342,14 +370,14 @@ def load(source) -> Index:
     try:
         config = BuildConfig(
             errors=errors, alpha=Fraction(num, den), use_signatures=use_signatures,
-            compact=compacted, beta=beta, delta=delta, rng_seed=rng_seed,
+            compact=compacted, delta=delta, rng_seed=rng_seed,
         )
     except (ValidationError, ZeroDivisionError) as exc:
         raise IndexFormatError(f"invalid header field: {exc}") from exc
     offset = _HEADER.size
     try:
         exact, end = ExactDictionary.from_bytes(
-            view, offset, config.alpha, beta, bucket_seed, compacted, delta, sigma
+            view, offset, config.alpha, bucket_seed, compacted, delta, sigma
         )
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")
@@ -388,12 +416,7 @@ def read_wordlist(source) -> list[bytes]:
     dropped (first occurrence wins), and a NUL byte or a line over 65,535
     bytes is an error naming the line.
     """
-    if isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    elif hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = Path(source).read_bytes()
+    data = _read_all(source, "word list source")
     words = []
     seen = set()
     for lineno, line in enumerate(data.split(b"\n"), start=1):

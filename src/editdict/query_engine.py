@@ -29,6 +29,9 @@ positions g and g + 1, w the word _one_edit runs on):
   subsub filling x_i at left blank i  sub at the right blank
   subins filling x_p at left blank p  ins at the inserted blank's gap
   subins blanking p with gap p - 1    subins blanking p with gap p
+  sub filling w_j at blank j          w itself: x, or del at d for row d
+  subsub filling x_j at right blank j sub at the left blank
+  subins filling x_p at right blank p ins at the inserted blank's gap
 
 Positions and characters decide every skip, never a key hash: two
 distinct blanked patterns can share a hash.
@@ -78,32 +81,40 @@ class QueryResult:
         return sorted(self.matches)
 
 
-def _fill(matches, probe, buf, q, pq, kb, chars) -> int:
-    """Probe buf with each scanned character at its blank; returns how many.
+def _fill(matches, probe, buf, q, pq, kb, chars, own) -> int:
+    """Probe buf with each scanned character at its blank; returns how many
+    candidates it probed.
 
     The blank is at 1-based position q, whose hash weight is pq, and kb is
     the key's hash, so the candidate holding c hashes to kb - W*pq + c*pq.
+    c == own, the word's own character at q (0 for an inserted blank), is
+    skipped: that candidate has one edit fewer, so a stored word there was
+    found already.
     Hits go to matches; buf keeps the last character written.
     """
     if type(chars) is list and len(chars) > 1:
         chars = set(chars)  # a run may hold one character more than once
     base = (kb - _W * pq) % _P
     q -= 1
+    probed = 0
     for c in chars:
-        buf[q] = c
-        if probe(buf, (base + c * pq) % _P):
-            matches.add(bytes(buf))
-    return len(chars)
+        if c != own:
+            buf[q] = c
+            probed += 1
+            if probe(buf, (base + c * pq) % _P):
+                matches.add(bytes(buf))
+    return probed
 
 
-def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars, own):
+def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars, own, own_b):
     """_fill for a two-wildcard key: chars came from its level-2 scan.
 
     Each character c for the left blank (position qa, weight pqa) makes
     the level-1 key kb - W*pqa + c*pqa, whose scan fills the right blank
-    (position qb, weight pqb).  c == own, x's own character at qa (0 for
-    an inserted blank), is skipped: that key is x's sub or ins key.
-    Returns (level-1 scans, capped scans, candidates probed).
+    (position qb, weight pqb, x's own character there own_b).  c == own,
+    x's own character at qa (0 for an inserted blank), is skipped: that
+    key is x's sub or ins key.  Returns (level-1 scans, capped scans,
+    candidates probed).
     """
     if type(chars) is list and len(chars) > 1:
         chars = set(chars)
@@ -117,7 +128,7 @@ def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars, own):
             caps += capped
             if chars1:
                 buf[qa] = c
-                candidates += _fill(matches, probe, buf, qb, pqb, kb1, chars1)
+                candidates += _fill(matches, probe, buf, qb, pqb, kb1, chars1, own_b)
     return scans, caps, candidates
 
 
@@ -157,7 +168,8 @@ def _one_edit(matches, q1, word, ctx, seed, probes, first, skip):
                 scans += 1
                 caps += capped
                 if chars:
-                    candidates += _fill(matches, probe_sub, buf, j, pw[j], kb, chars)
+                    candidates += _fill(matches, probe_sub, buf, j, pw[j], kb, chars,
+                                        word[j - 1])
                     buf[j - 1] = word[j - 1]
 
     if probe_ins is not None:
@@ -171,7 +183,7 @@ def _one_edit(matches, q1, word, ctx, seed, probes, first, skip):
                 scans += 1
                 caps += capped
                 if chars:
-                    candidates += _fill(matches, probe_ins, buf, g + 1, pw[g + 1], kb, chars)
+                    candidates += _fill(matches, probe_ins, buf, g + 1, pw[g + 1], kb, chars, 0)
             if g < n:
                 buf[g] = word[g]
 
@@ -246,7 +258,7 @@ def query(index, pattern, k: int) -> QueryResult:
             caps += capped
             if chars:
                 n1, c1, n = _fill2(matches, probe_same, q1, buf, i, pb[i], j, pb[j], kb, chars,
-                                   pattern[i - 1])
+                                   pattern[i - 1], pattern[j - 1])
                 lists += n1
                 caps += c1
                 candidates += n
@@ -271,9 +283,9 @@ def query(index, pattern, k: int) -> QueryResult:
                 lists += 1
                 caps += capped
                 if chars:
-                    qa, qb, own = (fp, gi, oc) if fp < gi else (gi, fp, 0)
+                    qa, qb, own, own_b = (fp, gi, oc, 0) if fp < gi else (gi, fp, 0, oc)
                     n1, c1, n = _fill2(matches, probe_longer, q1, buf, qa, pb[qa], qb, pb[qb],
-                                       kb, chars, own)
+                                       kb, chars, own, own_b)
                     lists += n1
                     caps += c1
                     candidates += n
@@ -298,7 +310,7 @@ def query(index, pattern, k: int) -> QueryResult:
                 caps += capped
                 if chars:
                     n1, c1, n = _fill2(matches, probe_long2, q1, buf, a, pb[a], b, pb[b], kb,
-                                       chars, 0)
+                                       chars, 0, 0)
                     lists += n1
                     caps += c1
                     candidates += n

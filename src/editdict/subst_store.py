@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 
-from .errors import CompactedError, IndexFormatError
+from .errors import CompactedError, IndexFormatError, ValidationError
 from .hashing import blank_keys
 from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
@@ -378,6 +378,11 @@ class SubstStore:
         return store, offset
 
 
+def _check_level(level) -> None:
+    if level not in (1, 2):
+        raise ValidationError(f"store level must be 1 or 2, not {level!r}")
+
+
 def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
                 bucket_seed: int, sig_seed: int, sigma: int | None = None,
                 validated: bool = False) -> SubstStore:
@@ -386,8 +391,7 @@ def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
     Entries are placed and signed by one hash under bucket_seed; sig_seed
     is accepted and ignored.
     """
-    if level not in (1, 2):
-        raise ValueError("store level must be 1 or 2")
+    _check_level(level)
     if not validated:
         words = validate_words(words)
     if sigma is None:
@@ -433,6 +437,7 @@ def list_histogram(words, level: int, validated: bool = False) -> ListSizeHistog
     negligible at any realistic dictionary size, so this is an exact
     diagnostic in practice.
     """
+    _check_level(level)
     if not validated:
         words = validate_words(words)
     key_counts: Counter = Counter()

@@ -25,10 +25,10 @@ delta = 4 by default.  Loading computes the ranks from the bits and
 rejects a file whose stored counts disagree with them or that sets a bit
 past n_bits.
 
-The file is little-endian whatever the host.  Only the four array
-helpers below (u32_array, u32_bytes, _u64_array, _u64_bytes) and the
-byteswap that ends from_flags depend on the host's byte order; those
-big-endian branches have not been run on a big-endian host.
+The file is little-endian whatever the host.  Only the three array
+helpers below (u32_bytes, _u64_array, _u64_bytes) and the byteswap that
+ends from_flags depend on the host's byte order; those big-endian
+branches have not been run on a big-endian host.
 
 Compacted tables keep a linear-probing slot array as (occupancy bits,
 dense payload): the payload of original slot s sits at dense[rank1(s)]
@@ -65,21 +65,8 @@ def chunk_size(n_bits: int) -> int:
     return min(_CHUNK, ((n_bits >> 9) + 1) << 6)
 
 
-def u32_array(data) -> array:
-    """array('I') of the little-endian 32-bit words in data.
-
-    Sized by repetition and filled through a byte view: frombytes would
-    over-allocate by about 6%, and the array is kept for the index's life.
-    """
-    words = array("I", [0]) * (len(data) >> 2)
-    memoryview(words).cast("B")[:] = data
-    if _BIG_ENDIAN:
-        words.byteswap()
-    return words
-
-
 def u32_bytes(words: array) -> bytes:
-    """The little-endian bytes of an array('I'); the inverse of u32_array."""
+    """The little-endian bytes of an array('I')."""
     if _BIG_ENDIAN:
         words = array("I", words)
         words.byteswap()
@@ -87,8 +74,11 @@ def u32_bytes(words: array) -> bytes:
 
 
 def _u64_array(data) -> array:
-    """array('Q') of the little-endian 64-bit words in data, sized exactly
-    like u32_array."""
+    """array('Q') of the little-endian 64-bit words in data.
+
+    Sized by repetition and filled through a byte view: frombytes would
+    over-allocate by about 6%, and the array is kept for the index's life.
+    """
     words = array("Q", [0]) * (len(data) >> 3)
     memoryview(words).cast("B")[:] = data
     if _BIG_ENDIAN:

@@ -9,7 +9,7 @@ from .errors import IndexFormatError, TableFullError, TruncatedError, Validation
 # Hard ceiling for incremental inserts, as a fraction of table capacity.
 MAX_INSERT_LOAD = Fraction(19, 20)
 
-# Word lengths are serialized as 16-bit prefixes in the long-word arena.
+# A word table's width, the length of its words, is a 16-bit field.
 MAX_WORD_LENGTH = 0xFFFF
 
 

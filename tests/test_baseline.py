@@ -3,6 +3,7 @@
 from itertools import product
 
 import numpy as np
+import pytest
 
 from editdict.baseline import (
     build_partition_index,
@@ -13,6 +14,7 @@ from editdict.baseline import (
     partition_stats,
     split_pieces,
 )
+from editdict.errors import ValidationError
 from _fastoracle import FastOracle, batch_distances
 from conftest import random_words
 
@@ -130,3 +132,18 @@ def test_partition_complete_for_hamming_one(rng):
         if rng.random() < 0.8:
             x[rng.randrange(len(x))] = rng.randint(97, 100)
         assert w in partition_query(pidx, bytes(x))
+
+
+def test_baseline_queries_check_their_pattern():
+    words = [b"abc", b"abd"]
+    pidx = build_partition_index(words)
+    for pattern in (None, 5, "ab€"):
+        with pytest.raises(ValidationError, match="pattern"):
+            oracle_query(words, pattern, 1)
+        with pytest.raises(ValidationError, match="pattern"):
+            oracle_query_bounded(words, pattern, 1)
+        with pytest.raises(ValidationError, match="pattern"):
+            partition_query(pidx, pattern)
+    # A str is its latin-1 bytes, as for Index.query.
+    assert oracle_query(words, "abz", 1) == {b"abc", b"abd"}
+    assert partition_query(pidx, "abz") == [b"abc", b"abd"]

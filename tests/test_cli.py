@@ -134,10 +134,10 @@ def test_malformed_index(tmp_path, wordfile, capsys):
 def test_old_format_version_is_bad_index(built, capsys):
     with open(built, "r+b") as f:
         f.seek(4)
-        f.write(bytes([4]))  # the version byte
+        f.write(bytes([5]))  # the version byte
     rc = run_cli(["query", "--index", built, "--k", "1", "--pattern", "banana"])
     assert rc == EXIT_BAD_INDEX
-    assert "format version 4, expected 5" in capsys.readouterr().err
+    assert "format version 5, expected 6" in capsys.readouterr().err
 
 
 def test_verify_passes(built, wordfile, capsys):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from editdict.errors import CompactedError, IndexFormatError, TableFullError, ValidationError
-from editdict.exact_dict import ExactDictionary, _LongTable, _ShortTable, build_exact
+from editdict.exact_dict import NEW_TABLE_CAPACITY, ExactDictionary, _WordTable, build_exact
 from editdict.hashing import poly_hash
 from conftest import random_words
 
@@ -60,14 +60,16 @@ def test_random_membership_oracle(rng):
         assert not d.contains(w)
 
 
-def test_long_words_use_arena(rng):
+def test_long_words_use_inline_tables(rng):
     words = [bytes(rng.randint(97, 122) for _ in range(rng.randint(16, 60))) for _ in range(300)]
-    words += [b"short", b"x"]
-    d = build_exact(words, ALPHA, beta=16, seed=3)
+    words += [b"short", b"x", b"y" * 300, b"z" * 0xFFFF]  # the longest word allowed
+    d = build_exact(words, ALPHA, seed=3)
     for w in set(words):
         assert d.contains(w)
     assert not d.contains(b"q" * 30)
-    assert d.long_table.count == len({w for w in words if len(w) >= 16})
+    assert not d.contains(b"q" * 300)
+    assert sum(t.count for m, t in d.tables.items() if m >= 16) == len(
+        {w for w in words if len(w) >= 16})
 
 
 def test_insert_roundtrip(rng):
@@ -85,6 +87,17 @@ def test_insert_new_length_creates_table():
     d = build_exact([b"abcdef"], ALPHA, seed=9)
     assert d.insert_word(b"xy") is True
     assert d.contains(b"xy")
+
+
+@pytest.mark.parametrize("width", [20, 300])
+def test_insert_new_long_length_creates_small_table(width):
+    # A long word of an unseen length gets the same small table as a
+    # short one: a table per length, never grown.
+    d = build_exact([b"abcdef", b"q" * 40], ALPHA, seed=9)
+    word = bytes(97 + i % 7 for i in range(width))
+    assert d.insert_word(word) is True
+    assert d.contains(word) and not d.contains(word[::-1])
+    assert d.tables[width].capacity == NEW_TABLE_CAPACITY
 
 
 def test_insert_replay_then_found(rng):
@@ -138,8 +151,7 @@ def test_compact_differential_full_tables(rng):
     every = [bytes(p) for n in (1, 2, 3) for p in product(b"abcdef", repeat=n)]
     for trial in range(20):
         words = [w for w in every if rng.random() < 0.5]
-        # beta 3 sends the three-letter words to the long-word table.
-        d = build_exact(words, Fraction(19, 20), beta=3 + trial % 2, seed=trial)
+        d = build_exact(words, Fraction(19, 20), seed=trial)
         expected = [d.contains(w) for w in every]
         d.compact()
         assert [d.contains(w) for w in every] == expected
@@ -153,9 +165,8 @@ def test_plain_probe_wrapping_runs_and_inserts_after_load(rng):
     wrapped = 0
     for trial in range(20):
         stored = {w for w in every if rng.random() < 0.4}
-        d = build_exact(sorted(stored), Fraction(4, 5), beta=4, seed=trial)
-        d, _ = ExactDictionary.from_bytes(d.to_bytes(), 0, d.alpha, d.beta, d.seed, False, 4,
-                                          ord("f"))
+        d = build_exact(sorted(stored), Fraction(4, 5), seed=trial)
+        d, _ = ExactDictionary.from_bytes(d.to_bytes(), 0, d.alpha, d.seed, False, 4, ord("f"))
         for w in every:
             assert d.contains(w) == (w in stored)
         for w in rng.sample(every, len(every)):
@@ -166,25 +177,22 @@ def test_plain_probe_wrapping_runs_and_inserts_after_load(rng):
             stored.add(w)
         for w in every:
             assert d.contains(w) == (w in stored)
-        wrapped += sum(t.slots[-1] != 0 for t in d.short_tables.values())
+        wrapped += sum(t.slots[-1] != 0 for t in d.tables.values())
     assert wrapped
 
 
 def _stored_at(table, slot: int) -> bytes:
-    if isinstance(table, _ShortTable):
-        w = table.width
-        return bytes(table.slots[slot * w : (slot + 1) * w])
-    o = table.offsets[slot]
-    return bytes(table.arena[o + 2 : o + 2 + (table.arena[o] | table.arena[o + 1] << 8)])
+    w = table.width
+    return bytes(table.slots[slot * w : (slot + 1) * w])
 
 
 @pytest.mark.parametrize("long", [False, True])
 def test_insert_run_wraps_past_last_slot(long):
     # Three words whose home is the last slot: the first fills it, the
     # next two wrap to slots 0 and 1.  Re-inserting each finds it, also
-    # across the wrap.
+    # across the wrap.  Long words are 20 bytes.
     t = 8
-    table = _LongTable(t) if long else _ShortTable(3, t)
+    table = _WordTable(20 if long else 3, t)
     prefix = b"q" * 17 if long else b""
     candidates = (prefix + bytes(p) for p in product(b"abcdef", repeat=3))
     words = [w for w in candidates if poly_hash(w, 5) % t == t - 1][:3]
@@ -202,7 +210,7 @@ def test_insert_into_table_with_wrong_count_raises():
     # headroom check; filling its last empty slot must not end in an
     # endless or misplaced write.
     d = build_exact([b"ab", b"cd", b"ef"], ALPHA, seed=1)
-    d.short_tables[2].count = 0
+    d.tables[2].count = 0
     with pytest.raises(IndexFormatError, match="no empty slot"):
         for w in (b"gh", b"ij", b"kl"):
             d.insert_word(w)
@@ -217,7 +225,7 @@ def test_compact_empty():
 def test_compact_single_word_dense_payload():
     d = build_exact([b"abc"], ALPHA, seed=2)
     d.compact()
-    table = d.short_tables[3]
+    table = d.tables[3]
     assert table.dense == b"abc"
     assert table.occupancy.total_ones == 1
 
@@ -252,4 +260,4 @@ def test_table_report_shape():
     rows = dict((name, (count, cap)) for name, count, cap in d.table_report())
     assert rows["words[len=2]"][0] == 2
     assert rows["words[len=3]"][0] == 1
-    assert rows["words[long]"][0] == 0
+    assert list(rows) == ["words[len=2]", "words[len=3]"]

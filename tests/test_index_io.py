@@ -219,8 +219,9 @@ def test_load_bad_magic():
 
 def test_load_bad_version():
     # 1 had the interleaved plain-store layout, 2 signatures from a second
-    # hash, 3 a 64-bit crc32 + adler32 trailer, 4 interleaved bit vectors
-    for version in (1, 2, 3, 4, 99):
+    # hash, 3 a 64-bit crc32 + adler32 trailer, 4 interleaved bit vectors,
+    # 5 a long-word arena and 8-bit table widths
+    for version in (1, 2, 3, 4, 5, 99):
         blob = _saved_blob()
         blob[4] = version
         with pytest.raises(VersionMismatchError):
@@ -298,6 +299,38 @@ def test_read_wordlist_rejects_overlong_line():
         read_wordlist(b"good\n" + b"a" * 65536 + b"\n")
 
 
+NOT_A_SOURCE = [None, 123, 2.5, [b"abc"]]
+
+
+@pytest.mark.parametrize("source", NOT_A_SOURCE)
+def test_load_rejects_a_source_that_is_no_path_bytes_or_file(source):
+    with pytest.raises(ValidationError, match="index source must be"):
+        load(source)
+
+
+@pytest.mark.parametrize("source", NOT_A_SOURCE)
+def test_read_wordlist_rejects_a_source_that_is_no_path_bytes_or_file(source):
+    with pytest.raises(ValidationError, match="word list source must be"):
+        read_wordlist(source)
+
+
+@pytest.mark.parametrize("sink", [None, 123, b"ix.bin"])
+def test_save_rejects_a_sink_that_is_no_path_or_file(sink):
+    with pytest.raises(ValidationError, match="index sink must be"):
+        save(build_index([b"abc"]), sink)
+
+
+def test_load_and_read_wordlist_reject_a_text_file(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"abc\n")
+    with open(path) as f:
+        with pytest.raises(ValidationError, match="binary mode"):
+            read_wordlist(f)
+    with io.StringIO("ASDI") as f:
+        with pytest.raises(ValidationError, match="binary mode"):
+            load(f)
+
+
 def test_table_report_includes_stores():
     ix = build_index([b"ab", b"cde"], BuildConfig(errors=2, rng_seed=1))
     names = [name for name, _, _ in ix.table_report()]
@@ -371,8 +404,8 @@ def _resaved(ix) -> bytes:
 
 
 def test_loaded_plain_long_word_index_heap_within_file_size(rng):
-    # The plain long-word offsets load into one array('I'), 4 bytes a slot
-    # as in the file, so the loaded index is about the size of its file.
+    # Each plain word table loads into one bytearray, its slots as in the
+    # file, so the loaded index is about the size of its file.
     words = random_words(rng, 2000, 16, 40)
     blob = _resaved(build_index(words, BuildConfig(errors=1, rng_seed=1)))
     tracemalloc.start()
@@ -381,7 +414,7 @@ def test_loaded_plain_long_word_index_heap_within_file_size(rng):
         heap = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ix.exact.long_table.count == len(words)
+    assert ix.word_count == len(words)
     assert heap <= 1.1 * len(blob)
 
 
@@ -405,7 +438,7 @@ def test_compacted_build_peak_is_bounded(rng):
 
 def test_load_rejects_popcount_other_than_count():
     ix = build_index([b"abc", b"abd", b"xyz"], BuildConfig(compact=True, rng_seed=1))
-    ix.exact.short_tables[3].count -= 1
+    ix.exact.tables[3].count -= 1
     with pytest.raises(IndexFormatError, match="occupied slots"):
         load(_resaved(ix))
 
@@ -413,17 +446,11 @@ def test_load_rejects_popcount_other_than_count():
 def _fill(table, compact):
     """Occupy every slot of an exact-dictionary table, count included."""
     t = table.capacity
-    if hasattr(table, "width"):
-        if compact:
-            table.occupancy = RankBitVector.from_flags(b"\1" * t)
-            table.dense = b"q" * (table.width * t)
-        else:
-            table.slots = bytearray(b"q" * (table.width * t))
-    elif compact:
+    if compact:
         table.occupancy = RankBitVector.from_flags(b"\1" * t)
-        table.dense = array("I", [0] * t)
+        table.dense = b"q" * (table.width * t)
     else:
-        table.offsets = array("I", [0] * t)
+        table.slots = bytearray(b"q" * (table.width * t))
     table.count = t
 
 
@@ -451,7 +478,7 @@ def test_load_rejects_table_without_empty_slot(compact, long):
     # word of its length never returned.
     words = [b"abcdefghijklmnopqrst", b"bcdefghijklmnopqrstu"] if long else [b"abc", b"abd"]
     ix = build_index(words, BuildConfig(compact=compact, rng_seed=1))
-    _fill(ix.exact.long_table if long else ix.exact.short_tables[3], compact)
+    _fill(ix.exact.tables[20 if long else 3], compact)
     with pytest.raises(IndexFormatError, match="no empty slot"):
         load(_resaved(ix))
 
@@ -460,7 +487,7 @@ def test_load_rejects_table_without_empty_slot(compact, long):
 def test_load_rejects_full_plain_table_with_low_count(long):
     words = [b"abcdefghijklmnopqrst", b"bcdefghijklmnopqrstu"] if long else [b"abc", b"abd"]
     ix = build_index(words, BuildConfig(rng_seed=1))
-    table = ix.exact.long_table if long else ix.exact.short_tables[3]
+    table = ix.exact.tables[20 if long else 3]
     count = table.count
     _fill(table, compact=False)
     table.count = count
@@ -471,8 +498,8 @@ def test_load_rejects_full_plain_table_with_low_count(long):
 def test_load_rejects_plain_long_table_count_below_occupied_slots(rng):
     # Such a file used to load; inserts then filled the last empty slot,
     # and the next probe for an absent long word never returned.
-    ix = build_index(random_words(rng, 12, 16, 30), BuildConfig(rng_seed=1))
-    ix.exact.long_table.count = 0
+    ix = build_index(random_words(rng, 12, 20, 20), BuildConfig(rng_seed=1))
+    ix.exact.tables[20].count = 0
     with pytest.raises(IndexFormatError, match="12 occupied slots, header count 0"):
         load(_resaved(ix))
 
@@ -483,10 +510,10 @@ def test_load_rejects_plain_short_table_count_other_than_occupied_slots(count):
     # the k=1 query for abcdez returned nothing, since a probe skips a
     # length whose count is 0; with count 4 word_count read 4.
     blob = _saved_blob([b"abcdef", b"ghijkl", b"mnopqr"], errors=1)
-    table = 56 + 1  # the length-6 table: width, capacity, count, slots
+    table = 56 + 2  # the length-6 table: width, capacity, count, slots
     assert blob[table] == 6
-    assert struct.unpack_from("<QQ", blob, table + 1) == (5, 3)
-    struct.pack_into("<Q", blob, table + 9, count)
+    assert struct.unpack_from("<QQ", blob, table + 2) == (5, 3)
+    struct.pack_into("<Q", blob, table + 10, count)
     with pytest.raises(IndexFormatError, match=f"3 occupied slots, header count {count}"):
         load(_rechecksummed(blob))
 
@@ -494,8 +521,8 @@ def test_load_rejects_plain_short_table_count_other_than_occupied_slots(count):
 @pytest.mark.parametrize("compact", [False, True])
 def test_load_rejects_changed_bucket_seed(rng, compact):
     # Such a file used to load, and then every probe missed.  The index has
-    # a table for each length from 1 to 20 (beta = 16 and up in the
-    # long-word table), so the first word of some table is not found.
+    # a table for each length from 1 to 20, so the first word of some
+    # table is not found.
     words = [w for m in range(1, 21) for w in random_words(rng, 8, m, m)]
     blob = bytearray(_resaved(build_index(words, BuildConfig(compact=compact, rng_seed=1))))
     seed = struct.unpack_from("<I", blob, 16)[0]
@@ -506,7 +533,7 @@ def test_load_rejects_changed_bucket_seed(rng, compact):
 
 def test_load_rejects_zero_capacity_table():
     ix = build_index([b"abc"], BuildConfig(rng_seed=1))
-    table = ix.exact.short_tables[3]
+    table = ix.exact.tables[3]
     table.capacity = table.count = 0
     table.slots = bytearray()
     with pytest.raises(IndexFormatError, match="no empty slot"):
@@ -518,25 +545,71 @@ def test_load_rejects_zero_byte_inside_stored_word():
     # start of an empty slot; a zero inside a stored word would end the run
     # early and hide the words past it.
     ix = build_index([b"abc", b"abd"], BuildConfig(rng_seed=1))
-    table = ix.exact.short_tables[3]
+    table = ix.exact.tables[3]
     occupied = next(i for i in range(table.capacity) if table.slots[3 * i])
     table.slots[3 * occupied + 1] = 0
     with pytest.raises(IndexFormatError, match="zero byte"):
         load(_resaved(ix))
 
 
-@pytest.mark.parametrize("compact", [False, True])
-def test_load_rejects_long_word_offset_past_arena(compact):
-    # Such an offset used to load, and the probe for the word raised a bare
-    # IndexError from the arena read.
-    ix = build_index([b"abcdefghijklmnopqrst"], BuildConfig(compact=compact, rng_seed=1))
-    table = ix.exact.long_table
-    if compact:
-        table.dense[0] = 10**6
-    else:
-        table.offsets[table.offsets.index(0)] = 10**6
-    with pytest.raises(IndexFormatError, match="past the end"):
+# Widths of 16 bytes and more, which format versions up to 5 kept in a
+# long-word arena, and a width above the 8 bits those versions gave a table.
+WIDE = (20, 300)
+
+
+def _wide_index(width: int, compact: bool = False, short=(b"ab",)):
+    """30 words of `width` bytes over a-h, so sigma is "h", and the short
+    words."""
+    rng = random.Random(width)
+    words = [bytes(rng.choice(b"abcdefgh") for _ in range(width)) for _ in range(30)]
+    return build_index(words + list(short), BuildConfig(errors=1, compact=compact, rng_seed=1))
+
+
+@pytest.mark.parametrize("width", WIDE)
+def test_load_rejects_zero_byte_inside_wide_word(width):
+    ix = _wide_index(width)
+    table = ix.exact.tables[width]
+    occupied = next(i for i in range(table.capacity) if table.slots[width * i])
+    table.slots[width * occupied + width - 1] = 0
+    with pytest.raises(IndexFormatError, match=f"length {width}.*zero byte"):
         load(_resaved(ix))
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("width", WIDE)
+def test_load_rejects_wide_word_byte_above_sigma(width, compact):
+    blob = bytearray(_resaved(_wide_index(width, compact)))
+    assert blob[14] == ord("h")
+    blob[14] = ord("b")  # the length-2 table holds "ab" only
+    with pytest.raises(IndexFormatError, match=f"length {width}.*above sigma"):
+        load(_rechecksummed(blob))
+
+
+@pytest.mark.parametrize("count", [0, 29, 31])
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("width", WIDE)
+def test_load_rejects_wide_table_count_other_than_occupied_slots(width, compact, count):
+    ix = _wide_index(width, compact)
+    ix.exact.tables[width].count = count
+    with pytest.raises(IndexFormatError, match=f"30 occupied slots, header count {count}"):
+        load(_resaved(ix))
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("width", WIDE)
+def test_load_rejects_changed_bucket_seed_on_wide_table(width, compact):
+    blob = bytearray(_resaved(_wide_index(width, compact, short=())))
+    seed = struct.unpack_from("<I", blob, 16)[0]
+    struct.pack_into("<I", blob, 16, seed % (MODULUS - 2) + 1)
+    with pytest.raises(IndexFormatError, match=rf"length {width}\): a stored word is not found"):
+        load(_rechecksummed(blob))
+
+
+def test_reserved_header_bytes_are_written_as_zero():
+    # Byte 12 held beta up to format version 5; nothing reads either byte.
+    for cfg in ({}, {"compact": True, "beta": 40}):
+        blob = _saved_blob(**cfg)
+        assert blob[12] == blob[15] == 0
 
 
 def test_load_rejects_store_without_empty_slot():
@@ -550,23 +623,12 @@ def _width_blob():
     return _saved_blob([b"abcde", b"abcdf", b"xyzzyq"])
 
 
-def test_load_rejects_word_table_at_or_above_beta():
-    # Such a file used to load, and then neither contains(b"abcde") nor
-    # the k=1 query for b"abcdx" found the stored word: both go to the
-    # long-word table for lengths >= beta.
-    blob = _width_blob()
-    assert blob[12] == 16
-    blob[12] = 4  # beta
-    with pytest.raises(IndexFormatError, match="below beta"):
-        load(_rechecksummed(blob))
-
-
 def test_load_rejects_word_table_lengths_not_increasing():
     blob = _width_blob()
-    first = 56 + 1  # width byte of the first word table, after the table count
+    first = 56 + 2  # width of the first word table, after the table count
     assert blob[first] == 5
-    (capacity,) = struct.unpack_from("<Q", blob, first + 1)
-    second = first + 17 + 5 * capacity
+    (capacity,) = struct.unpack_from("<Q", blob, first + 2)
+    second = first + 18 + 5 * capacity
     assert blob[second] == 6
     blob[second] = 5  # a second table for length 5 would replace the first
     with pytest.raises(IndexFormatError, match="must increase"):
@@ -574,21 +636,22 @@ def test_load_rejects_word_table_lengths_not_increasing():
 
 
 # sha256 of the saved file for each (compact, use_signatures, delta), all
-# at errors=2 over _golden_words(), recorded from format version 5.
+# at errors=2 over _golden_words(), recorded from format version 6.
 # A change that moves any of them changes the bytes an index is saved as.
 GOLDEN_SHA256 = {
-    (False, True, 4): "506bfb4a36c4202f108cc735cc49a14138ffaad269b10a125f976bfeada2f79e",
-    (False, False, 4): "1c3f3f63510a7c7a380f96a258100946e3468697459b0d20c923da6144e22b11",
-    (True, True, 4): "f19ea84881e810b007047fe4b4d2283c40a89e6e555d61e3a70404981653f699",
-    (True, False, 4): "5512231a0a10fadb951a9ddfa0fa0a59b8df947a1743577f3b0cdc3f39812da3",
-    (True, True, 1): "bfc783d25f098755c658a62afa1388bb861f1403c7ce8e25f6bc06ce7073d90c",
-    (True, True, 3): "5ec1662738801c3f12cb6a9baa783533a27188d8eb82f27571f8ceadfe70e519",
+    (False, True, 4): "72b714b0f1cc407c94634db1b7f1550d507488d8164075708be49c37894ec03b",
+    (False, False, 4): "2ed93019ddca44097b43c6a40d737c09d98ee63cb13d675a9026dd655816892f",
+    (True, True, 4): "684bbc499a683fbaea70c80ce9ec6fa93277be71919599c2c618750041284084",
+    (True, False, 4): "679f69bc9d40b7eb18e5443022c4814f0d261da2de86697853abd80d9e09a278",
+    (True, True, 1): "a0633fbc4fbd2628e494f194af4adc98def29925b4e977eacb31a431bbfb37e7",
+    (True, True, 3): "f6500f1ffc8c9060474f7df03cdcd58382494488eb97296dabe68072dc4a25f8",
 }
 
 
 def _golden_words() -> list[bytes]:
     """400 distinct words of 2 to 24 bytes over a-z plus two bytes above 127:
-    short tables of 13 to 40 slots, a long-word table and both stores."""
+    word tables of 13 to 40 slots, 9 of them for words of 16 bytes or
+    more, and both stores."""
     rng = random.Random(20131)
     words = set()
     while len(words) < 400:

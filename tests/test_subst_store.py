@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from editdict import subst_store, succinct
-from editdict.errors import CompactedError, IndexFormatError, TableFullError
+from editdict.errors import CompactedError, IndexFormatError, TableFullError, ValidationError
 from editdict.hashing import WILDCARD, blank_keys, poly_hash
 from editdict.subst_store import (
     _SCAN_LIMIT,
@@ -337,6 +337,16 @@ def test_histogram_level2():
     hist = list_histogram([b"abcd"], 2)
     assert hist.total_entries == 6
     assert hist.percentage(1) == 100.0
+
+
+@pytest.mark.parametrize("level", [0, 3, None, "1"])
+def test_histogram_and_build_store_reject_a_level_other_than_1_or_2(level):
+    # list_histogram(words, 3) used to return a level-2 histogram labelled
+    # 3; build_store raised a bare ValueError.
+    with pytest.raises(ValidationError, match="level must be 1 or 2"):
+        list_histogram([b"abc"], level)
+    with pytest.raises(ValidationError, match="level must be 1 or 2"):
+        build_store([b"abc"], level, ALPHA, True, **SEEDS)
 
 
 def test_histogram_matches_direct_enumeration(rng):
