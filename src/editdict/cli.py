@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from .baseline import build_partition_index, oracle_query_bounded, partition_stats
-from .errors import EditDictError, IndexFormatError
+from .errors import EditDictError, IndexFormatError, ValidationError
 from .index_io import BuildConfig, Index, build_index, load, read_wordlist, save
 from .query_engine import QueryStats
 from .subst_store import list_histogram
@@ -85,15 +85,13 @@ def random_edit_pattern(word, ops: int, k: int, rng: random.Random, alphabet) ->
 
 
 def generate_bench_queries(words, k: int, count: int, rng: random.Random,
-                           alphabet, ops: int | None = None) -> list[bytes]:
+                           alphabet) -> list[bytes]:
     """Deterministic batch of query patterns derived from dictionary words."""
     out = []
     d = len(words)
     for _ in range(count):
         word = words[rng.randrange(d)]
-        n_ops = k if ops is None else ops
-        while len(word) + n_ops <= k:
-            n_ops += 1
+        n_ops = max(k, k + 1 - len(word))  # enough edits to leave a pattern longer than k
         out.append(random_edit_pattern(word, n_ops, k, rng, alphabet))
     return out
 
@@ -138,8 +136,14 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
     Patterns are dictionary words with k random edits applied, generated
     deterministically from the seed.  Each batch is timed wall-clock and
     divided by the query count; the report's mean is the mean of the
-    round means.
+    round means.  A count below 1 or an empty word list raises
+    ValidationError.
     """
+    for name, count in (("queries", queries), ("rounds", rounds)):
+        if not isinstance(count, int) or count < 1:
+            raise ValidationError(f"{name} must be an integer of at least 1, not {count!r}")
+    if not words:
+        raise ValidationError("the benchmark needs at least one word")
     if k is None:
         k = index.errors
     alphabet = sorted({c for w in words for c in w})
@@ -161,7 +165,7 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
             totals.cap_activations += st.cap_activations
             if r.matches:
                 nonempty += 1
-    mean = sum(round_means) / len(round_means) if round_means else 0.0
+    mean = sum(round_means) / len(round_means)
     return BenchReport(
         k=k, queries_per_round=queries, rounds=rounds, seed=seed,
         word_count=index.word_count, total_length=index.total_length,
@@ -171,6 +175,15 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
 
 
 # -- subcommand implementations ------------------------------------------------
+
+def _sample_words(path) -> list[bytes]:
+    """The word list at path, which commands that draw words from it need
+    to hold at least one."""
+    words = read_wordlist(path)
+    if not words:
+        raise ValidationError(f"word list {path} holds no words")
+    return words
+
 
 def _cmd_build(args) -> int:
     words = read_wordlist(args.input)
@@ -233,7 +246,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     index = load(args.index)
-    words = read_wordlist(args.input)
+    words = _sample_words(args.input)
     seed = args.seed if args.seed is not None else _default_seed()
     report = bench(index, words, queries=args.queries, rounds=args.rounds,
                    seed=seed, k=args.k)
@@ -318,7 +331,7 @@ def _cmd_heuristic_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     index = load(args.index)
-    words = read_wordlist(args.input)
+    words = _sample_words(args.input)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
     alphabet = sorted({c for w in words for c in w})
@@ -344,6 +357,18 @@ def _cmd_verify(args) -> int:
 
 
 # -- argument parsing -----------------------------------------------------------
+
+def _count(text: str) -> int:
+    """argparse type for a count of queries, rounds or samples: an integer
+    of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -383,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="query latency benchmark")
     p.add_argument("--index", required=True)
     p.add_argument("--input", required=True, help="word list the index was built from")
-    p.add_argument("--queries", type=int, default=1000)
-    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--queries", type=_count, default=1000)
+    p.add_argument("--rounds", type=_count, default=20)
     p.add_argument("--k", type=int, default=None, choices=(0, 1, 2))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
@@ -407,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--input", required=True, help="word list the index was built from")
     p.add_argument("--k", type=int, required=True, choices=(0, 1, 2))
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -15,12 +15,15 @@ is the start of the empty slot that ends the run, so a probe is one
 `bytes.find(0, ...)` plus one aligned `bytes.find(word, ...)` over the
 run (two of each when the run wraps past the last slot); loading rejects
 a table whose occupied slots hold a zero byte, which would break this.
-Compaction replaces each slot array with an occupancy bit vector
-(succinct.py) plus a dense payload, the occupied slots in slot order, and
-freezes the structure; probes measure the run of ones from the home slot
-inside its 64-bit word (run_of_ones only when the run reaches the word's
-end), compute the home slot's rank inline from the bit vector's word and
-rank arrays, and search the run's bytes with the same aligned find.
+A table has one shape in both layouts: optional occupancy bits
+(succinct.py) and `slots`, held over slots when plain and, once
+compacted, over entries, the occupied slots back to back in slot order.
+Compaction freezes the structure; probes measure the run of ones from
+the home slot inside its 64-bit word (run_of_ones only when the run
+reaches the word's end), compute the home slot's rank inline from the
+bit vector's word and rank arrays, and search the run's bytes with the
+same aligned find.  On disk a table is the same: its occupancy bits if
+compacted, then `slots`.
 Loading also rejects a table, in either layout, that holds a byte above
 the index's sigma (capped scans return only 1..sigma), whose count
 differs from its occupied slots, or whose first stored word is not found
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 from .errors import CompactedError, IndexFormatError
 from .hashing import poly_hash
-from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones
+from .succinct import RankBitVector, read_occupancy, run_of_ones, squeeze
 from .util import (capacity_for, check_headroom, check_loaded_table, take,
                    validate_word, validate_words)
 
@@ -57,9 +60,10 @@ def _holds(slots, word, lo: int, hi: int, width: int) -> bool:
 
 
 class _WordTable:
-    """Inline table for the words of one length."""
+    """Inline table for the words of one length: `slots` holds width bytes
+    per slot, or per entry once compacted (occupancy set)."""
 
-    __slots__ = ("width", "capacity", "count", "slots", "occupancy", "dense")
+    __slots__ = ("width", "capacity", "count", "slots", "occupancy")
 
     def __init__(self, width: int, capacity: int):
         self.width = width
@@ -67,14 +71,14 @@ class _WordTable:
         self.count = 0
         self.slots = bytearray(width * capacity)
         self.occupancy: RankBitVector | None = None
-        self.dense: bytes | None = None
 
     def contains(self, word, h: int) -> bool:
         t = self.capacity
         w = self.width
         s = h % t
         slots = self.slots
-        if slots is not None:
+        occ = self.occupancy
+        if occ is None:
             lo = s * w
             if not slots[lo]:
                 return False
@@ -84,9 +88,8 @@ class _WordTable:
             return (_holds(slots, word, lo, len(slots), w)
                     or _holds(slots, word, 0, slots.find(0), w))
         # Compacted: a stored word whose probe passed the home slot lies in
-        # the run of ones from there, whose slots sit back to back in dense
-        # from byte w * rank1(s) on.
-        occ = self.occupancy
+        # the run of ones from there, whose entries sit back to back in
+        # slots from byte w * rank1(s) on.
         bits = occ.words
         i = s >> 6
         off = s & 63
@@ -98,11 +101,10 @@ class _WordTable:
             run = run_of_ones(bits, t, s, t)
         lo = w * (occ.ranks[i] + (bits[i] & ((1 << off) - 1)).bit_count())
         hi = lo + w * run
-        dense = self.dense
-        n = len(dense)
+        n = len(slots)
         if hi <= n:
-            return _holds(dense, word, lo, hi, w)
-        return _holds(dense, word, lo, n, w) or _holds(dense, word, 0, hi - n, w)
+            return _holds(slots, word, lo, hi, w)
+        return _holds(slots, word, lo, n, w) or _holds(slots, word, 0, hi - n, w)
 
     def insert(self, word, h: int) -> bool:
         """Insert unless present; returns True if the word was new."""
@@ -123,29 +125,16 @@ class _WordTable:
         return True
 
     def compact(self, delta: int) -> None:
-        """Replace the slots with occupancy bits plus the occupied slots
-        back to back.  A word holds no zero byte and an empty slot is all
-        zero (load checks both), so deleting the zero bytes leaves exactly
-        those slots, in slot order.  As in SubstStore.compact, each chunk's
-        run moves to the front of the slot array itself, whose write offset
-        never passes the read offset, and only the payload is copied out."""
-        slots = self.slots
-        self.occupancy = RankBitVector.from_flags(slots[0 :: self.width], delta)
-        step = chunk_size(len(slots))
-        d = 0
-        for a in range(0, len(slots), step):
-            run = slots[a : a + step].translate(None, b"\0")
-            slots[d : d + len(run)] = run
-            d += len(run)
-        with memoryview(slots) as view:
-            self.dense = view[:d].tobytes()
-        self.slots = None
+        """Add the occupancy bits and keep only the occupied slots, back to
+        back.  A word holds no zero byte and an empty slot is all zero
+        (load checks both), so squeezing out the zero bytes leaves exactly
+        those slots, in slot order."""
+        self.occupancy = RankBitVector.from_flags(self.slots[0 :: self.width], delta)
+        self.slots = squeeze(self.slots)
 
     def to_bytes(self) -> bytes:
-        head = _TABLE_HEAD.pack(self.width, self.capacity, self.count)
-        if self.slots is not None:
-            return head + bytes(self.slots)
-        return head + self.occupancy.to_bytes() + self.dense
+        occ = b"" if self.occupancy is None else self.occupancy.to_bytes()
+        return _TABLE_HEAD.pack(self.width, self.capacity, self.count) + occ + bytes(self.slots)
 
     @classmethod
     def from_bytes(cls, buf, offset: int, compacted: bool, delta: int,
@@ -161,20 +150,20 @@ class _WordTable:
         table.width = width
         table.capacity = capacity
         table.count = count
+        table.occupancy = None
+        n = capacity
         if compacted:
-            table.slots = None
             table.occupancy, offset = read_occupancy(buf, offset, capacity, count, delta, what)
-            table.dense = bytes(take(buf, offset, count * width, what))
-            offset += count * width
+            n = count
+        copy = bytes if compacted else bytearray
+        slots = table.slots = copy(take(buf, offset, n * width, what))
+        offset += n * width
+        if compacted:
             occupied = count  # read_occupancy checked the popcount
             # Deleting bytes 0..sigma leaves only those above it, and
             # writes less than mapping every byte would.
-            above_sigma = bool(table.dense.translate(None, bytes(range(sigma + 1))))
+            above_sigma = bool(slots.translate(None, bytes(range(sigma + 1))))
         else:
-            slots = table.slots = bytearray(take(buf, offset, capacity * width, what))
-            table.occupancy = None
-            table.dense = None
-            offset += capacity * width
             # 0 for a zero byte, 1 for a byte in 1..sigma, 2 for one above sigma
             bands = bytes([0]) + bytes([1]) * sigma + bytes([2]) * (255 - sigma)
             firsts = slots[0::width].translate(bands)
@@ -203,7 +192,7 @@ class _WordTable:
                                    "or a byte above sigma")
         # A wrong seed: the table must find its first stored word under it.
         lo = 0 if compacted else firsts.find(1) * width  # the first occupied slot, or -width
-        word = (table.dense if compacted else slots)[lo : lo + width]
+        word = slots[lo : lo + width]
         if word and not table.contains(word, poly_hash(word, seed)):
             raise IndexFormatError(f"{what}: a stored word is not found under bucket seed {seed:#x}")
         return table, offset
@@ -212,10 +201,9 @@ class _WordTable:
 class ExactDictionary:
     """Membership structure over the unmodified dictionary words."""
 
-    __slots__ = ("alpha", "seed", "tables", "compacted")
+    __slots__ = ("seed", "tables", "compacted")
 
-    def __init__(self, alpha: Fraction, seed: int):
-        self.alpha = alpha
+    def __init__(self, seed: int):
         self.seed = seed
         self.tables: dict[int, _WordTable] = {}  # word length -> its table
         self.compacted = False
@@ -273,7 +261,7 @@ class ExactDictionary:
         return table.insert(word, h)
 
     def compact(self, delta: int = 4) -> None:
-        """Replace every slot array with occupancy bits plus dense payload."""
+        """Compact every table: occupancy bits plus its occupied slots."""
         if self.compacted:
             return
         for table in self.tables.values():
@@ -296,9 +284,9 @@ class ExactDictionary:
         """Parse the section at offset; returns (dictionary, end offset).
 
         sigma is the index's largest stored byte: a table holding a byte
-        above it is rejected.
+        above it is rejected.  alpha is accepted by position and ignored.
         """
-        d = cls(alpha, seed)
+        d = cls(seed)
         (n_tables,) = struct.unpack_from("<H", buf, offset)
         offset += 2
         min_width = 1
@@ -321,7 +309,7 @@ def build_exact(words, alpha: Fraction, beta: int = 16, seed: int = 1,
     """
     if not validated:
         words = validate_words(words)
-    d = ExactDictionary(alpha, seed)
+    d = ExactDictionary(seed)
     tables = d.tables
     for width, count in Counter(map(len, words)).items():
         tables[width] = _WordTable(width, capacity_for(count, alpha))

@@ -24,58 +24,23 @@ File layout (all little-endian):
     end-4   4     crc32 of everything before it
 
 The exact section is the number of word tables (<H), then each of them
-by increasing width (<HQQ width, capacity, count, then its slots or its
-occupancy bits and dense words).  A store section is <QQ capacity and
-entry count, then its payload (subst_store.py).  A compacted table's
-occupancy bits follow succinct.py: its capacity gives their length and
-the header's delta their sampling.
+by increasing width: <HQQ width, capacity and count, then its occupancy
+bits if compacted, then its slots (exact_dict.py).  A store section is
+<QQ capacity and entry count, then the same: its occupancy bits if
+compacted, then its characters and signatures (subst_store.py).  A
+compacted table's occupancy bits follow succinct.py: its capacity gives
+their length and the header's delta their sampling, and its arrays hold
+its entries instead of its slots.  Nothing else is stored twice: a
+store's level comes from its section's position and its flags from the
+header, and a store section the header's error level does not declare
+is refused, as is a compacted table whose capacity is not the one its
+count and the load factor give.
 
-Version 2 changed only the plain substitution-store section: header,
-then one character byte per slot, then the split-nibble signature array
-(subst_store.py).  Word tables and compacted sections are as in version 1.
-
-Version 3 derives each store entry's 4-bit signature from its key's
-bucket hash h as (h // capacity) & 15, the low nibble of the quotient
-that the home slot h mod capacity leaves unused, instead of hashing the
-key a second time under the signature seed; a version-2 file is refused,
-because its nibbles come from that second hash.  The filter weakens once
-capacity > MODULUS / 16, where the quotient takes fewer than 16 values;
-results stay exact.  The signature seed is still derived, written and
-read back, but no hash uses it.  Version 3 also stores a compacted
-store's payload in the plain layout over entries: the payload length,
-then one character byte per entry, then the entries' signatures split
-at half = (entry_count + 1) // 2, in place of 3 bytes per two entries.
-A compacted store with an odd entry count is one byte smaller.
-
-Version 4 keeps only the crc32 of the body, in a 4-byte trailer under
-checksum id 2; versions 1-3 had a 64-bit trailer that also held an
-adler32 (checksum id 1), and a file of any of them is refused.  The sum
-only catches accidents: a file that passes it but is structurally
-inconsistent is rejected by the checks made while parsing.  Header and
-sections are as in version 3.
-
-Version 5 stores each fact once.  A compacted table's occupancy bits
-are written as they are held in memory, 64-bit data words followed by
-every delta-th rank, with no header of their own, so delta counts 64-bit
-words; version 4 interleaved a count with every delta 32-bit data words
-behind a header repeating the table's capacity and the file's delta.  A
-store section no longer holds its level (given by its position), flags
-(the header's) or compacted payload length (given by its entry count),
-and the exact section no longer holds the word count and total length,
-which are computed from the tables.  A store section the header's error
-level does not declare is refused, and so is a compacted table whose
-capacity is not the one its count and the load factor give.  A file of
-version 4 or older is refused.
-
-Version 6 stores every word, whatever its length, in the inline table
-of its length.  Up to version 5, words of beta (header byte 12) bytes or
-more went to one table of 32-bit offsets into an arena of length-prefixed
-words.  A table's width and the table count are 16-bit fields, so every
-word length up to util.MAX_WORD_LENGTH has its table; byte 12 is
-reserved and written as 0.  The arena's words had no check against sigma
-or the seed, and its length prefixes none that cost less than the whole
-load; inline tables carry every check.  A file of version 5 or older is
-refused.
+The crc32 trailer only catches accidents: a file that passes it but is
+structurally inconsistent is rejected by the checks made while parsing.
+A file of versions 1-5 is refused: their signatures, checksums, section
+headers or long-word storage differ from this layout, and no code reads
+them.
 
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed

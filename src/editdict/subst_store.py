@@ -37,40 +37,43 @@ are as good as independent while h // capacity spans many multiples of
 values and the filter passes more foreign entries; results stay exact,
 because every candidate is checked against the exact dictionary.
 
-A plain (not compacted) store keeps two arrays, the same both in memory
-and on disk.  `chars` holds one character byte per slot, 0 marking an
-empty slot.  `sigs` holds the 4-bit signatures, two to a byte, split at
-half = (capacity + 1) // 2: slot i < half keeps its signature in the low
-nibble of sigs[i], slot i >= half in the high nibble of sigs[i - half]
-(1.5 bytes per slot in all; `sigs` is empty without signatures).  A run
-of slots therefore has its characters in one slice of `chars` and its
-signatures in one slice of `sigs` unless it crosses half or the table
-end.  A plain scan does its work in C: `chars.find(0, ...)` locates the
-empty slot that ends the run (a second find when the run wraps), one
+A store has one shape, the same in memory and on disk: optional
+occupancy bits and two payload arrays over n places, the capacity's
+slots when plain and the entries when compacted.  `chars` holds one
+character byte per place, 0 marking an empty slot.  `sigs` holds the
+4-bit signatures, two to a byte, split at half = (n + 1) // 2: place
+i < half keeps its signature in the low nibble of sigs[i], place
+i >= half in the high nibble of sigs[i - half] (1.5 bytes per place in
+all).  `sigs` is empty without signatures, so a store is signed exactly
+when `sigs` is non-empty.  The one exception, a compacted store with no
+entries, has an empty `sigs` either way, and its scans all end before
+the signature test.  A run of places therefore has its characters in
+one slice of `chars` and its signatures in one slice of `sigs` unless it
+crosses half or the end.
+
+A plain scan does its work in C: `chars.find(0, ...)` locates the empty
+slot that ends the run (a second find when the run wraps), one
 `translate` turns the run's signature bytes into nibbles, and a run
 without a nibble equal to the key's signature is rejected by one `in`
 test before any per-slot work.
 
-Compaction freezes a store and drops its empty slots.  It keeps the
+Compaction freezes a store and drops its empty slots.  It adds the
 occupancy bits (succinct.py: in memory, flat arrays of 64-bit data words
-and a rank per data word, 3/16 byte per slot) and a payload in the plain
-layout over entries instead of slots: `dense`, the characters of the
-occupied slots in slot order, and `dsigs`, their signatures split at
-half = (entry_count + 1) // 2 as above (empty without signatures).  The
-run of occupied slots from a home slot is the run of entries from that
-slot's rank, so a compacted scan tests the home bit, measures the run of
-ones inside the home slot's 64-bit word with a trailing-ones bit trick
-(run_of_ones continues only a run that reaches the word's end), decides
-the length cap from the run alone, computes the home slot's rank inline,
-and then filters the run's entries with the same `translate` and `in`
-test as a plain scan.
+and a rank per data word, 3/16 byte per slot) and keeps the payload over
+entries instead of slots: the characters of the occupied slots in slot
+order, and their signatures.  The run of occupied slots from a home slot
+is the run of entries from that slot's rank, so a compacted scan tests
+the home bit, measures the run of ones inside the home slot's 64-bit
+word with a trailing-ones bit trick (run_of_ones continues only a run
+that reaches the word's end), decides the length cap from the run
+alone, computes the home slot's rank inline, and then filters the run's
+entries with the same `translate` and `in` test as a plain scan.
 
 On disk a store section is its capacity and entry count (<QQ), then the
-arrays above: `chars` and `sigs` when plain, the occupancy bits, `dense`
-and `dsigs` when compacted.  Everything else a store needs comes from
-the file header (signatures, compaction, delta, bucket seed, sigma) or
-from the section's position (its level), and each array's length
-follows from the two counts.
+occupancy bits if compacted, then `chars` and `sigs`.  Everything else a
+store needs comes from the file header (signatures, compaction, delta,
+bucket seed, sigma) or from the section's position (its level), and each
+array's length follows from the two counts.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from itertools import combinations, compress
 
 from .errors import CompactedError, IndexFormatError, ValidationError
 from .hashing import blank_keys
-from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones
+from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones, squeeze
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
 _EMPTY: tuple[int, ...] = ()
@@ -119,37 +122,22 @@ def entries_for(word_length: int, level: int) -> int:
 
 class SubstStore:
     """Linear-probing character table keyed by wildcard patterns, hashed
-    under bucket_seed."""
+    under bucket_seed: `chars` and `sigs` over slots, or over entries once
+    compacted (occupancy set)."""
 
-    __slots__ = (
-        "level",
-        "capacity",
-        "entry_count",
-        "use_signatures",
-        "bucket_seed",
-        "sigma",
-        "chars",
-        "sigs",
-        "compacted",
-        "occupancy",
-        "dense",
-        "dsigs",
-    )
+    __slots__ = ("level", "capacity", "entry_count", "bucket_seed", "sigma",
+                 "chars", "sigs", "occupancy")
 
     def __init__(self, level: int, capacity: int, use_signatures: bool,
                  bucket_seed: int, sigma: int):
         self.level = level
         self.capacity = capacity
         self.entry_count = 0
-        self.use_signatures = use_signatures
         self.bucket_seed = bucket_seed
         self.sigma = sigma
         self.chars = bytearray(capacity)
         self.sigs = bytearray((capacity + 1) // 2 if use_signatures else 0)
-        self.compacted = False
         self.occupancy: RankBitVector | None = None
-        self.dense: bytes | None = None
-        self.dsigs: bytes | bytearray | None = None
 
     # -- building ---------------------------------------------------------
 
@@ -189,7 +177,7 @@ class SubstStore:
         return len(keys)
 
     def check_headroom(self, added: int) -> None:
-        if self.compacted:
+        if self.occupancy is not None:
             raise CompactedError("cannot insert into a compacted store")
         check_headroom(self.entry_count, added, self.capacity,
                        f"level-{self.level} store")
@@ -215,8 +203,9 @@ class SubstStore:
         t = self.capacity
         sigma = self.sigma
         s = bucket_hash % t
-        if not self.compacted:
-            chars = self.chars
+        chars = self.chars
+        occ = self.occupancy
+        if occ is None:
             if not chars[s] and sigma:  # an empty home slot: most scans end here
                 return _EMPTY, False
             limit = _SCAN_LIMIT * sigma
@@ -225,10 +214,8 @@ class SubstStore:
                 e = chars.find(0, 0, s + limit - t) if s + limit > t else -1
                 if e < 0:
                     return range(1, sigma + 1), True
-            sigs = self.sigs
             n = t
         else:
-            occ = self.occupancy
             bits = occ.words
             w = s >> 6
             off = s & 63
@@ -245,14 +232,13 @@ class SubstStore:
             # the home slot's rank, and the run wraps past the last entry
             # when e ends up at or before s.
             s = occ.ranks[w] + (bits[w] & ((1 << off) - 1)).bit_count()
-            chars = self.dense
-            sigs = self.dsigs
             n = self.entry_count
             e = s + run
             if e > n:
                 e -= n
         # The run is chars[s:e], or chars[s:] + chars[:e] when it wraps.
-        if self.use_signatures:
+        sigs = self.sigs
+        if sigs:
             key_sig = (bucket_hash // t) & 15
             half = (n + 1) >> 1
             if s < e <= half:
@@ -276,67 +262,58 @@ class SubstStore:
     # -- compaction and serialization --------------------------------------
 
     def compact(self, delta: int = 4) -> None:
-        """Replace the slot arrays with occupancy bits plus the entries of
-        the occupied slots, in the plain layout over entries.
+        """Add the occupancy bits and keep `chars` and `sigs` over the
+        occupied slots only, in the plain layout over entries.
 
         One pass over the slot arrays, a quarter of chunk_size(capacity)
         slots at a time (about a thirty-second of the table, at most
-        succinct._CHUNK / 4), writes only outputs of their final size.
-        Each chunk's kept signatures go straight into `dsigs`, sized once
-        from the occupancy bits' popcount: entries below
-        dhalf = (entry_count + 1) // 2 into low nibbles by one slice
-        assignment, later ones OR-ed into high nibbles by one integer join,
-        which is safe because entry e arrives before entry e + dhalf.  Each
-        chunk's characters move to the front of `chars` itself: the write
-        offset never passes the read offset, and the chunk is copied out
-        before its run is written back.  Then `sigs` is dropped, the first
-        entry_count bytes of `chars` are copied out as `dense`, and `chars`
-        is dropped.  Beyond the plain store the peak is the occupancy bits
-        and ranks (3/16 byte per slot), half a byte per entry in `dsigs`,
-        and one byte per entry in `dense` less the freed `sigs` (half a
-        byte per slot): about 0.74 byte per slot at load 7/10.
+        succinct._CHUNK / 4), writes the kept signatures straight into
+        their final array, sized once from the occupancy bits' popcount:
+        entries below dhalf = (entry_count + 1) // 2 into low nibbles by
+        one slice assignment, later ones OR-ed into high nibbles by one
+        integer join, which is safe because entry e arrives before entry
+        e + dhalf.  Then the slot signatures are freed and succinct.squeeze
+        deletes the empty slots' zero bytes from `chars`.  Beyond the plain
+        store the peak is the occupancy bits and ranks (3/16 byte per
+        slot), half a byte per entry of signatures, and one byte per entry
+        of characters less the freed slot signatures (half a byte per
+        slot): about 0.74 byte per slot at load 7/10.
         """
-        if self.compacted:
+        if self.occupancy is not None:
             return
         t = self.capacity
         chars, sigs = self.chars, self.sigs
-        self.occupancy = RankBitVector.from_flags(chars, delta)
-        n = self.occupancy.total_ones
-        # A chunk's slice, nibbles, kept signatures and the integers of its
-        # high-nibble join are alive at once, so the chunks are a quarter
-        # of chunk_size's: together they stay small beside the table.
-        step = chunk_size(t) >> 2
-        dhalf = (n + 1) >> 1
-        dsigs = bytearray(dhalf if sigs else 0)
-        half = (t + 1) >> 1
-        d = 0
-        for a in range(0, t, step):
-            chunk = chars[a : a + step]
-            run = chunk.translate(None, b"\0")
-            e = d + len(run)
-            if sigs:
+        occ = RankBitVector.from_flags(chars, delta)
+        if sigs:
+            # A chunk's slice, nibbles, kept signatures and the integers of
+            # its high-nibble join are alive at once, so the chunks are a
+            # quarter of chunk_size's: together they stay small beside the
+            # table.
+            step = chunk_size(t) >> 2
+            dhalf = (occ.total_ones + 1) >> 1
+            packed = bytearray(dhalf)
+            half = (t + 1) >> 1
+            d = 0
+            for a in range(0, t, step):
+                chunk = chars[a : a + step]
                 kept = bytes(compress(_nibbles(sigs, half, a, a + len(chunk)), chunk))
+                e = d + len(kept)
                 m = max(d, min(e, dhalf))  # entries d..m-1 take low nibbles, m..e-1 high ones
-                dsigs[d:m] = kept[: m - d]
+                packed[d:m] = kept[: m - d]
                 if m < e:
                     lo, hi = m - dhalf, e - dhalf
                     high = int.from_bytes(kept[m - d :], "little") << 4
-                    dsigs[lo:hi] = (int.from_bytes(dsigs[lo:hi], "little") | high).to_bytes(
+                    packed[lo:hi] = (int.from_bytes(packed[lo:hi], "little") | high).to_bytes(
                         hi - lo, "little")
-            chars[d:e] = run
-            d = e
-        self.sigs = sigs = None
-        with memoryview(chars) as view:
-            self.dense = view[:n].tobytes()
-        self.chars = chars = None
-        self.dsigs = dsigs  # empty without signatures
-        self.compacted = True
+                d = e
+            self.sigs = sigs = packed  # frees the slot signatures before the squeeze
+        self.chars = squeeze(chars)
+        self.occupancy = occ
 
     def to_bytes(self) -> bytes:
-        head = struct.pack("<QQ", self.capacity, self.entry_count)
-        if self.compacted:
-            return head + self.occupancy.to_bytes() + self.dense + self.dsigs
-        return head + bytes(self.chars) + bytes(self.sigs)
+        occ = b"" if self.occupancy is None else self.occupancy.to_bytes()
+        return (struct.pack("<QQ", self.capacity, self.entry_count) + occ
+                + bytes(self.chars) + bytes(self.sigs))
 
     @classmethod
     def from_bytes(cls, buf, offset: int, level: int, use_signatures: bool, compacted: bool,
@@ -347,34 +324,27 @@ class SubstStore:
         offset += 16
         store = cls.__new__(cls)
         store.level = level
-        store.use_signatures = use_signatures
-        store.compacted = compacted
         store.capacity = capacity
         store.entry_count = entry_count
         store.bucket_seed = bucket_seed
         store.sigma = sigma
         what = f"level-{level} store"
+        store.occupancy = None
+        n = capacity
         if compacted:
-            store.chars = store.sigs = None
             store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count,
                                                      delta, what)
-            n_sigs = (entry_count + 1) // 2 if use_signatures else 0
-            store.dense = bytes(take(buf, offset, entry_count, what))
-            offset += entry_count
-            store.dsigs = bytes(take(buf, offset, n_sigs, what))
-            offset += n_sigs
-            empty_slot = True  # popcount = entry_count, checked to be < capacity
-        else:
-            store.chars = bytearray(take(buf, offset, capacity, what))
-            offset += capacity
-            n_sigs = (capacity + 1) // 2 if use_signatures else 0
-            store.sigs = bytearray(take(buf, offset, n_sigs, what))
-            offset += n_sigs
-            store.occupancy = None
-            store.dense = store.dsigs = None
-            # Stops at the first empty slot, so it costs next to nothing.
-            empty_slot = 0 in store.chars
-        check_loaded_table(what, entry_count, capacity, empty_slot)
+            n = entry_count
+        copy = bytes if compacted else bytearray
+        n_sigs = (n + 1) // 2 if use_signatures else 0
+        store.chars = copy(take(buf, offset, n, what))
+        offset += n
+        store.sigs = copy(take(buf, offset, n_sigs, what))
+        offset += n_sigs
+        # A compacted store's popcount is entry_count, checked to be below
+        # capacity.  A plain store's `in` stops at the first empty slot, so
+        # it costs next to nothing.
+        check_loaded_table(what, entry_count, capacity, compacted or 0 in store.chars)
         return store, offset
 
 

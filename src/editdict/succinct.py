@@ -30,10 +30,13 @@ helpers below (u32_bytes, _u64_array, _u64_bytes) and the byteswap that
 ends from_flags depend on the host's byte order; those big-endian
 branches have not been run on a big-endian host.
 
-Compacted tables keep a linear-probing slot array as (occupancy bits,
-dense payload): the payload of original slot s sits at dense[rank1(s)]
-whenever bit s is set, and a run of ones that wraps past the end
-continues at dense[0] because probing is circular.
+A compacted table keeps its linear-probing payload arrays over entries
+instead of slots, beside its occupancy bits: the payload of slot s sits
+at entry rank1(s) whenever bit s is set, and a run of ones that wraps
+past the end continues at entry 0 because probing is circular.  squeeze
+gives those arrays: an empty slot's payload is zero bytes and an
+occupied one holds none, so deleting the zero bytes keeps exactly the
+occupied slots, in slot order.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ _DIGITS = b"0" + b"1" * 255
 _POPCOUNT = bytes(map(int.bit_count, range(256)))
 _BIG_ENDIAN = sys.byteorder == "big"
 
-# Most flags (slots) per chunk where from_flags, the rank computation and
-# SubstStore.compact stream over a table: the copies a chunk makes stay
+# Most flags (slots) per chunk where from_flags, the rank computation,
+# squeeze and SubstStore.compact stream over a table: the copies a chunk makes stay
 # small beside the table, and there are few chunks to loop over.  A
 # multiple of 64, so each chunk fills whole words.
 _CHUNK = 1 << 16
@@ -63,6 +66,24 @@ def chunk_size(n_bits: int) -> int:
     the table, so that a small table's chunk copies stay small beside it,
     and at most _CHUNK; always a positive multiple of 64."""
     return min(_CHUNK, ((n_bits >> 9) + 1) << 6)
+
+
+def squeeze(buf: bytearray) -> bytes:
+    """The bytes of buf with every zero byte deleted.
+
+    Works chunk_size(len(buf)) bytes at a time inside buf itself: each
+    chunk's nonzero bytes move to the front of buf, whose write offset
+    never passes the read offset, so beside buf only a chunk and the
+    result are allocated.  buf's prefix is overwritten.
+    """
+    step = chunk_size(len(buf))
+    d = 0
+    for a in range(0, len(buf), step):
+        run = buf[a : a + step].translate(None, b"\0")
+        buf[d : d + len(run)] = run
+        d += len(run)
+    with memoryview(buf) as view:
+        return view[:d].tobytes()
 
 
 def u32_bytes(words: array) -> bytes:

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from editdict import BuildConfig, build_index
+from editdict import BuildConfig, ValidationError, build_index
 from editdict.cli import (
     EXIT_BAD_INDEX,
     EXIT_FAILURE,
@@ -266,3 +266,32 @@ def test_pattern_shorter_than_k_fails_cleanly(built, capsys):
     rc = run_cli(["query", "--index", built, "--k", "2", "--pattern", "ab"])
     assert rc == EXIT_FAILURE
     assert "smaller than the pattern length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--queries", "0"],
+    ["bench", "--rounds", "-1"],
+    ["bench", "--queries", "x"],
+    ["verify", "--k", "1", "--samples", "-3"],
+    ["verify", "--k", "1", "--samples", "0"],
+])
+def test_counts_below_one_are_usage_errors(built, wordfile, argv, capsys):
+    rc = run_cli(argv[:1] + ["--index", built, "--input", wordfile] + argv[1:])
+    assert rc == EXIT_USAGE
+    assert "must be an integer of at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("queries, rounds", [(0, 1), (1, 0), (-2, 3), (1.5, 1)])
+def test_bench_rejects_a_count_below_one(queries, rounds):
+    ix = build_index([b"abc", b"abd"], BuildConfig(errors=1, rng_seed=1))
+    with pytest.raises(ValidationError, match="at least 1"):
+        bench(ix, [b"abc", b"abd"], queries=queries, rounds=rounds)
+
+
+@pytest.mark.parametrize("command", [["bench"], ["verify", "--k", "1"]])
+def test_empty_word_list_is_named(built, tmp_path, command, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"\n\n")
+    rc = run_cli(command[:1] + ["--index", built, "--input", str(empty)] + command[1:])
+    assert rc == EXIT_FAILURE
+    assert f"word list {empty} holds no words" in capsys.readouterr().err

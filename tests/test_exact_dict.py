@@ -166,7 +166,8 @@ def test_plain_probe_wrapping_runs_and_inserts_after_load(rng):
     for trial in range(20):
         stored = {w for w in every if rng.random() < 0.4}
         d = build_exact(sorted(stored), Fraction(4, 5), seed=trial)
-        d, _ = ExactDictionary.from_bytes(d.to_bytes(), 0, d.alpha, d.seed, False, 4, ord("f"))
+        d, _ = ExactDictionary.from_bytes(d.to_bytes(), 0, Fraction(4, 5), d.seed, False, 4,
+                                          ord("f"))
         for w in every:
             assert d.contains(w) == (w in stored)
         for w in rng.sample(every, len(every)):
@@ -226,7 +227,7 @@ def test_compact_single_word_dense_payload():
     d = build_exact([b"abc"], ALPHA, seed=2)
     d.compact()
     table = d.tables[3]
-    assert table.dense == b"abc"
+    assert table.slots == b"abc"
     assert table.occupancy.total_ones == 1
 
 

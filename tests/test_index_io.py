@@ -403,6 +403,35 @@ def _resaved(ix) -> bytes:
     return sink.getvalue()
 
 
+def _vector(occ):
+    return None if occ is None else (list(occ.words), list(occ.ranks))
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("signatures", [False, True])
+def test_loaded_tables_hold_the_built_arrays(compact, signatures, rng):
+    # One shape per table in both layouts: occupancy bits only when
+    # compacted, and the same payload arrays, over slots or over entries,
+    # in the built index and in the index loaded from its file.
+    words = random_words(rng, 300, 1, 20)
+    ix = build_index(words, BuildConfig(errors=2, use_signatures=signatures, compact=compact,
+                                        rng_seed=5))
+    back = load(_resaved(ix))
+    for built, loaded in ((ix.store1, back.store1), (ix.store2, back.store2)):
+        assert (built.occupancy is None) == (loaded.occupancy is None) == (not compact)
+        assert _vector(built.occupancy) == _vector(loaded.occupancy)
+        assert (built.chars, built.sigs) == (loaded.chars, loaded.sigs)
+        assert bool(built.sigs) == signatures
+        assert len(built.chars) == (built.entry_count if compact else built.capacity)
+    assert ix.exact.tables.keys() == back.exact.tables.keys()
+    for width, built in ix.exact.tables.items():
+        loaded = back.exact.tables[width]
+        assert (built.occupancy is None) == (loaded.occupancy is None) == (not compact)
+        assert _vector(built.occupancy) == _vector(loaded.occupancy)
+        assert built.slots == loaded.slots
+        assert len(built.slots) == width * (built.count if compact else built.capacity)
+
+
 def test_loaded_plain_long_word_index_heap_within_file_size(rng):
     # Each plain word table loads into one bytearray, its slots as in the
     # file, so the loaded index is about the size of its file.
@@ -448,7 +477,7 @@ def _fill(table, compact):
     t = table.capacity
     if compact:
         table.occupancy = RankBitVector.from_flags(b"\1" * t)
-        table.dense = b"q" * (table.width * t)
+        table.slots = b"q" * (table.width * t)
     else:
         table.slots = bytearray(b"q" * (table.width * t))
     table.count = t

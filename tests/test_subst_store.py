@@ -200,7 +200,7 @@ def test_compact_differential(rng):
 def test_compact_empty_store():
     store = build_store([], 1, ALPHA, True, **SEEDS)
     store.compact()
-    assert store.dense == b""
+    assert store.chars == b""
 
 
 def test_compacted_dense_is_packed():
@@ -209,33 +209,29 @@ def test_compacted_dense_is_packed():
         store = build_store(words, 1, ALPHA, True, **SEEDS)
         store.compact()
         entries = store.entry_count
-        assert len(store.dense) + len(store.dsigs) == entries + math.ceil(entries / 2)
+        assert len(store.chars) + len(store.sigs) == entries + math.ceil(entries / 2)
 
 
 def reference_compact(store: SubstStore, delta: int) -> None:
     """Compact in one shot: every step reads the whole slot array at once."""
     t = store.capacity
     chars = bytes(store.chars)
-    if store.use_signatures:
+    if store.sigs:
         half = (t + 1) // 2
         nibbles = [store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4
                    for i in range(t)]
         kept = bytes(compress(nibbles, chars))
         h = (len(kept) + 1) // 2
-        store.dsigs = bytes(a | (b << 4) for a, b in zip_longest(kept[:h], kept[h:], fillvalue=0))
-    else:
-        store.dsigs = b""
+        store.sigs = bytes(a | (b << 4) for a, b in zip_longest(kept[:h], kept[h:], fillvalue=0))
     value = int(chars[::-1].translate(b"0" + b"1" * 255), 2)
     words = array("Q", [(value >> (64 * i)) & (2**64 - 1) for i in range((t + 63) // 64)])
     store.occupancy = RankBitVector(t, delta, words)
-    store.dense = chars.translate(None, b"\0")
-    store.chars = store.sigs = None
-    store.compacted = True
+    store.chars = chars.translate(None, b"\0")
 
 
 def set_chunk(mp: pytest.MonkeyPatch, chunk: int) -> None:
     """Make every chunked loop take `chunk` slots at a time, and
-    SubstStore.compact's a quarter of that."""
+    SubstStore.compact's signature pass a quarter of that."""
     mp.setattr(succinct, "chunk_size", lambda n_bits: chunk)
     mp.setattr(subst_store, "chunk_size", lambda n_bits: chunk)
 
@@ -274,10 +270,10 @@ def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta
         set_chunk(mp, chunk)
         chunked.compact(delta)
     reference_compact(one_shot, delta)
-    assert len(chunked.dense) == n
-    assert len(chunked.dsigs) == (dhalf if sig_on else 0)
-    assert chunked.dense == one_shot.dense
-    assert chunked.dsigs == one_shot.dsigs
+    assert len(chunked.chars) == n
+    assert len(chunked.sigs) == (dhalf if sig_on else 0)
+    assert chunked.chars == one_shot.chars
+    assert chunked.sigs == one_shot.sigs
     assert list(chunked.occupancy.words) == list(one_shot.occupancy.words)
     assert chunked.to_bytes() == one_shot.to_bytes()
 
@@ -285,9 +281,9 @@ def test_chunked_compaction_equals_one_shot(data, capacity, sig_on, chunk, delta
 def test_compact_transient_is_bounded(rng):
     # Compaction streams over the slot arrays and writes only outputs of
     # their final size: beyond the plain store it holds the occupancy bits
-    # and ranks (3/16 byte per slot), half a byte per entry in dsigs, and
-    # one per entry in dense less the freed sigs (half a byte per slot),
-    # about 0.74 byte per slot at load 7/10.  Staging a whole nibble or
+    # and ranks (3/16 byte per slot), half a byte per entry of signatures,
+    # and one per entry of characters less the freed slot signatures (half
+    # a byte per slot), about 0.74 byte per slot at load 7/10.  Staging a whole nibble or
     # character array beside the slot arrays takes 0.7 more; copying the
     # whole slot array several times, as a one-shot compaction does,
     # takes about 4.
@@ -408,7 +404,7 @@ def filled_store(draw):
 @settings(max_examples=150, deadline=None)
 @given(store=filled_store())
 def test_compacted_scan_equals_plain_scan(store):
-    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, 1, store.use_signatures, False,
+    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, 1, bool(store.sigs), False,
                                          4, SEEDS["bucket_seed"], store.sigma)
     compacted.compact()
     t = store.capacity
@@ -433,7 +429,7 @@ def reference_scan(store: SubstStore, slot: int, key_sig: int):
         char = store.chars[i]
         if char == 0:
             return capped_by_count(out, sigma)
-        if not store.use_signatures:
+        if not store.sigs:
             out.append(char)
         elif (store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4) == key_sig:
             out.append(char)
@@ -488,9 +484,9 @@ def test_plain_scan_equals_per_slot_reference(store):
 def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: int):
     """list_query of a compacted store, one entry at a time from the
     payload's definition: entry i (the i-th occupied slot in slot order)
-    has character dense[i] and, with half = (entry_count + 1) // 2, its
-    signature in the low nibble of dsigs[i] below half and in the high
-    nibble of dsigs[i - half] from there on.  A run of _SCAN_LIMIT * sigma
+    has character chars[i] and, with half = (entry_count + 1) // 2, its
+    signature in the low nibble of sigs[i] below half and in the high
+    nibble of sigs[i - half] from there on.  A run of _SCAN_LIMIT * sigma
     slots or more, or a kept list of sigma characters or more, caps the
     scan."""
     t, sigma, n = store.capacity, store.sigma, store.entry_count
@@ -507,10 +503,10 @@ def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: in
     out = []
     for step in range(run):
         i = (first + step) % n
-        if not store.use_signatures:
-            out.append(store.dense[i])
-        elif (store.dsigs[i] & 15 if i < half else store.dsigs[i - half] >> 4) == key_sig:
-            out.append(store.dense[i])
+        if not store.sigs:
+            out.append(store.chars[i])
+        elif (store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4) == key_sig:
+            out.append(store.chars[i])
     return capped_by_count(out, sigma)
 
 
@@ -565,7 +561,7 @@ def reference_place(store: SubstStore, bucket_hash: int, char: int) -> None:
         raise IndexFormatError(f"level-{store.level} store: no empty slot left, "
                                f"its entry count {store.entry_count} is wrong")
     store.chars[s] = char
-    if store.use_signatures:
+    if store.sigs:
         half = (t + 1) // 2
         sig = (bucket_hash // t) & 15
         if s < half:

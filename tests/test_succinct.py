@@ -206,6 +206,24 @@ def test_chunk_size_is_a_bounded_multiple_of_64(n):
     assert chunk <= min(succinct._CHUNK, n // 8 + 64)
 
 
+def test_squeeze_of_an_empty_buffer():
+    assert succinct.squeeze(bytearray()) == b""
+
+
+# Lengths one below, at and one above a whole number of chunks: chunks of
+# 64 bytes for the short ones, of succinct._CHUNK for the long ones.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 9 * succinct._CHUNK - 1,
+                               9 * succinct._CHUNK, 9 * succinct._CHUNK + 1])
+def test_squeeze_deletes_every_zero_byte(n):
+    assert succinct.chunk_size(n) == (64 if n < 512 else succinct._CHUNK)
+    half_zero = bytes(b if b & 1 else 0 for b in range(256))
+    mixed = random.Random(n).randbytes(n).translate(half_zero)
+    for buf in (bytes(n), b"\x07" * n, mixed):
+        squeezed = succinct.squeeze(bytearray(buf))
+        assert type(squeezed) is bytes
+        assert squeezed == buf.replace(b"\0", b"")
+
+
 def _naive_runs(bits) -> list[float]:
     """The run of ones from each start, wrapping; infinite when every bit is set."""
     n = len(bits)
