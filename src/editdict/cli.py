@@ -13,9 +13,11 @@ Exit codes: 0 success, 1 runtime failure (including verify mismatches),
 2 usage error, 3 missing input file, 4 malformed index file.
 
 Randomized commands take --seed; when omitted, the EDITDICT_SEED
-environment variable is used, then 1.  Words are treated as raw bytes;
-patterns given on the command line are encoded as latin-1 so every byte
-value is reachable.
+environment variable is used, then 1.  Words are treated as raw bytes.
+A `query --pattern` is the raw bytes of its argument (os.fsencode), a
+`query --stdin` line is read as a word-list line, and plain-text matches
+are written as raw bytes, so a pattern finds the word-list line with the
+same bytes; --json output decodes words as latin-1.
 """
 
 from __future__ import annotations
@@ -221,26 +223,26 @@ def _cmd_build(args) -> int:
 
 def _cmd_query(args) -> int:
     index = load(args.index)
+    out = sys.stdout.buffer
     if args.stdin:
-        for line in sys.stdin:
-            pattern = line.rstrip("\n").rstrip("\r").encode("latin-1")
-            if not pattern:
-                print()
-                continue
-            result = index.query(pattern, args.k)
-            print(" ".join(_decode(w) for w in result.sorted_matches()))
+        # Each line is read as a word-list line: raw bytes, one CR stripped.
+        for line in sys.stdin.buffer:
+            pattern = line.removesuffix(b"\n").removesuffix(b"\r")
+            matches = index.query(pattern, args.k).sorted_matches() if pattern else []
+            out.write(b" ".join(matches) + b"\n")
+            out.flush()  # an interactive caller sees each answer at once
         return EXIT_OK
-    result = index.query(args.pattern.encode("latin-1"), args.k)
+    pattern = os.fsencode(args.pattern)
+    result = index.query(pattern, args.k)
     if args.json:
         print(json.dumps({
-            "pattern": args.pattern,
+            "pattern": _decode(pattern),
             "k": args.k,
             "matches": [_decode(w) for w in result.sorted_matches()],
             "stats": result.stats.__dict__,
         }))
     else:
-        for w in result.sorted_matches():
-            print(_decode(w))
+        out.writelines(w + b"\n" for w in result.sorted_matches())
     return EXIT_OK
 
 

@@ -279,12 +279,12 @@ class ExactDictionary:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, alpha: Fraction, seed: int,
-                   compacted: bool, delta: int, sigma: int):
+    def from_bytes(cls, buf, offset: int, seed: int, compacted: bool, delta: int,
+                   sigma: int):
         """Parse the section at offset; returns (dictionary, end offset).
 
         sigma is the index's largest stored byte: a table holding a byte
-        above it is rejected.  alpha is accepted by position and ignored.
+        above it is rejected.
         """
         d = cls(seed)
         (n_tables,) = struct.unpack_from("<H", buf, offset)

@@ -71,8 +71,9 @@ def poly_hash(word, seed: int) -> int:
 def blank_keys(word, seed: int, level: int) -> list[int]:
     """Substitution-store keys of a word: its hashes under seed with each
     position j (level 1), or each pair i < j (level 2, in combinations
-    order), replaced by WILDCARD.  The store build and the query engine
-    both derive their keys here."""
+    order), replaced by WILDCARD.  The store build and list_histogram
+    derive their keys here; the query engine makes the same keys of a
+    pattern from its HashContext."""
     m = len(word)
     pw = powers_of(seed, m)[1 : m + 1]
     h = sum(map(mul, word, pw))
@@ -88,12 +89,14 @@ class HashContext:
     prefix[j] = sum(w_i * r**i for i <= j) mod MODULUS, so prefix[0] == 0
     and prefix[m] == poly_hash(word).  Positions are 1-based throughout;
     insertion gaps run from 0 (front) to m (back).  With inv = r**-1, all
-    mod MODULUS, the query engine inlines delete and insert (its
-    substitution keys come from blank_keys):
+    mod MODULUS, the query engine inlines these:
 
-      substitute c at j     total + (c - w_j) * r**j
       delete j              prefix[j-1] + (total - prefix[j]) * inv
-      insert c at gap g     prefix[g] + c * r**(g+1) + (total - prefix[g]) * r
+      c at q, s inserted    prefix[q-1] + c * r**q + (total - prefix[q-s]) * r**s
+
+    where s = 0 substitutes c for w_q and s = 1 inserts c at gap q - 1.
+    With c = WILDCARD that is a one-wildcard store key; query_engine
+    splits the same sum over two blanks for a two-wildcard key.
     """
 
     __slots__ = ("prefix", "powers", "inv", "total")

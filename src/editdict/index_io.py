@@ -341,9 +341,8 @@ def load(source) -> Index:
         raise IndexFormatError(f"invalid header field: {exc}") from exc
     offset = _HEADER.size
     try:
-        exact, end = ExactDictionary.from_bytes(
-            view, offset, config.alpha, bucket_seed, compacted, delta, sigma
-        )
+        exact, end = ExactDictionary.from_bytes(view, offset, bucket_seed, compacted, delta,
+                                                sigma)
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")
         offset = end

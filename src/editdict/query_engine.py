@@ -14,11 +14,26 @@ a match with at most k edits, grouped by the shape of the lookup pattern:
            insins     two wildcards, length m + 2    -> level-2 then level-1
 
 `_one_edit` runs del, sub and ins on x, and for k == 2 on each deletion
-y_d of x (row d), which makes deldel, delsub and delins.  Sub and subsub
-keys come from hashing.blank_keys, like the store build's; the other
-keys are O(1) updates of a HashContext.  These scans and probes repeat
-one made already, so they are skipped (positions 1-based, gap g between
-positions g and g + 1, w the word _one_edit runs on):
+y_d of x (row d), which makes deldel, delsub and delins.
+
+Every wildcard key comes from one formula over the HashContext of the
+word w = w_1..w_n it blanks: a key of length n + r has r inserted
+blanks, and w fills its other places in order.  With P the prefix
+hashes, R the powers of the seed, T = P[n] and W the wildcard value, a
+blank at q (a substitution if r == 0, an insertion at gap q - 1 if
+r == 1) gives
+
+  P[q-1] + W*R[q] + (T - P[q-r]) * R[r]
+
+and blanks at qa < qb, of which ia in {0, 1} inserted at qa and r - ia
+at qb, give left[qa] + right[qb] with
+
+  left[qa]  = P[qa-1] + W*R[qa] - P[qa-ia] * R[ia]
+  right[qb] = P[qb-ia-1] * R[ia] + W*R[qb] + (T - P[qb-r]) * R[r]
+
+so a two-wildcard key costs one add and one mod once `right` is built.
+These scans and probes repeat one made already, so they are skipped
+(positions 1-based, gap g between positions g and g + 1):
 
   skipped                             made already as
   del at j, w_j == w_{j-1}            del at j - 1: the same string
@@ -26,39 +41,45 @@ positions g and g + 1, w the word _one_edit runs on):
   deldel at j < d in row d            row j, position d - 1
   delsub at d - 1 in row d            row d - 1, position d - 1
   delins at gap d - 1 in row d        sub at d
-  subsub filling x_i at left blank i  sub at the right blank
-  subins filling x_p at left blank p  ins at the inserted blank's gap
-  subins blanking p with gap p - 1    subins blanking p with gap p
-  sub filling w_j at blank j          w itself: x, or del at d for row d
-  subsub filling x_j at right blank j sub at the left blank
-  subins filling x_p at right blank p ins at the inserted blank's gap
+  subins inserting the left blank,    subins substituting the left
+    x_qa..x_{qb-1} one run              blank: the same key
+  a blank filled with the character   the key with one blank fewer
+    of w or x it took the place of      (w itself for one blank)
 
-Positions and characters decide every skip, never a key hash: two
-distinct blanked patterns can share a hash.
+The run rule is the one place where two edit pairs make one two-wildcard
+key: with the left blank inserted the key holds x_qa..x_{qb-2} between
+its blanks, with it substituted x_{qa+1}..x_{qb-1}, and the two are
+equal exactly when x_qa..x_{qb-1} is one run (adjacent blanks are its
+one-character case).  So each level-2 key is scanned once.  Level-1 keys
+can repeat on a pattern with a run: delins at gap 2 of y_2 and sub at 3
+of "baa" both make "ba*", which no skip looks for.  Positions and
+characters decide every skip, never a key hash: two distinct blanked
+patterns can share a hash.
 
-`_fill` writes each character a scan returned into the key's one blank
-and checks the candidate against the exact dictionary.  `_fill2` resolves
-a two-wildcard key leftmost first: each character for the left blank
+A key whose scan returns characters gets a fresh candidate buffer, w
+with a zero at each blank, from one slice join.  `_fill` writes each
+character a scan returned into the key's one blank and checks the
+candidate against the exact dictionary.  `_fill2` resolves a
+two-wildcard key leftmost first: each character for the left blank
 makes a one-wildcard key, whose level-1 scan goes to `_fill`.  As every
 candidate is checked, signature collisions and capped scans cost time,
-never correctness.  Candidates live in reusable buffers; moving from one
-to the next touches O(1) characters.
+never correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import UnsupportedQueryError, ValidationError
-from .hashing import MODULUS as _P, WILDCARD as _W, HashContext, blank_keys
+from .hashing import MODULUS as _P, WILDCARD as _W, HashContext
 from .util import as_bytes
 
 
 @dataclass
 class QueryStats:
-    """Work counters for one query: distinct store scans, candidates,
-    exact probes and capped scans."""
+    """Work counters for one query: store scans, candidates, exact probes
+    and capped scans.  A level-2 key is scanned once; on a pattern with a
+    run a level-1 key can be scanned twice (see the module docstring)."""
 
     lists_probed: int = 0
     candidates_generated: int = 0
@@ -89,8 +110,7 @@ def _fill(matches, probe, buf, q, pq, kb, chars, own) -> int:
     the key's hash, so the candidate holding c hashes to kb - W*pq + c*pq.
     c == own, the word's own character at q (0 for an inserted blank), is
     skipped: that candidate has one edit fewer, so a stored word there was
-    found already.
-    Hits go to matches; buf keeps the last character written.
+    found already.  Hits go to matches.
     """
     if type(chars) is list and len(chars) > 1:
         chars = set(chars)  # a run may hold one character more than once
@@ -132,8 +152,8 @@ def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars, own, own_b):
     return scans, caps, candidates
 
 
-def _one_edit(matches, q1, word, ctx, seed, probes, first, skip):
-    """del, sub and ins on word, whose HashContext under seed is ctx.
+def _one_edit(matches, q1, word, ctx, probes, first, skip):
+    """del, sub and ins on word, whose HashContext is ctx.
 
     probes holds the exact probes for lengths len(word) - 1, len(word) and
     len(word) + 1, None where no word has that length.  Deletions start at
@@ -141,7 +161,7 @@ def _one_edit(matches, q1, word, ctx, seed, probes, first, skip):
     as the one before it; substitution position `skip` and insertion gap
     `skip` are not scanned.  Returns (scans, capped scans, candidates).
     """
-    probe_del, probe_sub, probe_ins = probes
+    probe_del = probes[0]
     n = len(word)
     pre, pw, h = ctx.prefix, ctx.powers, ctx.total
     scans = caps = candidates = 0
@@ -160,32 +180,21 @@ def _one_edit(matches, q1, word, ctx, seed, probes, first, skip):
                 buf[j - 1] = c
             prev = c
 
-    if probe_sub is not None:
-        buf = bytearray(word)
-        for j, kb in enumerate(blank_keys(word, seed, 1), 1):
-            if j != skip:
+    # sub (r = 0) and ins (r = 1): one blank at q, r of it inserted.
+    for r, probe in enumerate(probes[1:]):
+        if probe is None:
+            continue
+        sr = pw[r]
+        for q in range(1, n + r + 1):
+            if q - r != skip:
+                kb = (pre[q - 1] + _W * pw[q] + (h - pre[q - r]) * sr) % _P
                 chars, capped = q1(kb)
                 scans += 1
                 caps += capped
                 if chars:
-                    candidates += _fill(matches, probe_sub, buf, j, pw[j], kb, chars,
-                                        word[j - 1])
-                    buf[j - 1] = word[j - 1]
-
-    if probe_ins is not None:
-        buf = bytearray(n + 1)
-        buf[1:] = word
-        for g in range(n + 1):
-            if g != skip:
-                pg = pre[g]
-                kb = (pg + _W * pw[g + 1] + (h - pg) * seed) % _P
-                chars, capped = q1(kb)
-                scans += 1
-                caps += capped
-                if chars:
-                    candidates += _fill(matches, probe_ins, buf, g + 1, pw[g + 1], kb, chars, 0)
-            if g < n:
-                buf[g] = word[g]
+                    buf = bytearray(b"\0".join((word[: q - 1], word[q - r :])))
+                    candidates += _fill(matches, probe, buf, q, pw[q], kb, chars,
+                                        0 if r else word[q - 1])
 
     return scans, caps, candidates
 
@@ -229,7 +238,7 @@ def query(index, pattern, k: int) -> QueryResult:
     probe_shorter = probe_for(m - 1)
     probe_longer = probe_for(m + 1)
     # del, sub and ins of the pattern: every position and gap (skip -1).
-    lists, caps, candidates = _one_edit(matches, q1, pattern, ctx, seed,
+    lists, caps, candidates = _one_edit(matches, q1, pattern, ctx,
                                         (probe_shorter, probe_same, probe_longer), 1, -1)
     if k == 1:
         return QueryResult(matches, QueryStats(lists, candidates, candidates + identity, caps))
@@ -239,82 +248,44 @@ def query(index, pattern, k: int) -> QueryResult:
     for d in range(1, m + 1):
         if d == 1 or pattern[d - 1] != pattern[d - 2]:
             y = pattern[: d - 1] + pattern[d:]
-            n1, c1, n = _one_edit(matches, q1, y, HashContext(y, seed), seed,
-                                  row_probes, d, d - 1)
+            n1, c1, n = _one_edit(matches, q1, y, HashContext(y, seed), row_probes, d, d - 1)
             lists += n1
             caps += c1
             candidates += n
 
+    # -- subsub, subins, insins: blanks qa < qb, r inserted, ia of them at qa --
     q2 = index.store2.list_query
-    hb, pb, prefb = ctx.total, ctx.powers, ctx.prefix
-    bseed2 = seed * seed % _P
-
-    # -- two substitutions -----------------------------------------------------
-    if probe_same is not None:
-        buf = bytearray(pattern)
-        for (i, j), kb in zip(combinations(range(1, m + 1), 2), blank_keys(pattern, seed, 2)):
-            chars, capped = q2(kb)
-            lists += 1
-            caps += capped
-            if chars:
-                n1, c1, n = _fill2(matches, probe_same, q1, buf, i, pb[i], j, pb[j], kb, chars,
-                                   pattern[i - 1], pattern[j - 1])
-                lists += n1
-                caps += c1
-                candidates += n
-                buf[i - 1] = pattern[i - 1]
-                buf[j - 1] = pattern[j - 1]
-
-    # -- substitution + insertion ----------------------------------------------
-    if probe_longer is not None:
-        buf = bytearray(m + 1)
-        buf[1:] = pattern
-        for g in range(m + 1):
-            pg = prefb[g]
-            gi = g + 1  # final position of the inserted blank
-            kb_ins = (pg + _W * pb[gi] + (hb - pg) * seed) % _P
-            for p in range(1, m + 1):
-                if p == gi:  # adjacent blanks; identical pattern to (p, gap p)
-                    continue
-                fp = p if p <= g else p + 1  # final position of the blanked char
-                oc = pattern[p - 1]
-                kb = (kb_ins + (_W - oc) * pb[fp]) % _P
+    pre, pw, total = ctx.prefix, ctx.powers, ctx.total
+    last = list(range(m + 1))  # last[q]: the last position of the run through x_q
+    for q in range(m - 1, 0, -1):
+        if pattern[q - 1] == pattern[q]:
+            last[q] = last[q + 1]
+    for r, ia, probe in ((0, 0, probe_same), (1, 0, probe_longer), (1, 1, probe_longer),
+                         (2, 1, probe_for(m + 2))):
+        if probe is None:
+            continue
+        ib = r - ia
+        si, sr = pw[ia], pw[r]
+        right = [0, 0] + [(pre[qb - ia - 1] * si + _W * pw[qb] + (total - pre[qb - r]) * sr) % _P
+                          for qb in range(2, m + r + 1)]
+        for qa in range(1, m + r):
+            ka = (pre[qa - 1] + _W * pw[qa] - pre[qa - ia] * si) % _P
+            own_a = 0 if ia else pattern[qa - 1]
+            # An inserted left blank before a substituted right one needs a
+            # break in the run from x_qa: the module docstring's run rule.
+            for qb in range(last[qa] + 2 if ia > ib else qa + 1, m + r + 1):
+                kb = (ka + right[qb]) % _P
                 chars, capped = q2(kb)
                 lists += 1
                 caps += capped
                 if chars:
-                    qa, qb, own, own_b = (fp, gi, oc, 0) if fp < gi else (gi, fp, 0, oc)
-                    n1, c1, n = _fill2(matches, probe_longer, q1, buf, qa, pb[qa], qb, pb[qb],
-                                       kb, chars, own, own_b)
+                    buf = bytearray(b"\0".join((pattern[: qa - 1],
+                                                pattern[qa - ia : qb - 1 - ia],
+                                                pattern[qb - r :])))
+                    n1, c1, n = _fill2(matches, probe, q1, buf, qa, pw[qa], qb, pw[qb], kb,
+                                       chars, own_a, 0 if ib else pattern[qb - r - 1])
                     lists += n1
                     caps += c1
                     candidates += n
-                    buf[fp - 1] = oc
-            if g < m:
-                buf[g] = pattern[g]
-
-    # -- two insertions ----------------------------------------------------------
-    probe_long2 = probe_for(m + 2)
-    if probe_long2 is not None:
-        buf = bytearray(m + 2)
-        for a in range(1, m + 2):
-            buf[: a - 1] = pattern[: a - 1]
-            buf[a + 1 :] = pattern[a - 1 :]
-            pa = prefb[a - 1]
-            wa = _W * pb[a]
-            for b in range(a + 1, m + 3):
-                pqb = prefb[b - 2]
-                kb = (pa + wa + (pqb - pa) * seed + _W * pb[b] + (hb - pqb) * bseed2) % _P
-                chars, capped = q2(kb)
-                lists += 1
-                caps += capped
-                if chars:
-                    n1, c1, n = _fill2(matches, probe_long2, q1, buf, a, pb[a], b, pb[b], kb,
-                                       chars, 0, 0)
-                    lists += n1
-                    caps += c1
-                    candidates += n
-                if b < m + 2:
-                    buf[b - 1] = pattern[b - 2]
 
     return QueryResult(matches, QueryStats(lists, candidates, candidates + identity, caps))

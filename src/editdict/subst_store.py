@@ -7,8 +7,8 @@ character w[j] keyed by the word with position j blanked out.  A level-2
 store does the same for every pair of positions i < j, storing the
 character at the leftmost blank.  A word's entries are made in one batch:
 hashing.blank_keys gives its keys, the hashes of the word with j or i < j
-blanked, and one loop places them in that order.  The query engine scans
-the keys of a pattern with the same function.
+blanked, and one loop places them in that order.  The query engine makes
+the same keys of a pattern from its HashContext.
 
 All entries of one level share a single linear-probing character table;
 the key only determines the starting slot (key hash mod capacity), so a

@@ -2,10 +2,11 @@
 
 The hashing tests check the O(1) formulas here against poly_hash of the
 edited string built by apply_edit.  The query engine inlines the delete
-and insert formulas; its substitution keys, like the stores', come from
-hashing.blank_keys, which the store tests check against poly_hash of the
-blanked word.  SpecContext is a HashContext that also keeps its word and
-seed, which the formulas read and the library does not.
+formula, and makes every wildcard key of a pattern from one formula over
+its HashContext, which the engine tests check against poly_hash of the
+blanked pattern.  The stores' keys come from hashing.blank_keys, which the
+store tests check the same way.  SpecContext is a HashContext that also
+keeps its word and seed, which the formulas read and the library does not.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from itertools import product
@@ -93,13 +94,50 @@ def test_query_json(built, capsys):
 
 
 def test_query_stdin(built, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("ALABAMX\nqqqqq\nbanal\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"ALABAMX\nqqqqq\r\n\nbanal"))
+    monkeypatch.setattr("sys.stdin", stdin)
     rc = run_cli(["query", "--index", built, "--k", "1", "--stdin"])
     assert rc == EXIT_OK
     lines = capsys.readouterr().out.split("\n")
     assert lines[0] == "ALABAMA"
-    assert lines[1] == ""          # no match for qqqqq
-    assert "banal" in lines[2].split()
+    assert lines[1] == ""          # no match for qqqqq (its CR is stripped)
+    assert lines[2] == ""          # an empty line
+    assert "banal" in lines[3].split()
+    assert lines[4:] == [""]
+
+
+@pytest.fixture
+def non_ascii(tmp_path):
+    """An index over a UTF-8 word and a latin-1 word, both raw bytes."""
+    words = tmp_path / "words.txt"
+    words.write_bytes("café\n".encode() + b"na\xefve\n")
+    out = str(tmp_path / "ix.bin")
+    assert run_cli(["build", "--input", str(words), "--output", out, "--errors", "1"]) == EXIT_OK
+    return out
+
+
+def test_query_pattern_is_its_argument_bytes(non_ascii, capsysbinary):
+    # A command-line argument is decoded with os.fsdecode, so os.fsencode
+    # gives back its bytes: UTF-8 text, and undecodable bytes too.
+    # --json decodes the pattern as latin-1, like the matches.
+    for pattern, word in [("café", "café".encode()), (os.fsdecode(b"na\xefve"), b"na\xefve")]:
+        argv = ["query", "--index", non_ascii, "--k", "0", "--pattern", pattern]
+        assert run_cli(argv) == EXIT_OK
+        assert capsysbinary.readouterr().out == word + b"\n"
+        assert run_cli(argv + ["--json"]) == EXIT_OK
+        payload = json.loads(capsysbinary.readouterr().out)
+        assert payload["pattern"] == word.decode("latin-1")
+        assert payload["matches"] == [word.decode("latin-1")]
+
+
+def test_query_stdin_reads_raw_bytes(non_ascii):
+    r = subprocess.run(
+        [sys.executable, "-m", "editdict.cli", "query", "--index", non_ascii, "--k", "1",
+         "--stdin"],
+        input="café\n".encode() + b"na\xefv\n", capture_output=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "café\n".encode() + b"na\xefve\n"
 
 
 def test_query_k_not_below_pattern_length_fails(built, capsys):

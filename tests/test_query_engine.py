@@ -237,11 +237,12 @@ RUNLESS = [bytes(p) for m in range(3, 8) for p in product(SYMBOLS, repeat=m) if 
 def test_engine_scans_every_pattern_key(k):
     # Empty scans leave only the store keys and the deletion candidates.
     # Each key is scanned once, except at k=2 on a pattern with a run:
-    # there two different edit pairs can make one key as long as x (delins
-    # at gap 2 of y_2 and sub at 3 of "baa" are both "ba*") or one
-    # two-wildcard key (sub 1 + ins at gap 2 and sub 2 + ins at gap 0 of
-    # "aa" are both "*a*"), which the engine does not look for.  Keys
-    # shorter or longer than x are scanned once on every pattern.
+    # there two different edit pairs can make one one-wildcard key as long
+    # as x (delins at gap 2 of y_2 and sub at 3 of "baa" are both "ba*"),
+    # which the engine does not look for.  One-wildcard keys shorter or
+    # longer than x, and every two-wildcard key, are scanned once on every
+    # pattern: the run rule drops the subins key "*a*" of "aa" made by
+    # sub 2 + ins at gap 0, which sub 1 + ins at gap 2 makes too.
     for x in PATTERNS + [x for x in RUNLESS if len(x) > 5]:
         r, scans, probes = _recorded_query(x, k, ((), False))
         keys = {}  # (wildcards, length) -> key hashes
@@ -253,7 +254,7 @@ def test_engine_scans_every_pattern_key(k):
                 *(hashes for (n, _), hashes in keys.items() if n == level)), x
             counts = Counter(scans[level])
             for (n, length), hashes in keys.items():
-                if n == level and (k == 1 or not _has_run(x) or (n == 1 and length != len(x))):
+                if n == level and (k == 1 or not _has_run(x) or n == 2 or length != len(x)):
                     assert all(counts[h] == 1 for h in hashes), (x, n, length)
         probed = [b for b, _ in probes]
         assert {tuple(b) for b in probed} == _ball(x, k, ())  # deletions and x
