@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -108,6 +109,9 @@ class BenchReport:
     total_length: int
     round_means_us: list[float]
     mean_us: float
+    p50_us: float
+    p95_us: float
+    p99_us: float
     totals: QueryStats
     nonempty: int
     total_queries: int
@@ -122,6 +126,9 @@ class BenchReport:
             "total_length": self.total_length,
             "round_means_us": self.round_means_us,
             "mean_us": self.mean_us,
+            "p50_us": self.p50_us,
+            "p95_us": self.p95_us,
+            "p99_us": self.p99_us,
             "lists_probed": self.totals.lists_probed,
             "candidates_generated": self.totals.candidates_generated,
             "exact_probes": self.totals.exact_probes,
@@ -136,10 +143,10 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
     """Run the latency benchmark: `rounds` batches of `queries` patterns.
 
     Patterns are dictionary words with k random edits applied, generated
-    deterministically from the seed.  Each batch is timed wall-clock and
-    divided by the query count; the report's mean is the mean of the
-    round means.  A count below 1 or an empty word list raises
-    ValidationError.
+    deterministically from the seed.  Each query is timed on its own with
+    perf_counter_ns.  The report gives each round's mean, the mean of the
+    round means, and the nearest-rank p50, p95 and p99 over all queries.
+    A count below 1 or an empty word list raises ValidationError.
     """
     for name, count in (("queries", queries), ("rounds", rounds)):
         if not isinstance(count, int) or count < 1:
@@ -151,14 +158,19 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
     alphabet = sorted({c for w in words for c in w})
     rng = random.Random(seed)
     round_means = []
+    times_ns = []
     totals = QueryStats()
     nonempty = 0
+    clock = time.perf_counter_ns
     for _ in range(rounds):
         batch = generate_bench_queries(words, k, queries, rng, alphabet)
-        start = time.perf_counter()
-        results = [index.query(p, k) for p in batch]
-        elapsed = time.perf_counter() - start
-        round_means.append(1e6 * elapsed / len(batch))
+        results = []
+        first = len(times_ns)
+        for p in batch:
+            start = clock()
+            results.append(index.query(p, k))
+            times_ns.append(clock() - start)
+        round_means.append(sum(times_ns[first:]) / 1e3 / len(batch))
         for r in results:
             st = r.stats
             totals.lists_probed += st.lists_probed
@@ -168,10 +180,13 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
             if r.matches:
                 nonempty += 1
     mean = sum(round_means) / len(round_means)
+    times_ns.sort()
+    p50, p95, p99 = (times_ns[math.ceil(len(times_ns) * p / 100) - 1] / 1e3 for p in (50, 95, 99))
     return BenchReport(
         k=k, queries_per_round=queries, rounds=rounds, seed=seed,
         word_count=index.word_count, total_length=index.total_length,
-        round_means_us=round_means, mean_us=mean, totals=totals,
+        round_means_us=round_means, mean_us=mean, p50_us=p50, p95_us=p95, p99_us=p99,
+        totals=totals,
         nonempty=nonempty, total_queries=queries * rounds,
     )
 
@@ -226,12 +241,21 @@ def _cmd_query(args) -> int:
     out = sys.stdout.buffer
     if args.stdin:
         # Each line is read as a word-list line: raw bytes, one CR stripped.
-        for line in sys.stdin.buffer:
+        # A line that is no valid pattern gets an empty answer line and an
+        # error naming it; the lines after it are still answered.
+        status = EXIT_OK
+        for number, line in enumerate(sys.stdin.buffer, start=1):
             pattern = line.removesuffix(b"\n").removesuffix(b"\r")
-            matches = index.query(pattern, args.k).sorted_matches() if pattern else []
+            matches = []
+            if pattern:
+                try:
+                    matches = index.query(pattern, args.k).sorted_matches()
+                except ValidationError as exc:
+                    print(f"editdict: line {number}: {exc}", file=sys.stderr)
+                    status = EXIT_FAILURE
             out.write(b" ".join(matches) + b"\n")
             out.flush()  # an interactive caller sees each answer at once
-        return EXIT_OK
+        return status
     pattern = os.fsencode(args.pattern)
     result = index.query(pattern, args.k)
     if args.json:
@@ -272,6 +296,7 @@ def _cmd_bench(args) -> int:
     for i, us in enumerate(report.round_means_us, start=1):
         print(f"round {i:2d}: {us:.2f} us/query")
     print(f"mean: {report.mean_us:.2f} us/query")
+    print(f"p50: {report.p50_us:.2f}  p95: {report.p95_us:.2f}  p99: {report.p99_us:.2f} us/query")
     t = report.totals
     print(f"lists probed: {t.lists_probed}")
     print(f"candidates generated: {t.candidates_generated}")

@@ -112,7 +112,7 @@ def _fill(matches, probe, buf, q, pq, kb, chars, own) -> int:
     skipped: that candidate has one edit fewer, so a stored word there was
     found already.  Hits go to matches.
     """
-    if type(chars) is list and len(chars) > 1:
+    if type(chars) is not range and len(chars) > 1:
         chars = set(chars)  # a run may hold one character more than once
     base = (kb - _W * pq) % _P
     q -= 1
@@ -136,7 +136,7 @@ def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars, own, own_b):
     key is x's sub or ins key.  Returns (level-1 scans, capped scans,
     candidates probed).
     """
-    if type(chars) is list and len(chars) > 1:
+    if type(chars) is not range and len(chars) > 1:
         chars = set(chars)
     scans = caps = candidates = 0
     qa -= 1

@@ -26,10 +26,19 @@ bounded:
   the home slot is _SCAN_LIMIT * sigma slots or longer, or when its
   signature-filtered list already holds sigma characters or more.  So no
   scan reads more than _SCAN_LIMIT * sigma slots or returns more than
-  sigma characters.  The run limit is a multiple of sigma because at load
-  alpha linear probing's expected unsuccessful run is about
-  (1 + 1/(1 - alpha)**2) / 2 slots, 13 at alpha = 0.8: a limit of sigma =
-  12 would cap ordinary runs there, not adversarial ones.
+  sigma characters.  The run limit guards against pathological clusters
+  only, so it sits far out in the tail of ordinary ones.  At load alpha
+  linear probing's expected unsuccessful run is about
+  (1 + 1/(1 - alpha)**2) / 2 slots, 13 at alpha = 0.8, and the tail is
+  long: in the stores of a sigma = 12 dictionary filled to load 0.8 by
+  inserts, 7% (level 1) and 10% (level 2) of the runs from an occupied
+  slot reach 4 * sigma = 48 slots, 0.03% and 0.3% reach 16 * sigma.  A
+  capped scan turns a list of a few characters into sigma candidates,
+  each an exact probe or a store scan of about 1 us, while reading a
+  run costs about 4 ns a slot in C.  So the limit is 16 * sigma, where a
+  run is rare at any ordinary load and still bounded: at sigma = 255 the
+  longest run a scan reads, 4,079 slots, takes about 20 us plain and
+  35 us compacted.
 
 Keys with one home slot differ in their quotients, so their signatures
 are as good as independent while h // capacity spans many multiples of
@@ -53,9 +62,10 @@ crosses half or the end.
 
 A plain scan does its work in C: `chars.find(0, ...)` locates the empty
 slot that ends the run (a second find when the run wraps), one
-`translate` turns the run's signature bytes into nibbles, and a run
-without a nibble equal to the key's signature is rejected by one `in`
-test before any per-slot work.
+`translate` per signature half turns the run's signature bytes into a
+mask, 0xFF where the nibble is the key's signature and 0 elsewhere, a
+run without a 0xFF is rejected by one `in` test, and `_keep` keeps the
+run's characters under the mask without a per-slot Python step.
 
 Compaction freezes a store and drops its empty slots.  It adds the
 occupancy bits (succinct.py: in memory, flat arrays of 64-bit data words
@@ -67,7 +77,7 @@ the home bit, measures the run of ones inside the home slot's 64-bit
 word with a trailing-ones bit trick (run_of_ones continues only a run
 that reaches the word's end), decides the length cap from the run
 alone, computes the home slot's rank inline, and then filters the run's
-entries with the same `translate` and `in` test as a plain scan.
+entries with the same mask, `in` test and `_keep` as a plain scan.
 
 On disk a store section is its capacity and entry count (<QQ), then the
 occupancy bits if compacted, then `chars` and `sigs`.  Everything else a
@@ -92,11 +102,15 @@ from .util import capacity_for, check_headroom, check_loaded_table, take, valida
 _EMPTY: tuple[int, ...] = ()
 
 # A run of _SCAN_LIMIT * sigma slots or more caps a scan.
-_SCAN_LIMIT = 4
+_SCAN_LIMIT = 16
 
 # Byte translation tables for reading signature nibbles.
 _LOW_NIBBLE = bytes(b & 15 for b in range(256))
 _HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
+# Per signature g, the tables that map a signature byte to 0xFF where its
+# low (or high) nibble is g and to 0 elsewhere.
+_SIG_MASKS = [(bytes(255 if b & 15 == g else 0 for b in range(256)),
+               bytes(255 if b >> 4 == g else 0 for b in range(256))) for g in range(16)]
 
 # Fixed seeds for list_histogram key fingerprints; any two distinct values
 # in [1, MODULUS - 2] work, these are arbitrary odd constants.
@@ -104,13 +118,27 @@ _HIST_SEED_A = 0x1F3D5B79
 _HIST_SEED_B = 0x6A4C2E97
 
 
-def _nibbles(sigs, half: int, a: int, b: int) -> bytes:
-    """Signatures a..b-1 of a split-nibble array, in order; 0 <= a <= b <= 2 * half."""
+def _nibbles(sigs, half: int, a: int, b: int, low=_LOW_NIBBLE, high=_HIGH_NIBBLE) -> bytes:
+    """Signatures a..b-1 of a split-nibble array, in order, each low nibble
+    translated by `low` and each high one by `high`; 0 <= a <= b <= 2 * half."""
     if b <= half:
-        return sigs[a:b].translate(_LOW_NIBBLE)
+        return sigs[a:b].translate(low)
     if a >= half:
-        return sigs[a - half : b - half].translate(_HIGH_NIBBLE)
-    return sigs[a:].translate(_LOW_NIBBLE) + sigs[: b - half].translate(_HIGH_NIBBLE)
+        return sigs[a - half : b - half].translate(high)
+    return sigs[a:].translate(low) + sigs[: b - half].translate(high)
+
+
+def _keep(run, mask) -> bytes:
+    """The bytes of run where mask, of the same length, is 0xFF (0
+    elsewhere), in order; run holds no zero byte.
+
+    Done in C either way: a short run by compress, a longer one by one AND
+    of both as integers, whose zero bytes are then deleted.
+    """
+    if len(run) < 32:
+        return bytes(compress(run, mask))
+    kept = int.from_bytes(run, "little") & int.from_bytes(mask, "little")
+    return kept.to_bytes(len(run), "little").translate(None, b"\0")
 
 
 def entries_for(word_length: int, level: int) -> int:
@@ -195,10 +223,14 @@ class SubstStore:
         Scans circularly from the key's home slot (bucket_hash mod
         capacity) to the next empty slot, keeping the characters whose
         stored signature equals the key's (all of them if the store has no
-        signatures).  A run of _SCAN_LIMIT * sigma slots or more, or a kept
-        list of sigma characters or more, returns the full alphabet
-        instead, with capped = True.  The result is always a superset of
-        the characters stored under this key.
+        signatures), as bytes in slot order, repeats included.  A run of
+        _SCAN_LIMIT * sigma slots or more, or a kept list of sigma
+        characters or more, returns the full alphabet range(1, sigma + 1)
+        instead, with capped = True.  The run limit is far above an
+        ordinary run at any load, so it caps pathological clusters only
+        (see the module docstring); the count limit caps a list that is no
+        shorter than the alphabet.  The result is always a superset of the
+        characters stored under this key.
         """
         t = self.capacity
         sigma = self.sigma
@@ -239,22 +271,23 @@ class SubstStore:
         # The run is chars[s:e], or chars[s:] + chars[:e] when it wraps.
         sigs = self.sigs
         if sigs:
-            key_sig = (bucket_hash // t) & 15
+            # One translate maps each of the run's signature bytes to 0xFF
+            # where its nibble is the key's signature and to 0 elsewhere.
+            low, high = _SIG_MASKS[(bucket_hash // t) & 15]
             half = (n + 1) >> 1
             if s < e <= half:
-                nibbles = sigs[s:e].translate(_LOW_NIBBLE)
+                mask = sigs[s:e].translate(low)
             elif half <= s < e:
-                nibbles = sigs[s - half : e - half].translate(_HIGH_NIBBLE)
+                mask = sigs[s - half : e - half].translate(high)
             elif s < e:
-                nibbles = _nibbles(sigs, half, s, e)
+                mask = _nibbles(sigs, half, s, e, low, high)
             else:
-                nibbles = _nibbles(sigs, half, s, n) + _nibbles(sigs, half, 0, e)
-            if key_sig not in nibbles:
+                mask = _nibbles(sigs, half, s, n, low, high) + _nibbles(sigs, half, 0, e, low, high)
+            if 255 not in mask:
                 return _EMPTY, False
-            run = chars[s:e] if s < e else chars[s:] + chars[:e]
-            out = [c for c, g in zip(run, nibbles) if g == key_sig]
+            out = _keep(chars[s:e] if s < e else chars[s:] + chars[:e], mask)
         else:
-            out = list(chars[s:e] if s < e else chars[s:] + chars[:e])
+            out = bytes(chars[s:e] if s < e else chars[s:] + chars[:e])
         if len(out) >= sigma:
             return range(1, sigma + 1), True
         return out, False

@@ -209,8 +209,9 @@ def test_acceptance_08_incremental_insertion():
     """Build a 2-error index on 70% of a 1e5-word corpus at alpha=0.7,
     insert the next 25%, then verify sampled queries against the reference."""
     rng = random.Random(0xACCE08)
-    # Dense alphabet [1..12]: the capped-scan fallback then enumerates 12
-    # candidate characters, keeping worst-case work at 0.95 load sane.
+    # Dense alphabet [1..12] at load 0.95: long probe runs are common, but
+    # no scan reads more than _SCAN_LIMIT * 12 slots or returns more than
+    # 12 candidate characters, which keeps the worst-case work sane.
     corpus = _corpus(rng, 100_000, 5, 11, alphabet_size=12, first=1)
     by_len = {}
     for w in corpus:

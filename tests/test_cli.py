@@ -106,6 +106,24 @@ def test_query_stdin(built, capsys, monkeypatch):
     assert lines[4:] == [""]
 
 
+def test_query_stdin_answers_past_a_bad_line(tmp_path, capsys, monkeypatch):
+    # "x" is no longer than k: it gets an empty answer line and an error
+    # naming its line, and the line after it is still answered.
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"naive\ncafe\n")
+    ix = str(tmp_path / "ix.bin")
+    assert run_cli(["build", "--input", str(words), "--output", ix, "--errors", "1"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"naive\nx\ncafe\n")))
+    rc = run_cli(["query", "--index", ix, "--k", "1", "--stdin"])
+    assert rc == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out.split("\n") == ["naive", "", "cafe", ""]
+    assert captured.err.startswith("editdict: line 2: ")
+    assert "must be smaller" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def non_ascii(tmp_path):
     """An index over a UTF-8 word and a latin-1 word, both raw bytes."""
@@ -241,6 +259,16 @@ def test_bench_report_shape(built, wordfile, capsys):
     assert len(payload["round_means_us"]) == 2
     assert payload["queries_with_matches"] == payload["total_queries"] == 10
     assert payload["mean_us"] > 0
+    assert 0 < payload["p50_us"] <= payload["p95_us"] <= payload["p99_us"]
+    # Nearest rank over 10 queries: p95 and p99 are both the slowest one,
+    # which is above the mean unless every query took the same time.
+    assert payload["p99_us"] == payload["p95_us"] >= payload["mean_us"]
+    rc = run_cli(["bench", "--index", built, "--input", wordfile,
+                  "--queries", "5", "--rounds", "2", "--seed", "3"])
+    assert rc == EXIT_OK
+    text = capsys.readouterr().out
+    assert "mean: " in text
+    assert "p50: " in text and "p95: " in text and "p99: " in text
 
 
 def test_bench_single_query(built, wordfile, capsys):

@@ -470,8 +470,22 @@ def plain_store(draw):
     return fill_store(capacity, sig_on, sigma, entries)
 
 
+@st.composite
+def long_run_store(draw):
+    """A plain store of 100 or 101 slots with sigma = 12 holding one run of
+    40 to 90 entries whose home is near the last slot, so the run wraps past
+    it and crosses half (of the slots, and of the entries once compacted),
+    with random signatures and characters.  Scans from its slots read runs
+    of 1 to 90 places, so _keep takes both of its ways."""
+    capacity = draw(st.sampled_from((100, 101)))
+    home = draw(st.integers(capacity - 30, capacity - 1))
+    entries = draw(st.lists(st.tuples(st.just(home), st.integers(0, 15), st.integers(1, 12)),
+                            min_size=40, max_size=90))
+    return fill_store(capacity, draw(st.booleans()), 12, entries)
+
+
 @settings(max_examples=200, deadline=None)
-@given(store=plain_store())
+@given(store=st.one_of(plain_store(), long_run_store()))
 @example(store=fill_store(sig_on=True, **BOTH_CAPS))
 @example(store=fill_store(sig_on=False, **BOTH_CAPS))
 def test_plain_scan_equals_per_slot_reference(store):
@@ -514,7 +528,7 @@ def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: in
 def compacted_store(draw):
     """A small compacted store with odd or even entry counts, whose runs
     cross the entries' signature split and wrap past the last entry."""
-    return compacted(draw(plain_store()))
+    return compacted(draw(st.one_of(plain_store(), long_run_store())))
 
 
 def compacted(store: SubstStore):
@@ -684,3 +698,46 @@ def test_run_one_short_of_limit_is_filtered(compact, home):
     store = one_run_store(compact, True, home, [(1, 1)] * (LIMIT - 1))
     chars, capped = store.list_query(home + 2 * store.capacity)
     assert (list(chars), capped) == ([], False)
+
+
+@layouts
+@homes
+@pytest.mark.parametrize("sig_on", [False, True])
+def test_run_past_four_sigma_is_read(compact, sig_on, home):
+    # A run of 8 * sigma slots, twice the length that once capped a scan,
+    # is short of the limit.  Signed, the key's one entry behind the run's
+    # foreign ones is its whole list; unsigned, the run lists more than
+    # sigma characters, which the count cap turns into the alphabet.
+    assert 8 * SIGMA < LIMIT
+    store = one_run_store(compact, sig_on, home, [(1, 1)] * (8 * SIGMA - 1) + [(2, 3)])
+    chars, capped = store.list_query(home + 2 * store.capacity)
+    assert (list(chars), capped) == (([3], False) if sig_on else ([1, 2, 3, 4], True))
+
+
+@layouts
+@pytest.mark.parametrize("sig_on", [False, True])
+@pytest.mark.parametrize("home", [3, 60, 150])  # inside, across half, wrapping past the end
+def test_run_of_exactly_limit_slots_caps_in_a_larger_table(compact, sig_on, home):
+    # In a 181-slot table a run of LIMIT slots ends at an empty slot, which
+    # the bounded search must not reach.  A run one slot shorter is read:
+    # signed, none of its entries carries the key's signature 2; unsigned,
+    # its LIMIT - 1 characters cap by count.
+    for length, capped in ((LIMIT, True), (LIMIT - 1, not sig_on)):
+        store = fill_store(181, sig_on, SIGMA, [(home, 1, 1)] * length)
+        if compact:
+            store.compact()
+        chars, was_capped = store.list_query(home + 2 * store.capacity)
+        assert (list(chars), was_capped) == (([1, 2, 3, 4], True) if capped else ([], False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(1, 255), st.booleans()), max_size=100),
+       mutable=st.booleans())
+def test_keep_equals_per_byte_filter(pairs, mutable):
+    run = bytes(c for c, _ in pairs)
+    mask = bytes(255 if keep else 0 for _, keep in pairs)
+    if mutable:  # a plain store's slices are bytearrays
+        run = bytearray(run)
+    kept = subst_store._keep(run, mask)
+    assert type(kept) is bytes
+    assert kept == bytes(c for c, keep in pairs if keep)
