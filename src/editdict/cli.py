@@ -5,7 +5,8 @@ Subcommands:
     build            build an index file from a word list
     query            run a single query (or one per stdin line)
     bench            latency benchmark over randomly edited dictionary words
-    stats            substitution-list size histogram, table occupancy
+    stats            substitution-list size histogram, table occupancy and
+                     signature widths
     heuristic-bench  candidate-list sizes of the split-in-half baseline
     verify           compare sampled query results against the reference scan
 
@@ -35,7 +36,7 @@ from .baseline import build_partition_index, oracle_query_bounded, partition_sta
 from .errors import EditDictError, IndexFormatError, ValidationError
 from .index_io import BuildConfig, Index, build_index, load, read_wordlist, save
 from .query_engine import QueryStats
-from .subst_store import list_histogram
+from .subst_store import list_histogram, signature_bits
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -320,11 +321,14 @@ def _cmd_stats(args) -> int:
     occupancy = None
     if args.index:
         index = load(args.index)
-        occupancy = [
-            {"table": name, "entries": entries, "capacity": capacity,
-             "load": entries / capacity if capacity else 0.0}
-            for name, entries, capacity in index.table_report()
-        ]
+        sig_bits = signature_bits(index.sigma) if index.config.use_signatures else 0
+        occupancy = []
+        for name, entries, capacity in index.table_report():
+            row = {"table": name, "entries": entries, "capacity": capacity,
+                   "load": entries / capacity if capacity else 0.0}
+            if name.startswith("store"):  # a substitution store's row
+                row["sig_bits"] = sig_bits
+            occupancy.append(row)
         payload["occupancy"] = occupancy
     if args.json:
         print(json.dumps(payload))
@@ -336,10 +340,10 @@ def _cmd_stats(args) -> int:
     print(f"total entries: {hist.total_entries}")
     if occupancy is not None:
         print()
-        print(f"{'table':<18} {'entries':>12} {'capacity':>12} {'load':>7}")
+        print(f"{'table':<18} {'entries':>12} {'capacity':>12} {'load':>7} {'sig bits':>8}")
         for row in occupancy:
             print(f"{row['table']:<18} {row['entries']:>12} {row['capacity']:>12} "
-                  f"{row['load']:7.3f}")
+                  f"{row['load']:7.3f} {row.get('sig_bits', '-'):>8}")
     return EXIT_OK
 
 
@@ -413,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"table load factor (default {defaults.alpha})")
     p.add_argument("--signatures", action=argparse.BooleanOptionalAction,
                    default=defaults.use_signatures,
-                   help="store 4-bit key signatures (default: on)")
+                   help="store key signatures, 4 to 11 bits by sigma (default: on)")
     p.add_argument("--compact", action="store_true", default=defaults.compact,
                    help="bit-compact the finished tables")
     p.add_argument("--delta", type=int, default=defaults.delta,

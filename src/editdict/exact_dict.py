@@ -284,7 +284,7 @@ class ExactDictionary:
         """Parse the section at offset; returns (dictionary, end offset).
 
         sigma is the index's largest stored byte: a table holding a byte
-        above it is rejected.
+        above it is rejected, and so is a sigma no table holds.
         """
         d = cls(seed)
         (n_tables,) = struct.unpack_from("<H", buf, offset)
@@ -295,6 +295,10 @@ class ExactDictionary:
                                                   min_width, seed, sigma)
             d.tables[table.width] = table
             min_width = table.width + 1
+        # A store decodes its characters by sigma's bit length, so a sigma
+        # above every stored byte would misread them.
+        if sigma and not any(sigma in t.slots for t in d.tables.values()):
+            raise IndexFormatError(f"sigma = {sigma} is above every stored byte")
         d.compacted = compacted
         return d, offset
 

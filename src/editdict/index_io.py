@@ -4,7 +4,7 @@ File layout (all little-endian):
 
     offset  size  field
     0       4     magic "ASDI"
-    4       1     format version (6)
+    4       1     format version (7)
     5       1     checksum id (2 = crc32 of the body)
     6       1     flags: bit0 signatures, bit1 compacted
     7       1     error level (0, 1 or 2)
@@ -27,7 +27,9 @@ The exact section is the number of word tables (<H), then each of them
 by increasing width: <HQQ width, capacity and count, then its occupancy
 bits if compacted, then its slots (exact_dict.py).  A store section is
 <QQ capacity and entry count, then the same: its occupancy bits if
-compacted, then its characters and signatures (subst_store.py).  A
+compacted, then its character bytes and signature nibbles
+(subst_store.py).  A signed store's character byte holds the rest of
+the key's signature above the character's sigma.bit_length() bits.  A
 compacted table's occupancy bits follow succinct.py: its capacity gives
 their length and the header's delta their sampling, and its arrays hold
 its entries instead of its slots.  Nothing else is stored twice: a
@@ -38,9 +40,11 @@ count and the load factor give.
 
 The crc32 trailer only catches accidents: a file that passes it but is
 structurally inconsistent is rejected by the checks made while parsing.
-A file of versions 1-5 is refused: their signatures, checksums, section
+A file of versions 1-6 is refused: their signatures, checksums, section
 headers or long-word storage differ from this layout, and no code reads
-them.
+them.  Version 6 differs only in its character bytes, which held the
+character alone: read as version 7, a signed store would filter its own
+entries out by the bits it never wrote.
 
 The load factor is kept as a rational so capacity arithmetic is exact and
 identical on every platform; building twice from the same words and seed
@@ -74,7 +78,7 @@ from .subst_store import SubstStore, build_store, entries_for
 from .util import as_bytes, capacity_for, validate_word, validate_words
 
 MAGIC = b"ASDI"
-VERSION = 6
+VERSION = 7
 CHECKSUM_ID = 2  # crc32 of the body
 _HEADER = struct.Struct("<4sBBBBHHBBBBIIQQQQ")
 _TRAILER = struct.Struct("<I")
@@ -210,17 +214,13 @@ class Index:
         if self.store2 is not None:
             self.store2.check_headroom(entries_for(m, 2))
         self.exact.insert_word(word, h)
+        # Each store raises its own sigma to the word's largest byte, if
+        # that is above, before it places the word's entries.
         if self.store1 is not None:
             self.store1.insert_entries(word)
         if self.store2 is not None:
             self.store2.insert_entries(word)
-        top = max(word)
-        if top > self.sigma:
-            self.sigma = top
-            if self.store1 is not None:
-                self.store1.sigma = top
-            if self.store2 is not None:
-                self.store2.sigma = top
+        self.sigma = max(self.sigma, max(word))
         return True
 
     def table_report(self) -> list[tuple[str, int, int]]:

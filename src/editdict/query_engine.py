@@ -244,14 +244,17 @@ def query(index, pattern, k: int) -> QueryResult:
         return QueryResult(matches, QueryStats(lists, candidates, candidates + identity, caps))
 
     # -- deldel, delsub, delins: one more edit on each distinct deletion ---
+    # Each row builds its deletion's HashContext, O(m), so no row is
+    # entered when no length they probe has a table.
     row_probes = (probe_for(m - 2), probe_shorter, probe_same)
-    for d in range(1, m + 1):
-        if d == 1 or pattern[d - 1] != pattern[d - 2]:
-            y = pattern[: d - 1] + pattern[d:]
-            n1, c1, n = _one_edit(matches, q1, y, HashContext(y, seed), row_probes, d, d - 1)
-            lists += n1
-            caps += c1
-            candidates += n
+    if any(row_probes):
+        for d in range(1, m + 1):
+            if d == 1 or pattern[d - 1] != pattern[d - 2]:
+                y = pattern[: d - 1] + pattern[d:]
+                n1, c1, n = _one_edit(matches, q1, y, HashContext(y, seed), row_probes, d, d - 1)
+                lists += n1
+                caps += c1
+                candidates += n
 
     # -- subsub, subins, insins: blanks qa < qb, r inserted, ia of them at qa --
     q2 = index.store2.list_query

@@ -16,11 +16,14 @@ query scans from there to the next empty slot and returns a superset of
 the true character list.  Two refinements keep that superset small and
 bounded:
 
-* an optional 4-bit signature of the key filters out most entries that
-  belong to other keys colliding into the same run.  It comes from the
-  same hash as the home slot: a key hashing to h has home slot
-  h mod capacity and signature (h // capacity) & 15, the low nibble of
-  the quotient the slot leaves unused, so each key is hashed once;
+* an optional signature of the key filters out most entries that belong
+  to other keys colliding into the same run.  It comes from the same
+  hash as the home slot: a key hashing to h has home slot h mod capacity
+  and signature the low 12 - b bits of the quotient q = h // capacity,
+  which the slot leaves unused, so each key is hashed once.  Here
+  b = sigma.bit_length() is the width of a character, and the signature
+  (signature_bits) spends the bits a character byte leaves over: 8 bits
+  at sigma <= 15, 5 on a-z (sigma = 122), 4 at sigma >= 128;
 * a scan gives up and returns the whole alphabet [1..sigma] (sigma = the
   largest byte value stored) instead, still a superset, when its run from
   the home slot is _SCAN_LIMIT * sigma slots or longer, or when its
@@ -42,30 +45,41 @@ bounded:
 
 Keys with one home slot differ in their quotients, so their signatures
 are as good as independent while h // capacity spans many multiples of
-16.  Once capacity exceeds MODULUS / 16 the quotient takes fewer than 16
-values and the filter passes more foreign entries; results stay exact,
+2**(12 - b).  Once capacity exceeds MODULUS / 2**(12 - b), about
+2**(20 + b) slots, the quotient takes fewer values than the signature
+has and the filter passes more foreign entries; results stay exact,
 because every candidate is checked against the exact dictionary.
 
 A store has one shape, the same in memory and on disk: optional
 occupancy bits and two payload arrays over n places, the capacity's
 slots when plain and the entries when compacted.  `chars` holds one
 character byte per place, 0 marking an empty slot.  `sigs` holds the
-4-bit signatures, two to a byte, split at half = (n + 1) // 2: place
-i < half keeps its signature in the low nibble of sigs[i], place
-i >= half in the high nibble of sigs[i - half] (1.5 bytes per place in
-all).  `sigs` is empty without signatures, so a store is signed exactly
-when `sigs` is non-empty.  The one exception, a compacted store with no
-entries, has an empty `sigs` either way, and its scans all end before
-the signature test.  A run of places therefore has its characters in
-one slice of `chars` and its signatures in one slice of `sigs` unless it
-crosses half or the end.
+signatures' low nibbles q & 15, two to a byte, split at
+half = (n + 1) // 2: place i < half keeps its nibble in the low nibble
+of sigs[i], place i >= half in the high nibble of sigs[i - half] (1.5
+bytes per place in all).  A signed store's character byte holds the
+character c in its low b bits and the rest of the signature above:
+c | ((q >> 4) & (2**(8 - b) - 1)) << b, which is c alone at b = 8.
+An insert whose word lengthens b first repacks every character byte by
+one translate, keeping the low bits of each byte's signature field.
+`sigs` is empty without signatures, so a store is signed exactly
+when `sigs` is non-empty; an unsigned store's bytes are the characters.
+The one exception, a compacted store with no entries, has an empty
+`sigs` either way, and its scans all end before the signature test.  A
+run of places therefore has its characters in one slice of `chars` and
+its signatures in one slice of `sigs` unless it crosses half or the end.
 
 A plain scan does its work in C: `chars.find(0, ...)` locates the empty
 slot that ends the run (a second find when the run wraps), one
 `translate` per signature half turns the run's signature bytes into a
-mask, 0xFF where the nibble is the key's signature and 0 elsewhere, a
-run without a 0xFF is rejected by one `in` test, and `_keep` keeps the
-run's characters under the mask without a per-slot Python step.
+mask, 0xFF where the nibble is the key's and 0 elsewhere, a run without
+a 0xFF is rejected by one `in` test, and `_keep` keeps the run's
+character bytes under the mask without a per-slot Python step.  Most
+runs end at one of these steps.  On the rarer path where a nibble
+matches, one more translate deletes the kept bytes whose high bits are
+not the rest of the key's signature and maps the others to their
+characters; a list left empty is rejected there.  The count cap counts
+the characters left after that filter.
 
 Compaction freezes a store and drops its empty slots.  It adds the
 occupancy bits (succinct.py: in memory, flat arrays of 64-bit data words
@@ -92,7 +106,9 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, compress
+from operator import itemgetter
 
 from .errors import CompactedError, IndexFormatError, ValidationError
 from .hashing import blank_keys
@@ -111,6 +127,25 @@ _HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
 # low (or high) nibble is g and to 0 elsewhere.
 _SIG_MASKS = [(bytes(255 if b & 15 == g else 0 for b in range(256)),
                bytes(255 if b >> 4 == g else 0 for b in range(256))) for g in range(16)]
+
+
+def signature_bits(sigma: int) -> int:
+    """The signature width of a signed store over characters 1..sigma: a
+    nibble in `sigs`, and the 8 - sigma.bit_length() high bits of each
+    character byte."""
+    return 12 - sigma.bit_length()
+
+
+@cache
+def _high_filters(b: int):
+    """For a signed store whose characters take b bits, 1 <= b <= 7: the
+    table mapping a character byte to its character, its low b bits, and
+    per value g of the byte's high 8 - b bits the bytes whose high bits
+    are not g.  One translate with both keeps a run's bytes signed g and
+    decodes them."""
+    low = bytes(x & ((1 << b) - 1) for x in range(256))
+    return low, [bytes(x for x in range(256) if x >> b != g) for g in range(1 << (8 - b))]
+
 
 # Fixed seeds for list_histogram key fingerprints; any two distinct values
 # in [1, MODULUS - 2] work, these are arbitrary odd constants.
@@ -154,7 +189,7 @@ class SubstStore:
     compacted (occupancy set)."""
 
     __slots__ = ("level", "capacity", "entry_count", "bucket_seed", "sigma",
-                 "chars", "sigs", "occupancy")
+                 "chars", "sigs", "occupancy", "filters")
 
     def __init__(self, level: int, capacity: int, use_signatures: bool,
                  bucket_seed: int, sigma: int):
@@ -162,35 +197,49 @@ class SubstStore:
         self.capacity = capacity
         self.entry_count = 0
         self.bucket_seed = bucket_seed
-        self.sigma = sigma
         self.chars = bytearray(capacity)
         self.sigs = bytearray((capacity + 1) // 2 if use_signatures else 0)
         self.occupancy: RankBitVector | None = None
+        self._set_sigma(sigma)
+
+    def _set_sigma(self, sigma: int) -> None:
+        """Set sigma, and the filters a signed store's scans decode its
+        character bytes with: _high_filters(b), or None where a byte keeps
+        no signature bits (b = 8) or no character (b = 0)."""
+        self.sigma = sigma
+        b = sigma.bit_length()
+        self.filters = _high_filters(b) if self.sigs and 0 < b < 8 else None
 
     # -- building ---------------------------------------------------------
 
     def _place(self, keys, chars) -> None:
         """Write one entry per (bucket hash, character) pair, in order: each
-        at the first empty slot from its home slot, wrapping past the last."""
+        at the first empty slot from its home slot, wrapping past the last,
+        signed by the hash's quotient if the store has signatures."""
         t = self.capacity
         slots = self.chars
         sigs = self.sigs  # empty without signatures
-        half = (t + 1) >> 1
         entries = zip(keys, chars)
-        for h, c in entries:
-            s = h % t
-            if slots[s]:
-                s = slots.find(0, s)
-                if s < 0:
-                    s = slots.find(0)
-                    if s < 0:  # only a loaded store whose entry count was too low
-                        # Count the entries placed before this one: all but it and the rest.
-                        self.entry_count += len(keys) - 1 - sum(1 for _ in entries)
-                        raise IndexFormatError(f"level-{self.level} store: no empty slot left, "
-                                               f"its entry count {self.entry_count} is wrong")
-            slots[s] = c
-            if sigs:
-                sig = (h // t) & 15
+        if not sigs:
+            for h, c in entries:
+                s = h % t
+                if slots[s]:
+                    s = slots.find(0, s)
+                    if s < 0:
+                        s = self._first_empty(len(keys), entries)
+                slots[s] = c
+        else:
+            b = self.sigma.bit_length()
+            half = (t + 1) >> 1
+            for h, c in entries:
+                s = h % t
+                if slots[s]:
+                    s = slots.find(0, s)
+                    if s < 0:
+                        s = self._first_empty(len(keys), entries)
+                q = h // t
+                sig = q & 15
+                slots[s] = c | (q >> 4 << b) & 255  # the quotient's bits 4.. above c
                 if s < half:
                     sigs[s] = (sigs[s] & 0xF0) | sig
                 else:
@@ -198,10 +247,33 @@ class SubstStore:
                     sigs[s] = (sigs[s] & 0x0F) | (sig << 4)
         self.entry_count += len(keys)
 
+    def _first_empty(self, n_keys: int, entries) -> int:
+        """The first empty slot, for _place's entry whose run wraps past the
+        last slot; `entries` holds the batch's n_keys entries after it."""
+        s = self.chars.find(0)
+        if s < 0:  # only a loaded store whose entry count was too low
+            # Count the entries placed before this one: all but it and the rest.
+            self.entry_count += n_keys - 1 - sum(1 for _ in entries)
+            raise IndexFormatError(f"level-{self.level} store: no empty slot left, "
+                                   f"its entry count {self.entry_count} is wrong")
+        return s
+
+    def _widen(self, sigma: int) -> None:
+        """Raise the store's sigma to `sigma`, the largest character it will
+        hold.  Where the characters take more bits, a signed store keeps
+        the low bits of each character byte's signature field, moved above
+        them."""
+        b, wide = self.sigma.bit_length(), sigma.bit_length()
+        if self.sigs and wide > b:
+            self.chars = self.chars.translate(
+                bytes(x & ((1 << b) - 1) | (x >> b << wide) & 255 for x in range(256)))
+        self._set_sigma(sigma)
+
     def _insert_word_entries(self, word) -> int:
         """Insert all level-appropriate entries for one word; O(1) each."""
         keys = blank_keys(word, self.bucket_seed, self.level)
-        self._place(keys, word if self.level == 1 else [a for a, _ in combinations(word, 2)])
+        chars = word if self.level == 1 else map(itemgetter(0), combinations(word, 2))
+        self._place(keys, chars)
         return len(keys)
 
     def check_headroom(self, added: int) -> None:
@@ -211,8 +283,13 @@ class SubstStore:
                        f"level-{self.level} store")
 
     def insert_entries(self, word) -> int:
-        """Add all entries for one new word; returns how many were added."""
+        """Add all entries for one new word, first raising sigma to the
+        word's largest byte if that is above it; returns how many were
+        added."""
         self.check_headroom(entries_for(len(word), self.level))
+        top = max(word)
+        if top > self.sigma:
+            self._widen(top)
         return self._insert_word_entries(word)
 
     # -- querying ---------------------------------------------------------
@@ -272,8 +349,10 @@ class SubstStore:
         sigs = self.sigs
         if sigs:
             # One translate maps each of the run's signature bytes to 0xFF
-            # where its nibble is the key's signature and to 0 elsewhere.
-            low, high = _SIG_MASKS[(bucket_hash // t) & 15]
+            # where its nibble is the low nibble of the key's signature and
+            # to 0 elsewhere.
+            q = bucket_hash // t
+            low, high = _SIG_MASKS[q & 15]
             half = (n + 1) >> 1
             if s < e <= half:
                 mask = sigs[s:e].translate(low)
@@ -286,6 +365,14 @@ class SubstStore:
             if 255 not in mask:
                 return _EMPTY, False
             out = _keep(chars[s:e] if s < e else chars[s:] + chars[:e], mask)
+            filters = self.filters
+            if filters is not None:
+                # One more translate keeps the bytes whose high bits are the
+                # rest of the key's signature, as their characters.
+                decode, deletes = filters
+                out = out.translate(decode, deletes[(q >> 4) % len(deletes)])
+                if not out:
+                    return _EMPTY, False
         else:
             out = bytes(chars[s:e] if s < e else chars[s:] + chars[:e])
         if len(out) >= sigma:
@@ -360,7 +447,6 @@ class SubstStore:
         store.capacity = capacity
         store.entry_count = entry_count
         store.bucket_seed = bucket_seed
-        store.sigma = sigma
         what = f"level-{level} store"
         store.occupancy = None
         n = capacity
@@ -374,6 +460,7 @@ class SubstStore:
         offset += n
         store.sigs = copy(take(buf, offset, n_sigs, what))
         offset += n_sigs
+        store._set_sigma(sigma)
         # A compacted store's popcount is entry_count, checked to be below
         # capacity.  A plain store's `in` stops at the first empty slot, so
         # it costs next to nothing.

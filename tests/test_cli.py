@@ -190,10 +190,10 @@ def test_malformed_index(tmp_path, wordfile, capsys):
 def test_old_format_version_is_bad_index(built, capsys):
     with open(built, "r+b") as f:
         f.seek(4)
-        f.write(bytes([5]))  # the version byte
+        f.write(bytes([6]))  # the version byte
     rc = run_cli(["query", "--index", built, "--k", "1", "--pattern", "banana"])
     assert rc == EXIT_BAD_INDEX
-    assert "format version 5, expected 6" in capsys.readouterr().err
+    assert "format version 6, expected 7" in capsys.readouterr().err
 
 
 def test_verify_passes(built, wordfile, capsys):
@@ -231,6 +231,26 @@ def test_stats_output(built, wordfile, capsys):
     assert "histogram" in text
     assert "total entries: 24" in text
     assert "store[level=1]" in text
+
+
+@pytest.mark.parametrize("signatures", [True, False])
+def test_stats_reports_signature_width(tmp_path, wordfile, signatures, capsys):
+    # The words' largest byte is "n" (110, 7 bits): a signed store keeps a
+    # nibble plus the one bit above each character, 5 bits.
+    out = str(tmp_path / "ix.bin")
+    flag = ["--signatures"] if signatures else ["--no-signatures"]
+    assert run_cli(["build", "--input", wordfile, "--output", out, "--errors", "2",
+                    *flag, "--seed", "7"]) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(["stats", "--input", wordfile, "--index", out, "--json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["occupancy"]
+    want = 5 if signatures else 0
+    assert [row.get("sig_bits") for row in rows if row["table"].startswith("store")] == [want] * 2
+    assert all("sig_bits" not in row for row in rows if row["table"].startswith("words"))
+    assert run_cli(["stats", "--input", wordfile, "--index", out]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "sig bits" in text
+    assert "store[level=2]" in text and text.rstrip().endswith(f" {want}")
 
 
 def test_stats_json_percentages(built, wordfile, capsys):

@@ -69,7 +69,7 @@ def _vector_size(n_bits: int, delta: int) -> int:
 
 
 def _layout(blob: bytes):
-    """(fields, vectors) of a format-6 file: fields as (offset, size), and
+    """(fields, vectors) of a format-7 file: fields as (offset, size), and
     each compacted bit vector as (offset, n_bits)."""
     signed, compacted = blob[6] & 1, blob[6] & 2
     delta = blob[13]

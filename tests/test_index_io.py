@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from editdict import BuildConfig, build_index, load, read_wordlist, save
+from editdict import BuildConfig, build_index, load, oracle_query, read_wordlist, save
 from editdict.errors import (
     BadMagicError,
     ChecksumError,
@@ -220,8 +220,9 @@ def test_load_bad_magic():
 def test_load_bad_version():
     # 1 had the interleaved plain-store layout, 2 signatures from a second
     # hash, 3 a 64-bit crc32 + adler32 trailer, 4 interleaved bit vectors,
-    # 5 a long-word arena and 8-bit table widths
-    for version in (1, 2, 3, 4, 5, 99):
+    # 5 a long-word arena and 8-bit table widths, 6 a character byte that
+    # held only its character: read as 7, its entries would be lost
+    for version in (1, 2, 3, 4, 5, 6, 99):
         blob = _saved_blob()
         blob[4] = version
         with pytest.raises(VersionMismatchError):
@@ -272,6 +273,65 @@ def test_insert_raises_sigma():
     assert ix.insert_word(b"az") is True
     assert ix.sigma == ord("z")
     assert ix.store1.sigma == ord("z")
+
+
+def _edited(rng, words, alphabet: bytes, count: int) -> list[bytes]:
+    """count patterns: words with 0 to 2 random insertions or deletions."""
+    out = []
+    for _ in range(count):
+        p = bytearray(rng.choice(words))
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randrange(len(p) + 1)
+            if rng.random() < 0.5 and len(p) > 2:
+                del p[min(at, len(p) - 1)]
+            else:
+                p.insert(at, rng.choice(alphabet))
+        out.append(bytes(p))
+    return out
+
+
+@pytest.mark.parametrize("signatures", [False, True])
+@pytest.mark.parametrize("first, inserted", [
+    (97, [b"ab\xc8dc", b"\xc8\xc8ab"]),  # a-d, then byte 200: 7 bits to 8
+    (97, [bytes(range(97, 123)), b"ab\x80cd", b"zz\x80"]),  # a-z keeps 7 bits, 128 takes 8
+    (1, [b"\x05\x06\x01", b"\x01\x0c\x02", b"a\x03\x04"]),  # bytes 1-4: 3 bits to 4 to 7
+])
+def test_insert_that_widens_sigma_answers_as_the_oracle(rng, first, inserted, signatures):
+    # A signed store packs signature bits above each character's
+    # sigma.bit_length() bits: an insert that lengthens them repacks every
+    # entry, keeping the signature bits that still fit.
+    words = random_words(rng, 150, 2, 8, alphabet_size=4, first=first)
+    ix = build_index(words, BuildConfig(errors=2, alpha=Fraction(1, 2),
+                                        use_signatures=signatures, rng_seed=9))
+    alphabet = bytes(range(first, first + 4)) + b"".join(inserted)
+    patterns = _edited(rng, words + inserted, alphabet, 60)
+    for dictionary in (words, words + inserted):
+        if dictionary is not words:
+            for w in inserted:
+                assert ix.insert_word(w) is True
+            assert ix.sigma == ix.store1.sigma == ix.store2.sigma == max(map(max, inserted))
+        for p in patterns:
+            for k in (1, 2):
+                if k < len(p):
+                    assert ix.query(p, k).matches == oracle_query(dictionary, p, k), (p, k)
+    back = load(_resaved(ix))
+    assert [back.query(p, 1).matches for p in patterns] == [ix.query(p, 1).matches
+                                                           for p in patterns]
+
+
+def test_refused_insert_leaves_the_stores_unpacked(rng):
+    # The level-1 store has room for the word, the level-2 store has not:
+    # the headroom checks come first, so neither store is repacked.
+    words = random_words(rng, 150, 2, 8, alphabet_size=4)
+    ix = build_index(words, BuildConfig(errors=2, rng_seed=9))
+    before = [bytes(ix.store1.chars), bytes(ix.store1.sigs),
+              bytes(ix.store2.chars), bytes(ix.store2.sigs), ix.sigma]
+    wide = bytes([200]) + b"abcd" * 15
+    with pytest.raises(TableFullError, match="level-2 store"):
+        ix.insert_word(wide)
+    assert [bytes(ix.store1.chars), bytes(ix.store1.sigs),
+            bytes(ix.store2.chars), bytes(ix.store2.sigs), ix.sigma] == before
+    assert ix.store1.sigma == ix.store2.sigma == ord("d")
 
 
 def test_insert_into_compacted_index():
@@ -501,6 +561,19 @@ def test_load_rejects_sigma_below_a_stored_byte(compact):
 
 
 @pytest.mark.parametrize("compact", [False, True])
+def test_load_rejects_sigma_above_every_stored_byte(compact):
+    # A store reads each character byte by sigma's bit length: with the
+    # header's sigma at 232 for words over a-d (100), the store's signature
+    # bits would be read as characters.
+    blob = _saved_blob([b"abcd", b"dcba", b"bad"], errors=2, compact=compact)
+    assert blob[14] == ord("d")
+    for sigma in (ord("d") + 1, 127, 128, 232, 255):
+        blob[14] = sigma
+        with pytest.raises(IndexFormatError, match=f"sigma = {sigma} is above every stored byte"):
+            load(_rechecksummed(blob))
+
+
+@pytest.mark.parametrize("compact", [False, True])
 @pytest.mark.parametrize("long", [False, True])
 def test_load_rejects_table_without_empty_slot(compact, long):
     # Such a table passed the checksum, and the first probe for an absent
@@ -665,38 +738,47 @@ def test_load_rejects_word_table_lengths_not_increasing():
 
 
 # sha256 of the saved file for each (compact, use_signatures, delta), all
-# at errors=2 over _golden_words(), recorded from format version 6.
+# at errors=2 over _golden_words(), recorded from format version 7.
 # A change that moves any of them changes the bytes an index is saved as.
+# _golden_words() holds bytes above 127, so its character bytes keep no
+# signature bits; GOLDEN_SHA256_AZ pins a signed index over a-z alone,
+# whose character bytes keep one.
 GOLDEN_SHA256 = {
-    (False, True, 4): "72b714b0f1cc407c94634db1b7f1550d507488d8164075708be49c37894ec03b",
-    (False, False, 4): "2ed93019ddca44097b43c6a40d737c09d98ee63cb13d675a9026dd655816892f",
-    (True, True, 4): "684bbc499a683fbaea70c80ce9ec6fa93277be71919599c2c618750041284084",
-    (True, False, 4): "679f69bc9d40b7eb18e5443022c4814f0d261da2de86697853abd80d9e09a278",
-    (True, True, 1): "a0633fbc4fbd2628e494f194af4adc98def29925b4e977eacb31a431bbfb37e7",
-    (True, True, 3): "f6500f1ffc8c9060474f7df03cdcd58382494488eb97296dabe68072dc4a25f8",
+    (False, True, 4): "5480b9cf9838a44c0ef760c2eed1c7abe4980a44c68efd113b14a766185e1763",
+    (False, False, 4): "244fdd4a807e40b972e811b247e6a61fb0616ae4996805594fbb944e908d804e",
+    (True, True, 4): "957da99f54331292768668364064fb3549ef65e1fdeb1bb5e7f4d1b6eb1fe9f2",
+    (True, False, 4): "24954f8ee90ad2fa23c0e7daf0d5237ffc1b69ecdd96c91d5ba1881a2f43eee5",
+    (True, True, 1): "e8c8612d552f78a695546008bcb7984816d9a0c6d04e211c4a2b34d4301fbdb5",
+    (True, True, 3): "bea0bfba62f78c12fb1b4f6131dda5803b3e0f2d3cc270343fb81e742cba5bcd",
+}
+GOLDEN_SHA256_AZ = {
+    (False, True, 4): "96680aa273009bca17ae44173d23fbd50c3f58747c713955c4cb7fafa2e27ef8",
 }
 
 
-def _golden_words() -> list[bytes]:
-    """400 distinct words of 2 to 24 bytes over a-z plus two bytes above 127:
-    word tables of 13 to 40 slots, 9 of them for words of 16 bytes or
-    more, and both stores."""
+def _golden_words(alphabet: bytes = b"abcdefghijklmnopqrstuvwxyz\xe9\xfc") -> list[bytes]:
+    """400 distinct words of 2 to 24 bytes, by default over a-z plus two
+    bytes above 127: word tables of 13 to 40 slots, 9 of them for words of
+    16 bytes or more, and both stores."""
     rng = random.Random(20131)
     words = set()
     while len(words) < 400:
         n = rng.randint(2, 24)
-        words.add(bytes(rng.choice(b"abcdefghijklmnopqrstuvwxyz\xe9\xfc") for _ in range(n)))
+        words.add(bytes(rng.choice(alphabet) for _ in range(n)))
     return sorted(words)
 
 
 def test_saved_bytes_are_pinned():
-    words = _golden_words()
-    for (compact, sig_on, delta), expected in GOLDEN_SHA256.items():
-        index = build_index(words, errors=2, compact=compact, use_signatures=sig_on,
-                            delta=delta, rng_seed=7)
-        sink = io.BytesIO()
-        save(index, sink)
-        assert hashlib.sha256(sink.getvalue()).hexdigest() == expected, (compact, sig_on, delta)
+    cases = [(_golden_words(), GOLDEN_SHA256),
+             (_golden_words(b"abcdefghijklmnopqrstuvwxyz"), GOLDEN_SHA256_AZ)]
+    for words, pinned in cases:
+        for (compact, sig_on, delta), expected in pinned.items():
+            index = build_index(words, errors=2, compact=compact, use_signatures=sig_on,
+                                delta=delta, rng_seed=7)
+            sink = io.BytesIO()
+            save(index, sink)
+            digest = hashlib.sha256(sink.getvalue()).hexdigest()
+            assert digest == expected, (index.sigma, compact, sig_on, delta)
 
 
 def test_bad_patterns_and_words_raise_validation_error():

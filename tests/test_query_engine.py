@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from editdict import BuildConfig, build_index, oracle_query
+from editdict import BuildConfig, build_index, oracle_query, query_engine
+from editdict.baseline import oracle_query_bounded
 from editdict.errors import UnsupportedQueryError, ValidationError
 from editdict.hashing import WILDCARD, poly_hash
 from editdict.query_engine import query
@@ -311,3 +312,23 @@ def test_stats_counters_consistent(rng):
 def test_module_level_query_function():
     ix = build_index([b"abc"], BuildConfig(errors=1, rng_seed=1))
     assert query(ix, b"abd", 1).matches == {b"abc"}
+
+
+def test_long_k2_pattern_without_a_near_length_builds_one_hash_context(rng, monkeypatch):
+    # No stored word has length m - 2, m - 1 or m, so no deletion row can
+    # probe: the query hashes the pattern once instead of each of its m
+    # deletions, O(m) each.
+    words = random_words(rng, 300, 4, 12)
+    ix = build_index(words, BuildConfig(errors=2, rng_seed=5))
+    hashed = []
+
+    def spy(word, seed):
+        hashed.append(len(word))
+        return real(word, seed)
+
+    real = query_engine.HashContext
+    monkeypatch.setattr(query_engine, "HashContext", spy)
+    pattern = bytes(rng.choice(b"abcdefghijklmnopqrstuvwxyz") for _ in range(4000))
+    result = ix.query(pattern, 2)
+    assert hashed == [4000]
+    assert result.matches == oracle_query_bounded(words, pattern, 2)

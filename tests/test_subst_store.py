@@ -376,11 +376,43 @@ def test_serialization_roundtrip(rng):
 
 
 def fill_store(capacity: int, sig_on: bool, sigma: int, entries) -> SubstStore:
-    """A plain level-1 store holding (home slot, signature, character) entries."""
+    """A plain level-1 store holding (home slot, quotient, character) entries."""
     store = SubstStore(1, capacity, sig_on, SEEDS["bucket_seed"], sigma)
-    for slot, sig, char in entries:
-        store._place([slot + sig * capacity], [char])  # home slot, then nibble
+    for slot, q, char in entries:
+        store._place([slot + q * capacity], [char])  # home slot, then signature
     return store
+
+
+# The high part, quotient // 16, of the keys a test scans every slot with:
+# 0, 1 or 2, the bits a character byte adds to the signature.
+KEY_HIGHS = st.integers(0, 2)
+
+
+def key_quotients(high: int) -> range:
+    """The quotients with high part `high` and each of the 16 nibbles."""
+    return range(16 * high, 16 * high + 16)
+
+
+# An entry's quotient: one whose high part a key can have, or a larger
+# one, which no key's matches once sigma leaves 6 or more high bits.
+QUOTIENTS = st.one_of(st.integers(0, 47), st.integers(48, 2**20))
+
+# sigma, from three bands: every character width b = sigma.bit_length()
+# from 1 to 8, so signatures of 11 bits down to 4.
+SIGMAS = st.one_of(st.integers(1, 12), st.integers(33, 100), st.integers(128, 255))
+
+
+def signature(store: SubstStore, q: int) -> tuple[int, int]:
+    """The signature of quotient q in a signed store, as (low nibble, high
+    part): the high part keeps the 8 - b bits a character byte holds
+    above its b = sigma.bit_length() character bits."""
+    return q & 15, (q >> 4) & ((1 << (8 - store.sigma.bit_length())) - 1)
+
+
+def decode(store: SubstStore, byte: int) -> tuple[int, int]:
+    """(character, high signature part) of a signed store's character byte."""
+    b = store.sigma.bit_length()
+    return byte & ((1 << b) - 1), byte >> b
 
 
 @st.composite
@@ -388,51 +420,59 @@ def filled_store(draw):
     """A small plain store whose runs straddle word ends, wrap past the
     table end and reach the scan limit: capacities near a multiple of 32,
     homes drawn near word and table ends, and sigma either small, for a
-    limit below or above a word's 32 slots, or above 32."""
+    limit below or above a word's 32 slots, or above 32, with every
+    character width."""
     capacity = 32 * draw(st.integers(1, 4)) + draw(st.integers(-2, 2))
     sig_on = draw(st.booleans())
-    sigma = draw(st.one_of(st.integers(1, 12), st.integers(33, 100)))
+    sigma = draw(SIGMAS)
     near_end = st.integers(-3, 3).map(lambda d: d % capacity)
     near_word_end = st.integers(1, max(1, capacity // 32)).flatmap(
         lambda w: st.integers(32 * w - 3, 32 * w + 3)).map(lambda s: s % capacity)
     home = st.one_of(st.integers(0, capacity - 1), near_end, near_word_end)
-    entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, sigma)),
+    entries = draw(st.lists(st.tuples(home, QUOTIENTS, st.integers(1, sigma)),
                             max_size=capacity - 1))
     return fill_store(capacity, sig_on, sigma, entries)
 
 
 @settings(max_examples=150, deadline=None)
-@given(store=filled_store())
-def test_compacted_scan_equals_plain_scan(store):
+@given(store=filled_store(), high=KEY_HIGHS)
+def test_compacted_scan_equals_plain_scan(store, high):
     compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, 1, bool(store.sigs), False,
                                          4, SEEDS["bucket_seed"], store.sigma)
     compacted.compact()
     t = store.capacity
     for slot in range(t):
-        for key_sig in range(16):
-            key = slot + key_sig * t
+        for q in key_quotients(high):
+            key = slot + q * t
             assert compacted.list_query(key) == store.list_query(key)
 
 
-def reference_scan(store: SubstStore, slot: int, key_sig: int):
+def reference_scan(store: SubstStore, slot: int, key_q: int):
     """list_query of a plain store, one slot at a time from the layout's
-    definition: chars[i] is slot i's character, 0 when empty; its
-    signature is the low nibble of sigs[i] below half = (capacity + 1) // 2
-    and the high nibble of sigs[i - half] from there on.  A run of
-    _SCAN_LIMIT * sigma slots or more, or a kept list of sigma characters
-    or more, caps the scan."""
+    definition: chars[i] is slot i's byte, 0 when empty.  Unsigned, the
+    byte is the character.  Signed, decode splits it into the character
+    and the high part of the signature, whose low nibble is the low nibble
+    of sigs[i] below half = (capacity + 1) // 2 and the high nibble of
+    sigs[i - half] from there on.  A run of _SCAN_LIMIT * sigma slots or
+    more, or a kept list of sigma characters or more, caps the scan."""
     t, sigma = store.capacity, store.sigma
     half = (t + 1) // 2
+    key_nibble, key_high = signature(store, key_q)
     out = []
     for step in range(_SCAN_LIMIT * sigma):
         i = (slot + step) % t
-        char = store.chars[i]
-        if char == 0:
+        byte = store.chars[i]
+        if byte == 0:
             return capped_by_count(out, sigma)
         if not store.sigs:
+            out.append(byte)
+            continue
+        char, high = decode(store, byte)
+        nibble = store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4
+        if (nibble, high) == (key_nibble, key_high):
             out.append(char)
-        elif (store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4) == key_sig:
-            out.append(char)
+        elif nibble == key_nibble:
+            event("high signature bits reject an entry")
     event("length cap")
     return list(range(1, sigma + 1)), True
 
@@ -457,15 +497,15 @@ BOTH_CAPS = dict(capacity=64, sigma=2,
 @st.composite
 def plain_store(draw):
     """A small plain store with odd or even capacity whose runs cross the
-    signature split at half and wrap past the table end, with sigma either
-    small or above 32."""
+    signature split at half and wrap past the table end, with every
+    character width."""
     capacity = draw(st.integers(2, 90))
     sig_on = draw(st.booleans())
-    sigma = draw(st.one_of(st.integers(1, 12), st.integers(33, 100)))
+    sigma = draw(SIGMAS)
     half = (capacity + 1) // 2
     near = lambda x: st.integers(-4, 2).map(lambda d: (x + d) % capacity)  # noqa: E731
     home = st.one_of(st.integers(0, capacity - 1), near(half), near(capacity))
-    entries = draw(st.lists(st.tuples(home, st.integers(0, 15), st.integers(1, 255)),
+    entries = draw(st.lists(st.tuples(home, QUOTIENTS, st.integers(1, sigma)),
                             max_size=capacity - 1))
     return fill_store(capacity, sig_on, sigma, entries)
 
@@ -479,32 +519,33 @@ def long_run_store(draw):
     of 1 to 90 places, so _keep takes both of its ways."""
     capacity = draw(st.sampled_from((100, 101)))
     home = draw(st.integers(capacity - 30, capacity - 1))
-    entries = draw(st.lists(st.tuples(st.just(home), st.integers(0, 15), st.integers(1, 12)),
+    entries = draw(st.lists(st.tuples(st.just(home), QUOTIENTS, st.integers(1, 12)),
                             min_size=40, max_size=90))
     return fill_store(capacity, draw(st.booleans()), 12, entries)
 
 
 @settings(max_examples=200, deadline=None)
-@given(store=st.one_of(plain_store(), long_run_store()))
-@example(store=fill_store(sig_on=True, **BOTH_CAPS))
-@example(store=fill_store(sig_on=False, **BOTH_CAPS))
-def test_plain_scan_equals_per_slot_reference(store):
+@given(store=st.one_of(plain_store(), long_run_store()), high=KEY_HIGHS)
+@example(store=fill_store(sig_on=True, **BOTH_CAPS), high=0)
+@example(store=fill_store(sig_on=False, **BOTH_CAPS), high=0)
+def test_plain_scan_equals_per_slot_reference(store, high):
     for slot in range(store.capacity):
-        for key_sig in range(16):
-            chars, capped = store.list_query(slot + key_sig * store.capacity)
-            assert (list(chars), capped) == reference_scan(store, slot, key_sig)
+        for q in key_quotients(high):
+            chars, capped = store.list_query(slot + q * store.capacity)
+            assert (list(chars), capped) == reference_scan(store, slot, q)
 
 
-def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: int):
+def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_q: int):
     """list_query of a compacted store, one entry at a time from the
     payload's definition: entry i (the i-th occupied slot in slot order)
-    has character chars[i] and, with half = (entry_count + 1) // 2, its
-    signature in the low nibble of sigs[i] below half and in the high
-    nibble of sigs[i - half] from there on.  A run of _SCAN_LIMIT * sigma
-    slots or more, or a kept list of sigma characters or more, caps the
-    scan."""
+    has byte chars[i], decoded as in reference_scan when signed, and, with
+    half = (entry_count + 1) // 2, its signature's low nibble in the low
+    nibble of sigs[i] below half and in the high nibble of sigs[i - half]
+    from there on.  A run of _SCAN_LIMIT * sigma slots or more, or a kept
+    list of sigma characters or more, caps the scan."""
     t, sigma, n = store.capacity, store.sigma, store.entry_count
     half = (n + 1) // 2
+    key_nibble, key_high = signature(store, key_q)
     if sigma and not occupied[slot]:
         return [], False
     run = 0
@@ -519,8 +560,11 @@ def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_sig: in
         i = (first + step) % n
         if not store.sigs:
             out.append(store.chars[i])
-        elif (store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4) == key_sig:
-            out.append(store.chars[i])
+            continue
+        char, high = decode(store, store.chars[i])
+        nibble = store.sigs[i] & 15 if i < half else store.sigs[i - half] >> 4
+        if (nibble, high) == (key_nibble, key_high):
+            out.append(char)
     return capped_by_count(out, sigma)
 
 
@@ -539,35 +583,44 @@ def compacted(store: SubstStore):
 
 
 @settings(max_examples=200, deadline=None)
-@given(drawn=compacted_store())
-@example(drawn=compacted(fill_store(sig_on=True, **BOTH_CAPS)))
-@example(drawn=compacted(fill_store(sig_on=False, **BOTH_CAPS)))
-def test_compacted_scan_equals_per_entry_reference(drawn):
+@given(drawn=compacted_store(), high=KEY_HIGHS)
+@example(drawn=compacted(fill_store(sig_on=True, **BOTH_CAPS)), high=0)
+@example(drawn=compacted(fill_store(sig_on=False, **BOTH_CAPS)), high=0)
+def test_compacted_scan_equals_per_entry_reference(drawn, high):
     store, occupied = drawn
     for slot in range(store.capacity):
-        for key_sig in range(16):
-            chars, capped = store.list_query(slot + key_sig * store.capacity)
-            assert (list(chars), capped) == reference_compacted_scan(store, occupied, slot, key_sig)
+        for q in key_quotients(high):
+            chars, capped = store.list_query(slot + q * store.capacity)
+            assert (list(chars), capped) == reference_compacted_scan(store, occupied, slot, q)
 
 
 @pytest.mark.parametrize("compact", [False, True])
 def test_signature_is_low_nibble_of_quotient(compact):
-    # One hash places and signs an entry: h + 16 * capacity has the same
-    # home slot and nibble as h, h + capacity the same slot, another nibble.
-    store = SubstStore(1, 64, True, SEEDS["bucket_seed"], sigma=122)
-    h = 0x9E3779B1
-    store._place([h], [97])
-    if compact:
-        store.compact()
-    t = store.capacity
-    assert list(store.list_query(h + 16 * t)[0]) == [97]
-    assert list(store.list_query(h + t)[0]) == []
+    # One hash places and signs an entry: its signature is the low
+    # 12 - b bits of the quotient, b = sigma.bit_length(), a nibble and
+    # 8 - b bits of the character byte.  h + 16 * capacity has the same
+    # home slot and nibble as h but other high bits below sigma 128, and
+    # the same signature from there on; h + 2**(12 - b) * capacity has the
+    # same signature, h + capacity the same slot and another nibble.
+    for sigma in (12, 122, 127, 128, 255):
+        store = SubstStore(1, 64, True, SEEDS["bucket_seed"], sigma=sigma)
+        h = 0x9E3779B1
+        store._place([h], [12])
+        if compact:
+            store.compact()
+        t = store.capacity
+        assert list(store.list_query(h)[0]) == [12]
+        assert list(store.list_query(h + 16 * t)[0]) == ([12] if sigma >= 128 else []), sigma
+        assert list(store.list_query(h + 2 ** (12 - sigma.bit_length()) * t)[0]) == [12]
+        assert list(store.list_query(h + t)[0]) == []
 
 
 def reference_place(store: SubstStore, bucket_hash: int, char: int) -> None:
     """Write one entry the slow way: at the first empty slot from its home
-    slot bucket_hash % capacity, circularly, with signature
-    (bucket_hash // capacity) & 15 in the split-nibble layout."""
+    slot bucket_hash % capacity, circularly.  Signed, the quotient
+    bucket_hash // capacity gives its signature: the low nibble in the
+    split-nibble layout and the high part above the character's b =
+    sigma.bit_length() bits of its byte."""
     t = store.capacity
     s = next((i % t for i in range(bucket_hash % t, bucket_hash % t + t) if not store.chars[i % t]),
              None)
@@ -577,7 +630,9 @@ def reference_place(store: SubstStore, bucket_hash: int, char: int) -> None:
     store.chars[s] = char
     if store.sigs:
         half = (t + 1) // 2
-        sig = (bucket_hash // t) & 15
+        sig, high = signature(store, bucket_hash // t)
+        store.chars[s] = char | high << store.sigma.bit_length()
+        assert decode(store, store.chars[s]) == (char, high)
         if s < half:
             store.sigs[s] = (store.sigs[s] & 0xF0) | sig
         else:
@@ -587,25 +642,27 @@ def reference_place(store: SubstStore, bucket_hash: int, char: int) -> None:
 
 @st.composite
 def placed_batches(draw):
-    """A store shape plus batches of (bucket hash, character) entries whose
-    homes cluster near half and the last slot, so runs cross the signature
-    split and wrap; at times more entries than the store has room for."""
+    """A store shape and sigma plus batches of (bucket hash, character)
+    entries whose homes cluster near half and the last slot, so runs cross
+    the signature split and wrap; at times more entries than the store has
+    room for."""
     capacity = draw(st.integers(2, 70))
+    sigma = draw(SIGMAS)
     half = (capacity + 1) // 2
     near = lambda x: st.integers(-3, 2).map(lambda d: (x + d) % capacity)  # noqa: E731
     home = st.one_of(st.integers(0, capacity - 1), near(half), near(capacity))
-    entry = st.tuples(home, st.integers(0, 2**24), st.integers(1, 255)).map(
+    entry = st.tuples(home, st.integers(0, 2**24), st.integers(1, sigma)).map(
         lambda e: (e[0] + e[1] * capacity, e[2]))
     batches = draw(st.lists(st.lists(entry, min_size=1, max_size=8), max_size=capacity))
-    return draw(st.sampled_from((1, 2))), capacity, draw(st.booleans()), batches
+    return draw(st.sampled_from((1, 2))), capacity, sigma, draw(st.booleans()), batches
 
 
 @settings(max_examples=300, deadline=None)
 @given(drawn=placed_batches())
 def test_place_equals_per_entry_reference(drawn):
-    level, capacity, sig_on, batches = drawn
-    fast = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], 122)
-    slow = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], 122)
+    level, capacity, sigma, sig_on, batches = drawn
+    fast = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], sigma)
+    slow = SubstStore(level, capacity, sig_on, SEEDS["bucket_seed"], sigma)
     for batch in batches:
         keys = [h for h, _ in batch]
         chars = bytes(c for _, c in batch)
