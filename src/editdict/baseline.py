@@ -63,12 +63,11 @@ class PartitionIndex:
     """Half-split piece lists: every word is reachable through its prefix
     piece and its suffix piece (only the suffix for one-character words)."""
 
-    __slots__ = ("prefixes", "suffixes", "size")
+    __slots__ = ("prefixes", "suffixes")
 
     def __init__(self):
         self.prefixes: dict[bytes, list[bytes]] = {}
         self.suffixes: dict[bytes, list[bytes]] = {}
-        self.size = 0
 
 
 def split_pieces(word) -> tuple[bytes, bytes]:
@@ -85,7 +84,6 @@ def build_partition_index(words) -> PartitionIndex:
         if prefix:
             index.prefixes.setdefault(prefix, []).append(w)
         index.suffixes.setdefault(suffix, []).append(w)
-        index.size += 1
     return index
 
 

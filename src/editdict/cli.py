@@ -30,7 +30,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .baseline import build_partition_index, oracle_query_bounded, partition_stats
 from .errors import EditDictError, IndexFormatError, ValidationError
@@ -114,29 +114,15 @@ class BenchReport:
     p95_us: float
     p99_us: float
     totals: QueryStats
-    nonempty: int
+    queries_with_matches: int
     total_queries: int
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "queries_per_round": self.queries_per_round,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "word_count": self.word_count,
-            "total_length": self.total_length,
-            "round_means_us": self.round_means_us,
-            "mean_us": self.mean_us,
-            "p50_us": self.p50_us,
-            "p95_us": self.p95_us,
-            "p99_us": self.p99_us,
-            "lists_probed": self.totals.lists_probed,
-            "candidates_generated": self.totals.candidates_generated,
-            "exact_probes": self.totals.exact_probes,
-            "cap_activations": self.totals.cap_activations,
-            "queries_with_matches": self.nonempty,
-            "total_queries": self.total_queries,
-        }
+        """The fields by name, with the totals' four counters in place of
+        `totals`."""
+        out = asdict(self)
+        out.update(out.pop("totals"))
+        return out
 
 
 def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
@@ -161,7 +147,7 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
     round_means = []
     times_ns = []
     totals = QueryStats()
-    nonempty = 0
+    with_matches = 0
     clock = time.perf_counter_ns
     for _ in range(rounds):
         batch = generate_bench_queries(words, k, queries, rng, alphabet)
@@ -179,7 +165,7 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
             totals.exact_probes += st.exact_probes
             totals.cap_activations += st.cap_activations
             if r.matches:
-                nonempty += 1
+                with_matches += 1
     mean = sum(round_means) / len(round_means)
     times_ns.sort()
     p50, p95, p99 = (times_ns[math.ceil(len(times_ns) * p / 100) - 1] / 1e3 for p in (50, 95, 99))
@@ -188,7 +174,7 @@ def bench(index: Index, words, queries: int = 1000, rounds: int = 20,
         word_count=index.word_count, total_length=index.total_length,
         round_means_us=round_means, mean_us=mean, p50_us=p50, p95_us=p95, p99_us=p99,
         totals=totals,
-        nonempty=nonempty, total_queries=queries * rounds,
+        queries_with_matches=with_matches, total_queries=queries * rounds,
     )
 
 
@@ -303,7 +289,7 @@ def _cmd_bench(args) -> int:
     print(f"candidates generated: {t.candidates_generated}")
     print(f"exact probes: {t.exact_probes}")
     print(f"cap activations: {t.cap_activations}")
-    print(f"queries with matches: {report.nonempty}/{report.total_queries}")
+    print(f"queries with matches: {report.queries_with_matches}/{report.total_queries}")
     return EXIT_OK
 
 

@@ -9,9 +9,11 @@ its first insert.
 Probing starts at poly_hash(word) mod capacity and scans circularly until
 the word or an empty slot is found.  Every table keeps at least one empty
 slot, so scans terminate; loading rejects a table that has none.  An
-insert runs its table's probe and writes into the empty slot that ends
-the run.  In a plain table the first zero byte at or after the home slot
-is the start of the empty slot that ends the run, so a probe is one
+insert writes into the empty slot that ends its word's run, and does
+nothing else: Index.insert_word is the checked writer, and it makes
+every check (not compacted, a valid and absent word, headroom) first.
+In a plain table the first zero byte at or after the home slot is the
+start of the empty slot that ends the run, so a probe is one
 `bytes.find(0, ...)` plus one aligned `bytes.find(word, ...)` over the
 run (two of each when the run wraps past the last slot); loading rejects
 a table whose occupied slots hold a zero byte, which would break this.
@@ -36,11 +38,10 @@ import struct
 from collections import Counter
 from fractions import Fraction
 
-from .errors import CompactedError, IndexFormatError
+from .errors import IndexFormatError
 from .hashing import poly_hash
 from .succinct import RankBitVector, read_occupancy, run_of_ones, squeeze
-from .util import (capacity_for, check_headroom, check_loaded_table, take,
-                   validate_word, validate_words)
+from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
 
 # Capacity of a per-length table created on demand by insert_word for a
 # length unseen at build time.  Tables are never grown.
@@ -106,29 +107,27 @@ class _WordTable:
             return _holds(slots, word, lo, hi, w)
         return _holds(slots, word, lo, n, w) or _holds(slots, word, 0, hi - n, w)
 
-    def insert(self, word, h: int) -> bool:
-        """Insert unless present; returns True if the word was new."""
+    def insert(self, word, h: int) -> None:
+        """Write a word into the empty slot that ends its probe run.  The
+        caller has checked that the word is absent and that the table has
+        headroom, which leaves an empty slot for the run to end at."""
         w = self.width
         slots = self.slots
         lo = h % self.capacity * w
-        if slots[lo]:  # an occupied home slot: the word may be in its run
-            if self.contains(word, h):
-                return False
-            lo = slots.find(0, lo)  # the empty slot ending the run
+        if slots[lo]:  # an occupied home slot: write past the end of its run
+            lo = slots.find(0, lo)
             if lo < 0:  # the run wraps past the last slot
                 lo = slots.find(0)
-                if lo < 0:  # only a loaded table whose count was too low
-                    raise IndexFormatError(f"word table (length {w}): no empty slot left, "
-                                           f"its count {self.count} is wrong")
         slots[lo : lo + w] = word
         self.count += 1
-        return True
 
     def compact(self, delta: int) -> None:
         """Add the occupancy bits and keep only the occupied slots, back to
         back.  A word holds no zero byte and an empty slot is all zero
         (load checks both), so squeezing out the zero bytes leaves exactly
-        those slots, in slot order."""
+        those slots, in slot order.  A compacted table stays as it is."""
+        if self.occupancy is not None:
+            return
         self.occupancy = RankBitVector.from_flags(self.slots[0 :: self.width], delta)
         self.slots = squeeze(self.slots)
 
@@ -201,12 +200,11 @@ class _WordTable:
 class ExactDictionary:
     """Membership structure over the unmodified dictionary words."""
 
-    __slots__ = ("seed", "tables", "compacted")
+    __slots__ = ("seed", "tables")
 
     def __init__(self, seed: int):
         self.seed = seed
         self.tables: dict[int, _WordTable] = {}  # word length -> its table
-        self.compacted = False
 
     @property
     def word_count(self) -> int:
@@ -241,32 +239,23 @@ class ExactDictionary:
         if table is not None:
             check_headroom(table.count, 1, table.capacity, f"word table (length {length})")
 
-    def insert_word(self, word, h: int | None = None) -> bool:
-        """Add one word; returns False if it was already present.
+    def insert_word(self, word, h: int) -> None:
+        """Write one word whose hash is h.  A length unseen at build time
+        gets a small fresh table; tables are never grown.
 
-        Only available before compaction.  A length unseen at build time
-        gets a small fresh table; tables are never grown, so sustained
-        inserts into one length eventually raise TableFullError.
+        Index.insert_word makes every check first: the dictionary is not
+        compacted, the word is valid and absent, and its table has
+        headroom.
         """
-        if self.compacted:
-            raise CompactedError("cannot insert into a compacted dictionary")
-        word = validate_word(word)
-        m = len(word)
-        if h is None:
-            h = poly_hash(word, self.seed)
-        self.check_headroom(m)
-        table = self.tables.get(m)
+        table = self.tables.get(len(word))
         if table is None:
-            table = self.tables[m] = _WordTable(m, NEW_TABLE_CAPACITY)
-        return table.insert(word, h)
+            table = self.tables[len(word)] = _WordTable(len(word), NEW_TABLE_CAPACITY)
+        table.insert(word, h)
 
     def compact(self, delta: int = 4) -> None:
         """Compact every table: occupancy bits plus its occupied slots."""
-        if self.compacted:
-            return
         for table in self.tables.values():
             table.compact(delta)
-        self.compacted = True
 
     def table_report(self) -> list[tuple[str, int, int]]:
         """(name, entries, capacity) per table, for occupancy statistics."""
@@ -299,7 +288,6 @@ class ExactDictionary:
         # above every stored byte would misread them.
         if sigma and not any(sigma in t.slots for t in d.tables.values()):
             raise IndexFormatError(f"sigma = {sigma} is above every stored byte")
-        d.compacted = compacted
         return d, offset
 
 
@@ -308,8 +296,10 @@ def build_exact(words, alpha: Fraction, beta: int = 16, seed: int = 1,
     """Build the membership structure for a word list.
 
     Duplicates are dropped; words containing NUL bytes are rejected with a
-    diagnostic naming the offending input position.  beta is accepted by
-    position and ignored: every word is stored inline.
+    diagnostic naming the offending input position.  validated=True skips
+    that step for words validate_words returned, so each is written with
+    no presence probe.  beta is accepted by position and ignored: every
+    word is stored inline.
     """
     if not validated:
         words = validate_words(words)

@@ -198,29 +198,30 @@ class Index:
     def insert_word(self, word) -> bool:
         """Add a word and all of its store entries; False if already present.
 
-        Checks headroom everywhere before touching anything, so a
-        TableFullError leaves the index unchanged.
+        The one checked writer: it refuses a compacted index, validates
+        the word, probes for it and checks every table's headroom, each
+        once and before any write, so a refusal leaves the index
+        unchanged.  The tables below it only write.
         """
         if self.compacted:
             raise CompactedError("cannot insert into a compacted index")
         word = validate_word(word)
-        h = poly_hash(word, self.exact.seed)
-        if self.exact.contains(word, h):
+        exact = self.exact
+        h = poly_hash(word, exact.seed)
+        if exact.contains(word, h):
             return False
         m = len(word)
-        self.exact.check_headroom(m)
-        if self.store1 is not None:
-            self.store1.check_headroom(entries_for(m, 1))
-        if self.store2 is not None:
-            self.store2.check_headroom(entries_for(m, 2))
-        self.exact.insert_word(word, h)
+        stores = [s for s in (self.store1, self.store2) if s is not None]
+        exact.check_headroom(m)
+        for store in stores:
+            store.check_headroom(entries_for(m, store.level))
+        exact.insert_word(word, h)
         # Each store raises its own sigma to the word's largest byte, if
         # that is above, before it places the word's entries.
-        if self.store1 is not None:
-            self.store1.insert_entries(word)
-        if self.store2 is not None:
-            self.store2.insert_entries(word)
-        self.sigma = max(self.sigma, max(word))
+        sigma = max(self.sigma, max(word))
+        for store in stores:
+            store.insert_word(word, sigma)
+        self.sigma = sigma
         return True
 
     def table_report(self) -> list[tuple[str, int, int]]:

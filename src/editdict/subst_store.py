@@ -7,8 +7,11 @@ character w[j] keyed by the word with position j blanked out.  A level-2
 store does the same for every pair of positions i < j, storing the
 character at the leftmost blank.  A word's entries are made in one batch:
 hashing.blank_keys gives its keys, the hashes of the word with j or i < j
-blanked, and one loop places them in that order.  The query engine makes
-the same keys of a pattern from its HashContext.
+blanked, and one loop places them in that order.  SubstStore.insert_word
+does this for build_store and for Index.insert_word alike, and only
+writes: Index.insert_word is the checked writer, and checks the store's
+headroom first.  The query engine makes the same keys of a pattern from
+its HashContext.
 
 All entries of one level share a single linear-probing character table;
 the key only determines the starting slot (key hash mod capacity), so a
@@ -27,9 +30,9 @@ bounded:
 * a scan gives up and returns the whole alphabet [1..sigma] (sigma = the
   largest byte value stored) instead, still a superset, when its run from
   the home slot is _SCAN_LIMIT * sigma slots or longer, or when its
-  signature-filtered list already holds sigma characters or more.  So no
-  scan reads more than _SCAN_LIMIT * sigma slots or returns more than
-  sigma characters.  The run limit guards against pathological clusters
+  signature-filtered list holds all sigma characters.  So no scan reads
+  more than _SCAN_LIMIT * sigma slots or returns more than sigma
+  distinct characters.  The run limit guards against pathological clusters
   only, so it sits far out in the tail of ordinary ones.  At load alpha
   linear probing's expected unsuccessful run is about
   (1 + 1/(1 - alpha)**2) / 2 slots, 13 at alpha = 0.8, and the tail is
@@ -79,7 +82,8 @@ runs end at one of these steps.  On the rarer path where a nibble
 matches, one more translate deletes the kept bytes whose high bits are
 not the rest of the key's signature and maps the others to their
 characters; a list left empty is rejected there.  The count cap counts
-the characters left after that filter.
+the distinct characters left after that filter, and only for a list of
+sigma characters or more.
 
 Compaction freezes a store and drops its empty slots.  It adds the
 occupancy bits (succinct.py: in memory, flat arrays of 64-bit data words
@@ -110,7 +114,7 @@ from functools import cache
 from itertools import combinations, compress
 from operator import itemgetter
 
-from .errors import CompactedError, IndexFormatError, ValidationError
+from .errors import IndexFormatError, ValidationError
 from .hashing import blank_keys
 from .succinct import RankBitVector, chunk_size, read_occupancy, run_of_ones, squeeze
 from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
@@ -269,28 +273,20 @@ class SubstStore:
                 bytes(x & ((1 << b) - 1) | (x >> b << wide) & 255 for x in range(256)))
         self._set_sigma(sigma)
 
-    def _insert_word_entries(self, word) -> int:
-        """Insert all level-appropriate entries for one word; O(1) each."""
+    def check_headroom(self, added: int) -> None:
+        """Raise TableFullError if `added` more entries will not fit."""
+        check_headroom(self.entry_count, added, self.capacity, f"level-{self.level} store")
+
+    def insert_word(self, word, sigma: int) -> None:
+        """Place all level-appropriate entries of one word, O(1) each, first
+        raising the store's sigma to `sigma`, at least the word's largest
+        byte, if that is above it.  It only writes: build_store sizes the
+        store for its words, and Index.insert_word checks headroom first."""
+        if sigma > self.sigma:
+            self._widen(sigma)
         keys = blank_keys(word, self.bucket_seed, self.level)
         chars = word if self.level == 1 else map(itemgetter(0), combinations(word, 2))
         self._place(keys, chars)
-        return len(keys)
-
-    def check_headroom(self, added: int) -> None:
-        if self.occupancy is not None:
-            raise CompactedError("cannot insert into a compacted store")
-        check_headroom(self.entry_count, added, self.capacity,
-                       f"level-{self.level} store")
-
-    def insert_entries(self, word) -> int:
-        """Add all entries for one new word, first raising sigma to the
-        word's largest byte if that is above it; returns how many were
-        added."""
-        self.check_headroom(entries_for(len(word), self.level))
-        top = max(word)
-        if top > self.sigma:
-            self._widen(top)
-        return self._insert_word_entries(word)
 
     # -- querying ---------------------------------------------------------
 
@@ -301,12 +297,12 @@ class SubstStore:
         capacity) to the next empty slot, keeping the characters whose
         stored signature equals the key's (all of them if the store has no
         signatures), as bytes in slot order, repeats included.  A run of
-        _SCAN_LIMIT * sigma slots or more, or a kept list of sigma
-        characters or more, returns the full alphabet range(1, sigma + 1)
+        _SCAN_LIMIT * sigma slots or more, or a kept list that holds sigma
+        distinct characters, returns the full alphabet range(1, sigma + 1)
         instead, with capped = True.  The run limit is far above an
         ordinary run at any load, so it caps pathological clusters only
-        (see the module docstring); the count limit caps a list that is no
-        shorter than the alphabet.  The result is always a superset of the
+        (see the module docstring); the count limit caps a list that holds
+        the whole alphabet.  The result is always a superset of the
         characters stored under this key.
         """
         t = self.capacity
@@ -375,7 +371,9 @@ class SubstStore:
                     return _EMPTY, False
         else:
             out = bytes(chars[s:e] if s < e else chars[s:] + chars[:e])
-        if len(out) >= sigma:
+        # A list as long as the alphabet may hold all of it: only then is it
+        # the alphabet.
+        if len(out) >= sigma and len(set(out)) >= sigma:
             return range(1, sigma + 1), True
         return out, False
 
@@ -489,7 +487,7 @@ def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
     total = sum(entries_for(len(w), level) for w in words)
     store = SubstStore(level, capacity_for(total, alpha), use_signatures, bucket_seed, sigma)
     for w in words:
-        store._insert_word_entries(w)
+        store.insert_word(w, sigma)
     return store
 
 

@@ -25,10 +25,11 @@ delta = 4 by default.  Loading computes the ranks from the bits and
 rejects a file whose stored counts disagree with them or that sets a bit
 past n_bits.
 
-The file is little-endian whatever the host.  Only the three array
-helpers below (u32_bytes, _u64_array, _u64_bytes) and the byteswap that
-ends from_flags depend on the host's byte order; those big-endian
-branches have not been run on a big-endian host.
+The file is little-endian whatever the host.  Only the two array
+helpers below (_le_bytes, _u64_array) and the byteswap that ends
+from_flags depend on the host's byte order.  Those big-endian branches
+have not been run on a big-endian host; a test runs the helpers' ones
+with the flag forced on.
 
 A compacted table keeps its linear-probing payload arrays over entries
 instead of slots, beside its occupancy bits: the payload of slot s sits
@@ -86,10 +87,11 @@ def squeeze(buf: bytearray) -> bytes:
         return view[:d].tobytes()
 
 
-def u32_bytes(words: array) -> bytes:
-    """The little-endian bytes of an array('I')."""
+def _le_bytes(words: array) -> bytes:
+    """The little-endian bytes of an integer array: the inverse of
+    _u64_array for an array('Q'), the stored counts for an array('I')."""
     if _BIG_ENDIAN:
-        words = array("I", words)
+        words = array(words.typecode, words)
         words.byteswap()
     return words.tobytes()
 
@@ -105,14 +107,6 @@ def _u64_array(data) -> array:
     if _BIG_ENDIAN:
         words.byteswap()
     return words
-
-
-def _u64_bytes(words: array) -> bytes:
-    """The little-endian bytes of an array('Q'); the inverse of _u64_array."""
-    if _BIG_ENDIAN:
-        words = array("Q", words)
-        words.byteswap()
-    return words.tobytes()
 
 
 def _ranks(words: array, chunk: int) -> array:
@@ -207,7 +201,7 @@ class RankBitVector:
 
     def to_bytes(self) -> bytes:
         """The data words, then every delta-th rank (see the module docstring)."""
-        return _u64_bytes(self.words) + u32_bytes(self.ranks[0 : len(self.words) : self.delta])
+        return _le_bytes(self.words) + _le_bytes(self.ranks[0 : len(self.words) : self.delta])
 
     @classmethod
     def from_bytes(cls, buf, offset: int, n_bits: int, delta: int) -> tuple["RankBitVector", int]:
@@ -222,7 +216,7 @@ class RankBitVector:
         data = take(buf, offset, size, f"rank bit vector of {n_bits} bits")
         words = _u64_array(data[: 8 * n_words])
         rbv = cls(n_bits, delta, words)
-        if data[8 * n_words :] != u32_bytes(rbv.ranks[0:n_words:delta]):
+        if data[8 * n_words :] != _le_bytes(rbv.ranks[0:n_words:delta]):
             raise IndexFormatError("rank bit vector counts disagree with its bits")
         if n_bits & 63 and words[-1] >> (n_bits & 63):
             raise IndexFormatError("rank bit vector has bits set past its length")

@@ -316,7 +316,7 @@ def test_bench_queries_stay_within_distance(rng):
     words = random_words(rng, 60, 1, 8)
     ix = build_index(words, BuildConfig(errors=2, rng_seed=12))
     report = bench(ix, words, queries=50, rounds=2, seed=4, k=2)
-    assert report.nonempty == report.total_queries
+    assert report.queries_with_matches == report.total_queries
 
 
 def test_random_edit_pattern_respects_k():

@@ -6,9 +6,10 @@ from itertools import product
 
 import pytest
 
-from editdict.errors import CompactedError, IndexFormatError, TableFullError, ValidationError
+from editdict.errors import CompactedError, TableFullError, ValidationError
 from editdict.exact_dict import NEW_TABLE_CAPACITY, ExactDictionary, _WordTable, build_exact
 from editdict.hashing import poly_hash
+from editdict.index_io import BuildConfig, build_index
 from conftest import random_words
 
 ALPHA = Fraction(7, 10)
@@ -72,20 +73,26 @@ def test_long_words_use_inline_tables(rng):
         {w for w in words if len(w) >= 16})
 
 
+def insert(d: ExactDictionary, word: bytes) -> None:
+    """d.insert_word with the checks Index.insert_word makes first: the
+    word is absent and its table has headroom."""
+    assert not d.contains(word)
+    d.check_headroom(len(word))
+    d.insert_word(word, poly_hash(word, d.seed))
+
+
 def test_insert_roundtrip(rng):
     words = random_words(rng, 500, 4, 10)
     d = build_exact(words[:400], ALPHA, seed=9)
     before = d.word_count
-    assert d.insert_word(b"zyxwv") is True
+    insert(d, b"zyxwv")
     assert d.contains(b"zyxwv")
-    assert d.word_count == before + 1
-    assert d.insert_word(b"zyxwv") is False
     assert d.word_count == before + 1
 
 
 def test_insert_new_length_creates_table():
     d = build_exact([b"abcdef"], ALPHA, seed=9)
-    assert d.insert_word(b"xy") is True
+    insert(d, b"xy")
     assert d.contains(b"xy")
 
 
@@ -95,7 +102,7 @@ def test_insert_new_long_length_creates_small_table(width):
     # short one: a table per length, never grown.
     d = build_exact([b"abcdef", b"q" * 40], ALPHA, seed=9)
     word = bytes(97 + i % 7 for i in range(width))
-    assert d.insert_word(word) is True
+    insert(d, word)
     assert d.contains(word) and not d.contains(word[::-1])
     assert d.tables[width].capacity == NEW_TABLE_CAPACITY
 
@@ -113,24 +120,28 @@ def test_insert_replay_then_found(rng):
         extra += ws[cut : cut + math.floor(0.25 * len(ws))]
     d = build_exact(build, ALPHA, seed=12)
     for w in extra:
-        assert d.insert_word(w) is True
+        insert(d, w)
     for w in build + extra:
         assert d.contains(w)
 
 
 def test_insert_hits_hard_ceiling():
-    # A one-word table has capacity 2 and no headroom below the 0.95 ceiling.
+    # A one-word table has capacity 2 and no headroom below the 0.95
+    # ceiling; a length with no table has the room of a new one.
     d = build_exact([b"abc"], ALPHA, seed=1)
     with pytest.raises(TableFullError):
-        d.insert_word(b"xyz")
-    assert not d.contains(b"xyz")
+        d.check_headroom(3)
+    d.check_headroom(4)
 
 
 def test_insert_into_compacted_refused():
-    d = build_exact([b"abc", b"def"], ALPHA, seed=1)
-    d.compact()
+    # The dictionary only writes; Index.insert_word refuses a compacted
+    # index before it reaches it.
+    ix = build_index([b"abc", b"def"], BuildConfig(errors=0, compact=True, rng_seed=1))
+    before = ix.exact.to_bytes()
     with pytest.raises(CompactedError):
-        d.insert_word(b"ghi")
+        ix.insert_word(b"ghi")
+    assert ix.exact.to_bytes() == before
 
 
 def test_compact_differential(rng):
@@ -170,10 +181,14 @@ def test_plain_probe_wrapping_runs_and_inserts_after_load(rng):
         for w in every:
             assert d.contains(w) == (w in stored)
         for w in rng.sample(every, len(every)):
+            if d.contains(w):
+                assert w in stored
+                continue
             try:
-                assert d.insert_word(w) == (w not in stored)
+                d.check_headroom(len(w))
             except TableFullError:
                 continue
+            d.insert_word(w, poly_hash(w, d.seed))
             stored.add(w)
         for w in every:
             assert d.contains(w) == (w in stored)
@@ -189,31 +204,19 @@ def _stored_at(table, slot: int) -> bytes:
 @pytest.mark.parametrize("long", [False, True])
 def test_insert_run_wraps_past_last_slot(long):
     # Three words whose home is the last slot: the first fills it, the
-    # next two wrap to slots 0 and 1.  Re-inserting each finds it, also
-    # across the wrap.  Long words are 20 bytes.
+    # next two wrap to slots 0 and 1, and a probe finds each, also across
+    # the wrap.  Long words are 20 bytes.
     t = 8
     table = _WordTable(20 if long else 3, t)
     prefix = b"q" * 17 if long else b""
     candidates = (prefix + bytes(p) for p in product(b"abcdef", repeat=3))
     words = [w for w in candidates if poly_hash(w, 5) % t == t - 1][:3]
     for w in words:
-        assert table.insert(w, poly_hash(w, 5)) is True
+        table.insert(w, poly_hash(w, 5))
     assert [_stored_at(table, s) for s in (t - 1, 0, 1)] == words
     for w in words:
-        assert table.insert(w, poly_hash(w, 5)) is False
         assert table.contains(w, poly_hash(w, 5))
     assert table.count == 3
-
-
-def test_insert_into_table_with_wrong_count_raises():
-    # A loaded table whose count is below its occupied slots passes the
-    # headroom check; filling its last empty slot must not end in an
-    # endless or misplaced write.
-    d = build_exact([b"ab", b"cd", b"ef"], ALPHA, seed=1)
-    d.tables[2].count = 0
-    with pytest.raises(IndexFormatError, match="no empty slot"):
-        for w in (b"gh", b"ij", b"kl"):
-            d.insert_word(w)
 
 
 def test_compact_empty():

@@ -256,15 +256,32 @@ def test_insert_word_updates_everything(rng):
     assert w in ix.query(w[:-2], 2).matches
 
 
+def _tables(ix) -> list:
+    return [ix.sigma, ix.exact.to_bytes()] + [
+        store.to_bytes() for store in (ix.store1, ix.store2) if store is not None]
+
+
 def test_insert_word_atomic_on_store_overflow():
     # Exact table would fit, but the level-1 store will not: nothing changes.
     ix = build_index([b"abcd", b"bcda", b"cdab"], BuildConfig(errors=1, rng_seed=6))
-    store_before = ix.store1.entry_count
-    with pytest.raises(TableFullError):
+    before = _tables(ix)
+    with pytest.raises(TableFullError, match="level-1 store"):
         ix.insert_word(b"abcdefghijabcdefghij")
-    assert ix.store1.entry_count == store_before
+    assert _tables(ix) == before
     assert not ix.contains(b"abcdefghijabcdefghij")
     assert ix.word_count == 3
+
+
+def test_full_word_table_refuses_new_words_not_present_ones():
+    # A one-word table has capacity 2 and no headroom below the 0.95
+    # ceiling; the presence probe comes before the headroom check.
+    ix = build_index([b"abc"], BuildConfig(errors=0, rng_seed=6))
+    before = _tables(ix)
+    with pytest.raises(TableFullError, match="word table"):
+        ix.insert_word(b"xyz")
+    assert _tables(ix) == before
+    assert not ix.contains(b"xyz")
+    assert ix.insert_word(b"abc") is False
 
 
 def test_insert_raises_sigma():
@@ -320,17 +337,16 @@ def test_insert_that_widens_sigma_answers_as_the_oracle(rng, first, inserted, si
 
 
 def test_refused_insert_leaves_the_stores_unpacked(rng):
-    # The level-1 store has room for the word, the level-2 store has not:
-    # the headroom checks come first, so neither store is repacked.
+    # The exact table and the level-1 store have room for the word, the
+    # level-2 store has not: the headroom checks come first, so no table
+    # is written and neither store is repacked.
     words = random_words(rng, 150, 2, 8, alphabet_size=4)
     ix = build_index(words, BuildConfig(errors=2, rng_seed=9))
-    before = [bytes(ix.store1.chars), bytes(ix.store1.sigs),
-              bytes(ix.store2.chars), bytes(ix.store2.sigs), ix.sigma]
+    before = _tables(ix)
     wide = bytes([200]) + b"abcd" * 15
     with pytest.raises(TableFullError, match="level-2 store"):
         ix.insert_word(wide)
-    assert [bytes(ix.store1.chars), bytes(ix.store1.sigs),
-            bytes(ix.store2.chars), bytes(ix.store2.sigs), ix.sigma] == before
+    assert _tables(ix) == before
     assert ix.store1.sigma == ix.store2.sigma == ord("d")
 
 

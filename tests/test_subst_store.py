@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from editdict import subst_store, succinct
 from editdict.errors import CompactedError, IndexFormatError, TableFullError, ValidationError
 from editdict.hashing import WILDCARD, blank_keys, poly_hash
+from editdict.index_io import BuildConfig, build_index
 from editdict.subst_store import (
     _SCAN_LIMIT,
     SubstStore,
@@ -115,8 +116,8 @@ def test_list_query_is_superset_of_true_list(rng):
 
 def test_signatures_only_shrink_lists(rng):
     # A signed scan keeps a subset of the plain scan's run, so it caps only
-    # where the plain scan caps, not conversely: a plain run of sigma or more
-    # characters caps, the signed list of the same run may stay below sigma.
+    # where the plain scan caps, not conversely: a plain run that holds all
+    # sigma characters caps, the signed list of the same run may not.
     # Bytes 1-6 (sigma = 6) make such caps common; bytes 97-102 make none.
     base = random_words(rng, 300, 2, 10, alphabet_size=6)
     for first in (97, 1):
@@ -139,10 +140,10 @@ def test_signatures_only_shrink_lists(rng):
 
 def test_insert_entries_counts():
     store = SubstStore(1, 64, True, SEEDS["bucket_seed"], sigma=122)
-    assert store.insert_entries(b"abc") == 3
+    store.insert_word(b"abc", 122)
     assert store.entry_count == 3
     store2 = SubstStore(2, 64, True, SEEDS["bucket_seed"], sigma=122)
-    assert store2.insert_entries(b"abcd") == 6
+    store2.insert_word(b"abcd", 122)
     assert store2.entry_count == 6
 
 
@@ -158,7 +159,8 @@ def test_insert_completeness_replay(rng):
         extra += ws[cut : cut + math.floor(0.25 * len(ws))]
     store = build_store(build, 1, ALPHA, True, **SEEDS)
     for w in extra:
-        store.insert_entries(w)
+        store.check_headroom(len(w))
+        store.insert_word(w, max(store.sigma, max(w)))
     assert store.entry_count == sum(len(w) for w in build + extra)
     for w in extra:
         for j in range(1, len(w) + 1):
@@ -169,15 +171,19 @@ def test_insert_completeness_replay(rng):
 def test_insert_past_ceiling_refused():
     store = build_store([b"abcd"], 1, ALPHA, True, **SEEDS)  # capacity 6
     with pytest.raises(TableFullError):
-        store.insert_entries(b"xyz")
+        store.check_headroom(3)
+    store.check_headroom(1)
     assert store.entry_count == 4
 
 
 def test_insert_into_compacted_refused():
-    store = build_store([b"abcd"], 1, ALPHA, True, **SEEDS)
-    store.compact()
+    # The stores only write; Index.insert_word refuses a compacted index
+    # before it reaches them.
+    ix = build_index([b"abcd", b"bcda"], BuildConfig(errors=2, compact=True, rng_seed=1))
+    before = [ix.store1.to_bytes(), ix.store2.to_bytes()]
     with pytest.raises(CompactedError):
-        store.insert_entries(b"zz")
+        ix.insert_word(b"zz")
+    assert [ix.store1.to_bytes(), ix.store2.to_bytes()] == before
 
 
 def test_compact_differential(rng):
@@ -454,7 +460,7 @@ def reference_scan(store: SubstStore, slot: int, key_q: int):
     and the high part of the signature, whose low nibble is the low nibble
     of sigs[i] below half = (capacity + 1) // 2 and the high nibble of
     sigs[i - half] from there on.  A run of _SCAN_LIMIT * sigma slots or
-    more, or a kept list of sigma characters or more, caps the scan."""
+    more, or a kept list that holds all sigma characters, caps the scan."""
     t, sigma = store.capacity, store.sigma
     half = (t + 1) // 2
     key_nibble, key_high = signature(store, key_q)
@@ -478,8 +484,9 @@ def reference_scan(store: SubstStore, slot: int, key_q: int):
 
 
 def capped_by_count(out, sigma: int):
-    """The result of a scan whose run ended with `out` kept."""
-    if len(out) >= sigma:
+    """The result of a scan whose run ended with `out` kept: the alphabet,
+    capped, if `out` holds all sigma characters."""
+    if len(set(out)) >= sigma:
         event("count cap")
         return list(range(1, sigma + 1)), True
     return out, False
@@ -542,7 +549,7 @@ def reference_compacted_scan(store: SubstStore, occupied, slot: int, key_q: int)
     half = (entry_count + 1) // 2, its signature's low nibble in the low
     nibble of sigs[i] below half and in the high nibble of sigs[i - half]
     from there on.  A run of _SCAN_LIMIT * sigma slots or more, or a kept
-    list of sigma characters or more, caps the scan."""
+    list that holds all sigma characters, caps the scan."""
     t, sigma, n = store.capacity, store.sigma, store.entry_count
     half = (n + 1) // 2
     key_nibble, key_high = signature(store, key_q)
@@ -698,7 +705,7 @@ def test_insert_into_store_with_wrong_count_raises():
         store._place([slot + 1 * store.capacity], [97])
     store.entry_count = 0
     with pytest.raises(IndexFormatError, match="no empty slot"):
-        store.insert_entries(b"ab")
+        store.insert_word(b"ab", 122)
     assert store.entry_count == 1  # the first entry took the last empty slot
 
 
@@ -733,9 +740,20 @@ def test_one_entry_in_run_longer_than_sigma_is_listed(compact, home):
 @homes
 @pytest.mark.parametrize("sig_on", [False, True])
 def test_sigma_entries_under_one_key_cap(compact, sig_on, home):
-    store = one_run_store(compact, sig_on, home, [(2, 1), (1, 4), (2, 2), (2, 3), (2, 1)])
+    store = one_run_store(compact, sig_on, home, [(2, 1), (1, 4), (2, 2), (2, 3), (2, 4)])
     chars, capped = store.list_query(home + 2 * store.capacity)
     assert (list(chars), capped) == ([1, 2, 3, 4], True)
+
+
+@layouts
+@homes
+@pytest.mark.parametrize("sig_on", [False, True])
+def test_sigma_entries_with_a_repeat_do_not_cap(compact, sig_on, home):
+    # The key's list (signed) or the run (unsigned) holds sigma entries or
+    # more, but not all sigma characters: it is returned as it is.
+    store = one_run_store(compact, sig_on, home, [(2, 1), (1, 3), (2, 2), (2, 1), (2, 2)])
+    chars, capped = store.list_query(home + 2 * store.capacity)
+    assert (list(chars), capped) == ([1, 2, 1, 2] if sig_on else [1, 3, 2, 1, 2], False)
 
 
 @layouts
@@ -764,11 +782,13 @@ def test_run_past_four_sigma_is_read(compact, sig_on, home):
     # A run of 8 * sigma slots, twice the length that once capped a scan,
     # is short of the limit.  Signed, the key's one entry behind the run's
     # foreign ones is its whole list; unsigned, the run lists more than
-    # sigma characters, which the count cap turns into the alphabet.
+    # sigma characters but only two distinct ones, so the count cap lets
+    # it through.
     assert 8 * SIGMA < LIMIT
-    store = one_run_store(compact, sig_on, home, [(1, 1)] * (8 * SIGMA - 1) + [(2, 3)])
+    run = [(1, 1)] * (8 * SIGMA - 1) + [(2, 3)]
+    store = one_run_store(compact, sig_on, home, run)
     chars, capped = store.list_query(home + 2 * store.capacity)
-    assert (list(chars), capped) == (([3], False) if sig_on else ([1, 2, 3, 4], True))
+    assert (list(chars), capped) == ([3] if sig_on else [c for _, c in run], False)
 
 
 @layouts
@@ -778,13 +798,17 @@ def test_run_of_exactly_limit_slots_caps_in_a_larger_table(compact, sig_on, home
     # In a 181-slot table a run of LIMIT slots ends at an empty slot, which
     # the bounded search must not reach.  A run one slot shorter is read:
     # signed, none of its entries carries the key's signature 2; unsigned,
-    # its LIMIT - 1 characters cap by count.
-    for length, capped in ((LIMIT, True), (LIMIT - 1, not sig_on)):
+    # its LIMIT - 1 characters are all 1, one distinct character, so the
+    # count cap lets them through.
+    for length in (LIMIT, LIMIT - 1):
         store = fill_store(181, sig_on, SIGMA, [(home, 1, 1)] * length)
         if compact:
             store.compact()
-        chars, was_capped = store.list_query(home + 2 * store.capacity)
-        assert (list(chars), was_capped) == (([1, 2, 3, 4], True) if capped else ([], False))
+        chars, capped = store.list_query(home + 2 * store.capacity)
+        if length == LIMIT:
+            assert (list(chars), capped) == ([1, 2, 3, 4], True)
+        else:
+            assert (list(chars), capped) == ([] if sig_on else [1] * length, False)
 
 
 @settings(max_examples=300, deadline=None)

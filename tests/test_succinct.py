@@ -111,6 +111,26 @@ def test_bytes_roundtrip():
             assert back.rank1(i) == rbv.rank1(i)
 
 
+@pytest.mark.parametrize("n, delta", [(0, 4), (1, 1), (64, 1), (200, 3), (4096, 4)])
+def test_byte_order_branches_swap_every_word_and_count(monkeypatch, n, delta):
+    # The file is little-endian whatever the host.  With the host's byte
+    # order flag flipped, the helpers' other branches run: the layout they
+    # write is the real one with each 64-bit word and 32-bit count
+    # byteswapped, and they read it back to the same vector.
+    rng = random.Random(n)
+    rbv = RankBitVector.from_flags(bytes(rng.randint(0, 1) for _ in range(n)), delta)
+    blob = rbv.to_bytes()
+    n_words = (n + 63) // 64
+    split = 8 * n_words
+    swapped = (b"".join(blob[i : i + 8][::-1] for i in range(0, split, 8))
+               + b"".join(blob[i : i + 4][::-1] for i in range(split, len(blob), 4)))
+    monkeypatch.setattr(succinct, "_BIG_ENDIAN", not succinct._BIG_ENDIAN)
+    assert rbv.to_bytes() == swapped
+    back, end = RankBitVector.from_bytes(swapped, 0, n, delta)
+    assert end == len(swapped)
+    assert (back.words, back.ranks) == (rbv.words, rbv.ranks)
+
+
 def test_probe_replay_equivalence():
     # Scanning runs through the compacted form sees the payloads of the
     # original array, from every possible start position, wrap included.
