@@ -3,8 +3,9 @@
 Build an index over a word list once, then ask for every stored word
 within edit distance k (k = 0, 1 or 2) of a query pattern.  Lookups run on
 linear-probing hash tables with incremental polynomial hashing; optional
-4-bit signatures filter collisions, and optional bit-vector compaction
-shrinks the finished tables to roughly their payload size.
+key signatures of 12 - sigma.bit_length() bits (4 to 11, sigma being the
+largest stored byte) filter collisions, and optional bit-vector
+compaction shrinks the finished tables to roughly their payload size.
 """
 
 from .baseline import (

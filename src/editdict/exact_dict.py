@@ -66,12 +66,14 @@ class _WordTable:
 
     __slots__ = ("width", "capacity", "count", "slots", "occupancy")
 
-    def __init__(self, width: int, capacity: int):
+    def __init__(self, width: int, capacity: int, count: int = 0, slots=None,
+                 occupancy: RankBitVector | None = None):
+        """An empty plain table, or a loaded one with its count and arrays."""
         self.width = width
         self.capacity = capacity
-        self.count = 0
-        self.slots = bytearray(width * capacity)
-        self.occupancy: RankBitVector | None = None
+        self.count = count
+        self.slots = bytearray(width * capacity) if slots is None else slots
+        self.occupancy = occupancy
 
     def contains(self, word, h: int) -> bool:
         t = self.capacity
@@ -136,8 +138,7 @@ class _WordTable:
         return _TABLE_HEAD.pack(self.width, self.capacity, self.count) + occ + bytes(self.slots)
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, compacted: bool, delta: int,
-                   min_width: int, seed: int, sigma: int):
+    def from_bytes(cls, buf, offset: int, config, min_width: int, seed: int, sigma: int):
         width, capacity, count = _TABLE_HEAD.unpack_from(buf, offset)
         offset += _TABLE_HEAD.size
         what = f"word table (length {width})"
@@ -145,20 +146,17 @@ class _WordTable:
         # replace a table.
         if width < min_width:
             raise IndexFormatError(f"{what}: lengths must increase from {min_width}")
-        table = cls.__new__(cls)
-        table.width = width
-        table.capacity = capacity
-        table.count = count
-        table.occupancy = None
+        compacted = config.compact
+        occupancy = None
         n = capacity
         if compacted:
-            table.occupancy, offset = read_occupancy(buf, offset, capacity, count, delta, what)
+            occupancy, offset = read_occupancy(buf, offset, capacity, count, config.delta,
+                                               config.alpha, what)
             n = count
         copy = bytes if compacted else bytearray
-        slots = table.slots = copy(take(buf, offset, n * width, what))
+        slots = copy(take(buf, offset, n * width, what))
         offset += n * width
         if compacted:
-            occupied = count  # read_occupancy checked the popcount
             # Deleting bytes 0..sigma leaves only those above it, and
             # writes less than mapping every byte would.
             above_sigma = bool(slots.translate(None, bytes(range(sigma + 1))))
@@ -171,12 +169,13 @@ class _WordTable:
             # firsts.count(0) mispredicts on random occupancy and takes
             # about 2.5 times as long.
             occupied = int.from_bytes(firsts, "little").bit_count()
+            check_loaded_table(what, count, capacity, occupied < capacity)
+            # A probe skips a length whose count is 0, and word_count sums
+            # the counts, so each must equal the table's occupied slots
+            # (read_occupancy checks a compacted table's).
+            if occupied != count:
+                raise IndexFormatError(f"{what}: {occupied} occupied slots, header count {count}")
             above_sigma = 2 in firsts
-        check_loaded_table(what, count, capacity, occupied < capacity)
-        # A probe skips a length whose count is 0, and word_count sums the
-        # counts, so each must equal the table's occupied slots.
-        if occupied != count:
-            raise IndexFormatError(f"{what}: {occupied} occupied slots, header count {count}")
         # A capped scan returns only the characters 1..sigma, so a stored
         # byte above sigma would drop matches silently.
         if above_sigma:
@@ -192,6 +191,7 @@ class _WordTable:
         # A wrong seed: the table must find its first stored word under it.
         lo = 0 if compacted else firsts.find(1) * width  # the first occupied slot, or -width
         word = slots[lo : lo + width]
+        table = cls(width, capacity, count, slots, occupancy)
         if word and not table.contains(word, poly_hash(word, seed)):
             raise IndexFormatError(f"{what}: a stored word is not found under bucket seed {seed:#x}")
         return table, offset
@@ -268,20 +268,19 @@ class ExactDictionary:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, seed: int, compacted: bool, delta: int,
-                   sigma: int):
+    def from_bytes(cls, buf, offset: int, config, seed: int, sigma: int):
         """Parse the section at offset; returns (dictionary, end offset).
 
-        sigma is the index's largest stored byte: a table holding a byte
-        above it is rejected, and so is a sigma no table holds.
+        config is the file header's: its layout flags, delta and load
+        factor.  sigma is the index's largest stored byte: a table holding
+        a byte above it is rejected, and so is a sigma no table holds.
         """
         d = cls(seed)
         (n_tables,) = struct.unpack_from("<H", buf, offset)
         offset += 2
         min_width = 1
         for _ in range(n_tables):
-            table, offset = _WordTable.from_bytes(buf, offset, compacted, delta,
-                                                  min_width, seed, sigma)
+            table, offset = _WordTable.from_bytes(buf, offset, config, min_width, seed, sigma)
             d.tables[table.width] = table
             min_width = table.width + 1
         # A store decodes its characters by sigma's bit length, so a sigma

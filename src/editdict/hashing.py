@@ -62,8 +62,10 @@ def inverse_of(seed: int) -> int:
 def poly_hash(word, seed: int) -> int:
     """Hash of a word: one C-level sum of w_i * seed**i, reduced once.
 
-    `word` is any sequence of integer symbols: bytes for real strings,
-    tuples mixing bytes and WILDCARD for store keys.
+    `word` is any sequence of integer symbols: bytes for the words the
+    exact dictionary stores and probes.  Store keys do not come from
+    here but from blank_keys and HashContext, which give the hash of a
+    word with WILDCARD in its blanked places without building it.
     """
     return sum(map(mul, word, powers_of(seed, len(word))[1 : len(word) + 1])) % MODULUS
 

@@ -36,7 +36,8 @@ its entries instead of its slots.  Nothing else is stored twice: a
 store's level comes from its section's position and its flags from the
 header, and a store section the header's error level does not declare
 is refused, as is a compacted table whose capacity is not the one its
-count and the load factor give.
+count and the load factor give, and a store whose entry count is not
+the one the exact dictionary's words give its level.
 
 The crc32 trailer only catches accidents: a file that passes it but is
 structurally inconsistent is rejected by the checks made while parsing.
@@ -75,7 +76,7 @@ from .errors import (
 from .exact_dict import ExactDictionary, build_exact
 from .hashing import poly_hash, random_seed
 from .subst_store import SubstStore, build_store, entries_for
-from .util import as_bytes, capacity_for, validate_word, validate_words
+from .util import as_bytes, validate_word, validate_words
 
 MAGIC = b"ASDI"
 VERSION = 7
@@ -331,19 +332,16 @@ def load(source) -> Index:
     view = memoryview(blob)
     if zlib.crc32(view[:body_len]) != stored_sum:
         raise ChecksumError("checksum mismatch, file body is corrupt")
-    use_signatures = bool(flags & 1)
-    compacted = bool(flags & 2)
     try:
         config = BuildConfig(
-            errors=errors, alpha=Fraction(num, den), use_signatures=use_signatures,
-            compact=compacted, delta=delta, rng_seed=rng_seed,
+            errors=errors, alpha=Fraction(num, den), use_signatures=bool(flags & 1),
+            compact=bool(flags & 2), delta=delta, rng_seed=rng_seed,
         )
     except (ValidationError, ZeroDivisionError) as exc:
         raise IndexFormatError(f"invalid header field: {exc}") from exc
     offset = _HEADER.size
     try:
-        exact, end = ExactDictionary.from_bytes(view, offset, bucket_seed, compacted, delta,
-                                                sigma)
+        exact, end = ExactDictionary.from_bytes(view, offset, config, bucket_seed, sigma)
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")
         offset = end
@@ -355,23 +353,24 @@ def load(source) -> Index:
                 raise IndexFormatError(f"header declares {errors} errors, but the level-{level} "
                                        f"store is {'present' if length else 'missing'}")
             if length:
-                stores[level - 1], end = SubstStore.from_bytes(
-                    view, offset, level, use_signatures, compacted, delta, bucket_seed, sigma)
+                store, end = SubstStore.from_bytes(view, offset, level, config, bucket_seed,
+                                                   sigma)
                 if end != offset + length:
                     raise IndexFormatError(f"level-{level} store section length mismatch")
                 offset = end
+                # Inserts check a store's headroom by its entry count, so a
+                # count below its entries would let an insert fill the
+                # store's last empty slot.  Each stored word makes
+                # entries_for(its length, level) entries.
+                expected = sum(entries_for(width, level) * table.count
+                               for width, table in exact.tables.items())
+                if store.entry_count != expected:
+                    raise IndexFormatError(f"level-{level} store: entry count "
+                                           f"{store.entry_count}, the stored words make {expected}")
+                stores[level - 1] = store
     except struct.error as exc:
         raise TruncatedError(f"section parsing ran off the end: {exc}") from exc
-    index = Index(config, exact, *stores, bucket_seed, sig_seed, sigma)
-    # A compacted index takes no inserts, so each table keeps the capacity
-    # its build gave it; the occupancy bits alone would not show a
-    # capacity moved within their last word.
-    if compacted:
-        for name, count, capacity in index.table_report():
-            if capacity != capacity_for(count, config.alpha):
-                raise IndexFormatError(f"{name}: capacity {capacity} for {count} entries at "
-                                       f"load factor {config.alpha}")
-    return index
+    return Index(config, exact, *stores, bucket_seed, sig_seed, sigma)
 
 
 def read_wordlist(source) -> list[bytes]:

@@ -219,24 +219,26 @@ def query(index, pattern, k: int) -> QueryResult:
     if k >= m:
         raise ValidationError(f"k={k} must be smaller than the pattern length {m}")
 
+    # One bound membership probe per candidate length m - k .. m + k; None
+    # marks a length with no stored words, so whole candidate classes can
+    # be skipped, and a query with no length to probe answers at once.
+    probe_for = index.exact.probe_for_length
+    probes = [probe_for(n) for n in range(m - k, m + k + 1)]
+    if not any(probes):
+        return QueryResult(set(), QueryStats())
+    probe_same = probes[k]
+    identity = 0 if probe_same is None else 1  # probes of the pattern itself
+
     matches: set[bytes] = set()
     seed = index.bucket_seed
     ctx = HashContext(pattern, seed)
-
-    # One bound membership probe per candidate length; None marks a length
-    # with no stored words, so whole candidate classes can be skipped.
-    probe_for = index.exact.probe_for_length
-    probe_same = probe_for(m)
-    identity = 0 if probe_same is None else 1  # probes of the pattern itself
-
     if identity and probe_same(pattern, ctx.total):
         matches.add(pattern)
     if k == 0:
         return QueryResult(matches, QueryStats(0, 0, identity, 0))
 
     q1 = index.store1.list_query
-    probe_shorter = probe_for(m - 1)
-    probe_longer = probe_for(m + 1)
+    probe_shorter, probe_longer = probes[k - 1], probes[k + 1]
     # del, sub and ins of the pattern: every position and gap (skip -1).
     lists, caps, candidates = _one_edit(matches, q1, pattern, ctx,
                                         (probe_shorter, probe_same, probe_longer), 1, -1)
@@ -246,7 +248,7 @@ def query(index, pattern, k: int) -> QueryResult:
     # -- deldel, delsub, delins: one more edit on each distinct deletion ---
     # Each row builds its deletion's HashContext, O(m), so no row is
     # entered when no length they probe has a table.
-    row_probes = (probe_for(m - 2), probe_shorter, probe_same)
+    row_probes = probes[:3]  # lengths m - 2, m - 1 and m
     if any(row_probes):
         for d in range(1, m + 1):
             if d == 1 or pattern[d - 1] != pattern[d - 2]:
@@ -264,7 +266,7 @@ def query(index, pattern, k: int) -> QueryResult:
         if pattern[q - 1] == pattern[q]:
             last[q] = last[q + 1]
     for r, ia, probe in ((0, 0, probe_same), (1, 0, probe_longer), (1, 1, probe_longer),
-                         (2, 1, probe_for(m + 2))):
+                         (2, 1, probes[4])):
         if probe is None:
             continue
         ib = r - ia

@@ -196,14 +196,16 @@ class SubstStore:
                  "chars", "sigs", "occupancy", "filters")
 
     def __init__(self, level: int, capacity: int, use_signatures: bool,
-                 bucket_seed: int, sigma: int):
+                 bucket_seed: int, sigma: int, entry_count: int = 0, chars=None, sigs=None,
+                 occupancy: RankBitVector | None = None):
+        """An empty plain store, or a loaded one with its count and arrays."""
         self.level = level
         self.capacity = capacity
-        self.entry_count = 0
+        self.entry_count = entry_count
         self.bucket_seed = bucket_seed
-        self.chars = bytearray(capacity)
-        self.sigs = bytearray((capacity + 1) // 2 if use_signatures else 0)
-        self.occupancy: RankBitVector | None = None
+        self.chars = bytearray(capacity) if chars is None else chars
+        self.sigs = bytearray((capacity + 1) // 2 if use_signatures else 0) if sigs is None else sigs
+        self.occupancy = occupancy
         self._set_sigma(sigma)
 
     def _set_sigma(self, sigma: int) -> None:
@@ -311,7 +313,7 @@ class SubstStore:
         chars = self.chars
         occ = self.occupancy
         if occ is None:
-            if not chars[s] and sigma:  # an empty home slot: most scans end here
+            if not chars[s]:  # an empty home slot: most scans end here
                 return _EMPTY, False
             limit = _SCAN_LIMIT * sigma
             e = chars.find(0, s, s + limit)  # the empty slot ending the run, if < limit away
@@ -325,7 +327,7 @@ class SubstStore:
             w = s >> 6
             off = s & 63
             x = bits[w] >> off
-            if not x & 1 and sigma:  # an empty home slot: most scans end here
+            if not x & 1:  # an empty home slot: most scans end here
                 return _EMPTY, False
             run = (x ^ (x + 1)).bit_length() - 1  # trailing ones: the run inside word w
             limit = _SCAN_LIMIT * sigma
@@ -434,36 +436,33 @@ class SubstStore:
                 + bytes(self.chars) + bytes(self.sigs))
 
     @classmethod
-    def from_bytes(cls, buf, offset: int, level: int, use_signatures: bool, compacted: bool,
-                   delta: int, bucket_seed: int, sigma: int):
+    def from_bytes(cls, buf, offset: int, level: int, config, bucket_seed: int, sigma: int):
         """Parse the section at offset; returns (store, end offset).  The
-        file header gives all but the two counts, the level its position."""
+        file header gives all but the two counts (config: its layout
+        flags, delta and load factor), the level its position."""
         capacity, entry_count = struct.unpack_from("<QQ", buf, offset)
         offset += 16
-        store = cls.__new__(cls)
-        store.level = level
-        store.capacity = capacity
-        store.entry_count = entry_count
-        store.bucket_seed = bucket_seed
         what = f"level-{level} store"
-        store.occupancy = None
+        compacted = config.compact
+        occupancy = None
         n = capacity
         if compacted:
-            store.occupancy, offset = read_occupancy(buf, offset, capacity, entry_count,
-                                                     delta, what)
+            occupancy, offset = read_occupancy(buf, offset, capacity, entry_count, config.delta,
+                                               config.alpha, what)
             n = entry_count
         copy = bytes if compacted else bytearray
-        n_sigs = (n + 1) // 2 if use_signatures else 0
-        store.chars = copy(take(buf, offset, n, what))
+        n_sigs = (n + 1) // 2 if config.use_signatures else 0
+        chars = copy(take(buf, offset, n, what))
         offset += n
-        store.sigs = copy(take(buf, offset, n_sigs, what))
+        sigs = copy(take(buf, offset, n_sigs, what))
         offset += n_sigs
-        store._set_sigma(sigma)
-        # A compacted store's popcount is entry_count, checked to be below
-        # capacity.  A plain store's `in` stops at the first empty slot, so
-        # it costs next to nothing.
-        check_loaded_table(what, entry_count, capacity, compacted or 0 in store.chars)
-        return store, offset
+        # read_occupancy checked that a compacted store leaves a slot free.
+        # A plain store's `in` stops at the first empty slot, so it costs
+        # next to nothing.
+        if not compacted:
+            check_loaded_table(what, entry_count, capacity, 0 in chars)
+        return cls(level, capacity, config.use_signatures, bucket_seed, sigma, entry_count,
+                   chars, sigs, occupancy), offset
 
 
 def _check_level(level) -> None:

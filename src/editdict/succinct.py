@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import sys
 from array import array
+from fractions import Fraction
 from itertools import accumulate
 
 from .errors import IndexFormatError
-from .util import take
+from .util import capacity_for, check_loaded_table, take
 
 # Flag byte -> binary digit: 0 stays "0", any other value becomes "1".
 _DIGITS = b"0" + b"1" * 255
@@ -224,10 +225,17 @@ class RankBitVector:
 
 
 def read_occupancy(buf, offset: int, n_slots: int, count: int, delta: int,
-                   what: str) -> tuple[RankBitVector, int]:
-    """from_bytes for the occupancy bits of a table with n_slots slots
-    holding count entries; IndexFormatError if the bits disagree."""
+                   alpha: Fraction, what: str) -> tuple[RankBitVector, int]:
+    """from_bytes for the occupancy bits of a compacted table with n_slots
+    slots holding count entries; IndexFormatError unless their popcount is
+    count and n_slots is capacity_for(count, alpha), the capacity its build
+    gave it (it takes no inserts), which leaves a slot free.  The bits
+    alone would not show a capacity moved within their last word."""
     occ, offset = RankBitVector.from_bytes(buf, offset, n_slots, delta)
     if occ.total_ones != count:
         raise IndexFormatError(f"{what}: {occ.total_ones} occupied slots, header count {count}")
+    check_loaded_table(what, count, n_slots, True)  # a full table's fault named first
+    if n_slots != capacity_for(count, alpha):
+        raise IndexFormatError(f"{what}: capacity {n_slots} for {count} entries at "
+                               f"load factor {alpha}")
     return occ, offset

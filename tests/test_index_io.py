@@ -541,6 +541,25 @@ def test_compacted_build_peak_is_bounded(rng):
     assert compacted <= 1.6 * plain
 
 
+@pytest.mark.parametrize("errors, level", [(1, 1), (2, 1), (2, 2)])
+def test_load_rejects_store_entry_count_other_than_the_words_make(errors, level):
+    # With the level-1 count of the errors=1 index at 0, such a file
+    # loaded; one insert then took the store's last empty slot, and the
+    # next raised "no empty slot left" after it had written its word to
+    # the exact dictionary.
+    blob = _saved_blob([b"abcd", b"bcda", b"cdab"], errors=errors)
+    store = _store1_offset(blob)
+    if level == 2:
+        store += struct.unpack_from("<Q", blob, 40)[0]
+    made = 12 if level == 1 else 18  # 3 words of 4 bytes: 4 or 6 entries each
+    assert struct.unpack_from("<Q", blob, store + 8) == (made,)
+    for count in (0, made - 1, made + 1):
+        struct.pack_into("<Q", blob, store + 8, count)
+        with pytest.raises(IndexFormatError, match=f"level-{level} store: entry count {count}, "
+                                                   f"the stored words make {made}"):
+            load(_rechecksummed(blob))
+
+
 def test_load_rejects_popcount_other_than_count():
     ix = build_index([b"abc", b"abd", b"xyz"], BuildConfig(compact=True, rng_seed=1))
     ix.exact.tables[3].count -= 1

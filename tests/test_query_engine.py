@@ -1,5 +1,6 @@
 """Query engine: oracle equivalence, its keys and candidates, contracts."""
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -314,21 +315,51 @@ def test_module_level_query_function():
     assert query(ix, b"abd", 1).matches == {b"abc"}
 
 
-def test_long_k2_pattern_without_a_near_length_builds_one_hash_context(rng, monkeypatch):
-    # No stored word has length m - 2, m - 1 or m, so no deletion row can
-    # probe: the query hashes the pattern once instead of each of its m
-    # deletions, O(m) each.
-    words = random_words(rng, 300, 4, 12)
-    ix = build_index(words, BuildConfig(errors=2, rng_seed=5))
+def _spy_hash_contexts(monkeypatch) -> list[int]:
+    """The lengths of the words query_engine builds a HashContext of, in order."""
     hashed = []
+    real = query_engine.HashContext
 
     def spy(word, seed):
         hashed.append(len(word))
         return real(word, seed)
 
-    real = query_engine.HashContext
     monkeypatch.setattr(query_engine, "HashContext", spy)
-    pattern = bytes(rng.choice(b"abcdefghijklmnopqrstuvwxyz") for _ in range(4000))
+    return hashed
+
+
+def test_long_k2_pattern_without_a_near_length_builds_one_hash_context(rng, monkeypatch):
+    # No stored word has length m - 2, m - 1 or m, so no deletion row can
+    # probe: the query hashes the pattern once instead of each of its m
+    # deletions, O(m) each.  One word of length m + 2 keeps the query from
+    # answering before it hashes anything.
+    m = 200
+    words = random_words(rng, 300, 4, 12) + random_words(rng, 1, m + 2, m + 2)
+    ix = build_index(words, BuildConfig(errors=2, rng_seed=5))
+    hashed = _spy_hash_contexts(monkeypatch)
+    pattern = bytes(rng.choice(b"abcdefghijklmnopqrstuvwxyz") for _ in range(m))
     result = ix.query(pattern, 2)
-    assert hashed == [4000]
+    assert hashed == [m]
     assert result.matches == oracle_query_bounded(words, pattern, 2)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_pattern_with_no_stored_length_within_k_answers_at_once(rng, monkeypatch, k):
+    # Such a query probes and scans nothing, yet a 1,000,000-byte pattern
+    # took 0.6-1 s at k = 1 and 2 while it hashed the pattern and,
+    # at k = 2, marked its runs.
+    words = random_words(rng, 2000, 4, 12, alphabet_size=10)
+    ix = build_index(words, BuildConfig(errors=2, rng_seed=5))
+    hashed = _spy_hash_contexts(monkeypatch)
+    pattern = b"abcdefghij" * 100_000
+    t0 = time.perf_counter()
+    result = ix.query(pattern, k)
+    elapsed = time.perf_counter() - t0
+    assert result.matches == set()
+    assert result.stats.as_tuple() == (0, 0, 0, 0)
+    assert hashed == []
+    assert elapsed < 0.05
+    # The nearest stored length, m - k for a pattern of 12 + k bytes, is
+    # still searched.
+    near = next(w for w in words if len(w) == 12) + b"a" * k
+    assert ix.query(near, k).matches == oracle_query_bounded(words, near, k)

@@ -81,9 +81,18 @@ def test_shared_list_collects_both_characters():
 
 
 def test_empty_store_returns_nothing():
-    store = build_store([], 1, ALPHA, True, **SEEDS)
-    chars, _ = store.list_query(12345)
-    assert list(chars) == []
+    # Its sigma is 0: an empty home slot must end the scan uncapped, as in
+    # any other store, plain or compacted, signed or not.
+    for sig_on in (False, True):
+        for compact in (False, True):
+            store = build_store([], 1, ALPHA, sig_on, **SEEDS)
+            if compact:
+                store.compact()
+            assert store.sigma == 0
+            for key in (0, 1, 12345):
+                chars, capped = store.list_query(key)
+                assert list(chars) == []
+                assert capped is False
 
 
 def test_cap_path_returns_full_alphabet():
@@ -370,8 +379,9 @@ def test_serialization_roundtrip(rng):
                 if compacted:
                     store.compact()
                 blob = store.to_bytes()
+                config = BuildConfig(alpha=ALPHA, use_signatures=sig_on, compact=compacted)
                 back, consumed = SubstStore.from_bytes(
-                    blob, 0, level, sig_on, compacted, 4, SEEDS["bucket_seed"], store.sigma
+                    blob, 0, level, config, SEEDS["bucket_seed"], store.sigma
                 )
                 assert consumed == len(blob)
                 assert back.entry_count == store.entry_count
@@ -443,8 +453,9 @@ def filled_store(draw):
 @settings(max_examples=150, deadline=None)
 @given(store=filled_store(), high=KEY_HIGHS)
 def test_compacted_scan_equals_plain_scan(store, high):
-    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, 1, bool(store.sigs), False,
-                                         4, SEEDS["bucket_seed"], store.sigma)
+    compacted, _ = SubstStore.from_bytes(store.to_bytes(), 0, 1,
+                                         BuildConfig(use_signatures=bool(store.sigs)),
+                                         SEEDS["bucket_seed"], store.sigma)
     compacted.compact()
     t = store.capacity
     for slot in range(t):
