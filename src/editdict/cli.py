@@ -33,9 +33,9 @@ import time
 from dataclasses import asdict, dataclass
 
 from .baseline import build_partition_index, oracle_query_bounded, partition_stats
-from .errors import EditDictError, IndexFormatError, ValidationError
+from .errors import EditDictError, IndexFormatError, UnsupportedQueryError, ValidationError
 from .index_io import BuildConfig, Index, build_index, load, read_wordlist, save
-from .query_engine import QueryStats
+from .query_engine import QueryStats, check_k
 from .subst_store import list_histogram, signature_bits
 
 EXIT_OK = 0
@@ -228,8 +228,11 @@ def _cmd_query(args) -> int:
     out = sys.stdout.buffer
     if args.stdin:
         # Each line is read as a word-list line: raw bytes, one CR stripped.
-        # A line that is no valid pattern gets an empty answer line and an
-        # error naming it; the lines after it are still answered.
+        # A line that is no valid pattern, or too long for k=2, gets an
+        # empty answer line and an error naming it; the lines after it are
+        # still answered.  A k the index cannot answer fails every line,
+        # so it ends the command before the first.
+        check_k(index, args.k)
         status = EXIT_OK
         for number, line in enumerate(sys.stdin.buffer, start=1):
             pattern = line.removesuffix(b"\n").removesuffix(b"\r")
@@ -237,7 +240,7 @@ def _cmd_query(args) -> int:
             if pattern:
                 try:
                     matches = index.query(pattern, args.k).sorted_matches()
-                except ValidationError as exc:
+                except (ValidationError, UnsupportedQueryError) as exc:
                     print(f"editdict: line {number}: {exc}", file=sys.stderr)
                     status = EXIT_FAILURE
             out.write(b" ".join(matches) + b"\n")

@@ -146,15 +146,10 @@ class _WordTable:
         # replace a table.
         if width < min_width:
             raise IndexFormatError(f"{what}: lengths must increase from {min_width}")
-        compacted = config.compact
-        occupancy = None
-        n = capacity
-        if compacted:
-            occupancy, offset = read_occupancy(buf, offset, capacity, count, config.delta,
-                                               config.alpha, what)
-            n = count
-        copy = bytes if compacted else bytearray
-        slots = copy(take(buf, offset, n * width, what))
+        # n: the slots a plain table holds, or a compacted one's entries.
+        occupancy, n, offset = read_occupancy(buf, offset, capacity, count, config, what)
+        compacted = occupancy is not None
+        slots = (bytes if compacted else bytearray)(take(buf, offset, n * width, what))
         offset += n * width
         if compacted:
             # Deleting bytes 0..sigma leaves only those above it, and

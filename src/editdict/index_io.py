@@ -54,6 +54,7 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import io
 import operator
 import os
 import random
@@ -182,6 +183,11 @@ class Index:
         return self.config.compact
 
     @property
+    def stores(self) -> tuple[SubstStore, ...]:
+        """The substitution stores of levels 1..errors, in level order."""
+        return (self.store1, self.store2)[: self.config.errors]
+
+    @property
     def word_count(self) -> int:
         return self.exact.word_count
 
@@ -212,7 +218,7 @@ class Index:
         if exact.contains(word, h):
             return False
         m = len(word)
-        stores = [s for s in (self.store1, self.store2) if s is not None]
+        stores = self.stores
         exact.check_headroom(m)
         for store in stores:
             store.check_headroom(entries_for(m, store.level))
@@ -227,11 +233,8 @@ class Index:
 
     def table_report(self) -> list[tuple[str, int, int]]:
         """(table, entries, capacity) rows across all components."""
-        rows = self.exact.table_report()
-        for store in (self.store1, self.store2):
-            if store is not None:
-                rows.append((f"store[level={store.level}]", store.entry_count, store.capacity))
-        return rows
+        return self.exact.table_report() + [(f"store[level={s.level}]", s.entry_count, s.capacity)
+                                            for s in self.stores]
 
 
 def build_index(words, config: BuildConfig | None = None, **overrides) -> Index:
@@ -249,20 +252,18 @@ def build_index(words, config: BuildConfig | None = None, **overrides) -> Index:
     bucket_seed, sig_seed = derive_seeds(config.rng_seed)
     sigma = max((max(w) for w in words), default=0)
     exact = build_exact(words, config.alpha, config.beta, bucket_seed, validated=True)
-    store1 = store2 = None
-    if config.errors >= 1:
-        store1 = build_store(words, 1, config.alpha, config.use_signatures,
-                             bucket_seed, sig_seed, sigma, validated=True)
-    if config.errors >= 2:
-        store2 = build_store(words, 2, config.alpha, config.use_signatures,
-                             bucket_seed, sig_seed, sigma, validated=True)
+    stores = [build_store(words, level, config.alpha, config.use_signatures,
+                          bucket_seed, sig_seed, sigma, validated=True)
+              for level in range(1, config.errors + 1)]
     if config.compact:
-        exact.compact(config.delta)
-        if store1 is not None:
-            store1.compact(config.delta)
-        if store2 is not None:
-            store2.compact(config.delta)
-    return Index(config, exact, store1, store2, bucket_seed, sig_seed, sigma)
+        for table in (exact, *stores):
+            table.compact(config.delta)
+    return Index(config, exact, *_padded(stores), bucket_seed, sig_seed, sigma)
+
+
+def _padded(stores: list) -> list:
+    """The stores of levels 1..errors, then None for each absent level."""
+    return stores + [None] * (2 - len(stores))
 
 
 def _read_all(source, what: str) -> bytes:
@@ -286,19 +287,20 @@ def save(index: Index, sink) -> int:
     if not (hasattr(sink, "write") or isinstance(sink, (str, os.PathLike))):
         raise ValidationError(f"index sink must be a path or binary file object, "
                               f"not {type(sink).__name__}")
+    if isinstance(sink, io.TextIOBase):
+        raise ValidationError("index sink must be opened in binary mode")
     cfg = index.config
-    exact_bytes = index.exact.to_bytes()
-    s1 = index.store1.to_bytes() if index.store1 is not None else b""
-    s2 = index.store2.to_bytes() if index.store2 is not None else b""
+    # The exact section, then one per store level; an absent store's is empty.
+    sections = [t.to_bytes() for t in (index.exact, *index.stores)]
+    sections += [b""] * (3 - len(sections))
     flags = (1 if cfg.use_signatures else 0) | (2 if cfg.compact else 0)
     header = _HEADER.pack(
         MAGIC, VERSION, CHECKSUM_ID, flags, cfg.errors,
         cfg.alpha.numerator, cfg.alpha.denominator,
         0, cfg.delta, index.sigma, 0,
-        index.bucket_seed, index.sig_seed, cfg.rng_seed,
-        len(exact_bytes), len(s1), len(s2),
+        index.bucket_seed, index.sig_seed, cfg.rng_seed, *map(len, sections),
     )
-    body = header + exact_bytes + s1 + s2
+    body = header + b"".join(sections)
     blob = body + _TRAILER.pack(zlib.crc32(body))
     if hasattr(sink, "write"):
         sink.write(blob)
@@ -345,7 +347,7 @@ def load(source) -> Index:
         if end != offset + exact_len:
             raise IndexFormatError("exact-dictionary section length mismatch")
         offset = end
-        stores = [None, None]
+        stores = []
         for level, length in ((1, s1_len), (2, s2_len)):
             # The level comes from the section's position, so only the
             # sections the error level declares may be there.
@@ -367,10 +369,10 @@ def load(source) -> Index:
                 if store.entry_count != expected:
                     raise IndexFormatError(f"level-{level} store: entry count "
                                            f"{store.entry_count}, the stored words make {expected}")
-                stores[level - 1] = store
+                stores.append(store)
     except struct.error as exc:
         raise TruncatedError(f"section parsing ran off the end: {exc}") from exc
-    return Index(config, exact, *stores, bucket_seed, sig_seed, sigma)
+    return Index(config, exact, *_padded(stores), bucket_seed, sig_seed, sigma)
 
 
 def read_wordlist(source) -> list[bytes]:

@@ -74,6 +74,15 @@ from .errors import UnsupportedQueryError, ValidationError
 from .hashing import MODULUS as _P, WILDCARD as _W, HashContext
 from .util import as_bytes
 
+# Longest pattern a k=2 query accepts.  A k=2 query makes Θ(m²) store
+# scans on a pattern of length m, and each scan that returns characters
+# makes candidates, so with a stored word of length near m its time grows
+# with m² however few words match.  On a 2-vCPU host, with one stored
+# word of length m among 2,000 a–z words of 4–12 bytes and a pattern one
+# substitution away, m = 500 took 0.65 s plain and 0.82 s compacted, and
+# m = 600 took 1.0–1.2 s plain.
+MAX_K2_PATTERN = 500
+
 
 @dataclass
 class QueryStats:
@@ -199,15 +208,9 @@ def _one_edit(matches, q1, word, ctx, probes, first, skip):
     return scans, caps, candidates
 
 
-def query(index, pattern, k: int) -> QueryResult:
-    """All dictionary words at edit distance <= k from the pattern.
-
-    The pattern is bytes-like or a latin-1 str.  Requires k in {0, 1, 2},
-    k not above the index's error level, and k < len(pattern).
-    """
-    pattern = as_bytes(pattern, "pattern")
-    if 0 in pattern:
-        raise ValidationError("pattern contains a zero byte")
+def check_k(index, k) -> int:
+    """k as an int; ValidationError unless k is 0, 1 or 2, and
+    UnsupportedQueryError if it is above the index's error level."""
     if k not in (0, 1, 2):
         raise ValidationError("k must be 0, 1 or 2")
     k = (0, 1, 2).index(k)  # an int from here on, also for 1.0 or True
@@ -215,6 +218,24 @@ def query(index, pattern, k: int) -> QueryResult:
         raise UnsupportedQueryError(
             f"index was built for {index.errors} error(s), cannot answer k={k}"
         )
+    return k
+
+
+def query(index, pattern, k: int) -> QueryResult:
+    """All dictionary words at edit distance <= k from the pattern.
+
+    The pattern is bytes-like or a latin-1 str.  Requires k in {0, 1, 2},
+    k not above the index's error level (check_k), and k < len(pattern).
+    A k=2 pattern longer than MAX_K2_PATTERN (500) bytes raises
+    UnsupportedQueryError, unless no stored word's length is within 2 of
+    it and the empty answer comes at once: k=2 work grows with the square
+    of the pattern length, and at that limit it takes most of a second
+    (see MAX_K2_PATTERN).
+    """
+    pattern = as_bytes(pattern, "pattern")
+    if 0 in pattern:
+        raise ValidationError("pattern contains a zero byte")
+    k = check_k(index, k)
     m = len(pattern)
     if k >= m:
         raise ValidationError(f"k={k} must be smaller than the pattern length {m}")
@@ -226,6 +247,9 @@ def query(index, pattern, k: int) -> QueryResult:
     probes = [probe_for(n) for n in range(m - k, m + k + 1)]
     if not any(probes):
         return QueryResult(set(), QueryStats())
+    if k == 2 and m > MAX_K2_PATTERN:
+        raise UnsupportedQueryError(f"a k=2 pattern may be at most {MAX_K2_PATTERN} bytes, "
+                                    f"not {m}")
     probe_same = probes[k]
     identity = 0 if probe_same is None else 1  # probes of the pattern itself
 

@@ -443,14 +443,9 @@ class SubstStore:
         capacity, entry_count = struct.unpack_from("<QQ", buf, offset)
         offset += 16
         what = f"level-{level} store"
-        compacted = config.compact
-        occupancy = None
-        n = capacity
-        if compacted:
-            occupancy, offset = read_occupancy(buf, offset, capacity, entry_count, config.delta,
-                                               config.alpha, what)
-            n = entry_count
-        copy = bytes if compacted else bytearray
+        # n: the slots a plain store holds, or a compacted one's entries.
+        occupancy, n, offset = read_occupancy(buf, offset, capacity, entry_count, config, what)
+        copy = bytearray if occupancy is None else bytes
         n_sigs = (n + 1) // 2 if config.use_signatures else 0
         chars = copy(take(buf, offset, n, what))
         offset += n
@@ -459,7 +454,7 @@ class SubstStore:
         # read_occupancy checked that a compacted store leaves a slot free.
         # A plain store's `in` stops at the first empty slot, so it costs
         # next to nothing.
-        if not compacted:
+        if occupancy is None:
             check_loaded_table(what, entry_count, capacity, 0 in chars)
         return cls(level, capacity, config.use_signatures, bucket_seed, sigma, entry_count,
                    chars, sigs, occupancy), offset

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import IndexFormatError
@@ -224,18 +223,24 @@ class RankBitVector:
         return rbv, offset + size
 
 
-def read_occupancy(buf, offset: int, n_slots: int, count: int, delta: int,
-                   alpha: Fraction, what: str) -> tuple[RankBitVector, int]:
-    """from_bytes for the occupancy bits of a compacted table with n_slots
-    slots holding count entries; IndexFormatError unless their popcount is
-    count and n_slots is capacity_for(count, alpha), the capacity its build
-    gave it (it takes no inserts), which leaves a slot free.  The bits
-    alone would not show a capacity moved within their last word."""
-    occ, offset = RankBitVector.from_bytes(buf, offset, n_slots, delta)
+def read_occupancy(buf, offset: int, n_slots: int, count: int, config,
+                   what: str) -> tuple[RankBitVector | None, int, int]:
+    """The layout of a table section whose header gave n_slots slots and
+    count entries, by the file header's config (compact flag, delta, load
+    factor): (None, n_slots, offset) for a plain table, whose arrays hold
+    its slots, and (occupancy bits, count, offset past them) for a
+    compacted one, whose arrays hold its entries.  IndexFormatError unless
+    the bits' popcount is count and n_slots is capacity_for(count, alpha),
+    the capacity its build gave it (it takes no inserts), which leaves a
+    slot free.  The bits alone would not show a capacity moved within
+    their last word."""
+    if not config.compact:
+        return None, n_slots, offset
+    occ, offset = RankBitVector.from_bytes(buf, offset, n_slots, config.delta)
     if occ.total_ones != count:
         raise IndexFormatError(f"{what}: {occ.total_ones} occupied slots, header count {count}")
     check_loaded_table(what, count, n_slots, True)  # a full table's fault named first
-    if n_slots != capacity_for(count, alpha):
+    if n_slots != capacity_for(count, config.alpha):
         raise IndexFormatError(f"{what}: capacity {n_slots} for {count} entries at "
-                               f"load factor {alpha}")
-    return occ, offset
+                               f"load factor {config.alpha}")
+    return occ, count, offset

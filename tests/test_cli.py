@@ -22,6 +22,7 @@ from editdict.cli import (
     run_cli,
 )
 from editdict.index_io import load, save
+from editdict.query_engine import MAX_K2_PATTERN
 from conftest import random_words
 
 
@@ -121,6 +122,37 @@ def test_query_stdin_answers_past_a_bad_line(tmp_path, capsys, monkeypatch):
     assert captured.out.split("\n") == ["naive", "", "cafe", ""]
     assert captured.err.startswith("editdict: line 2: ")
     assert "must be smaller" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_query_stdin_answers_past_a_line_too_long_for_k2(tmp_path, capsys, monkeypatch):
+    # A line over MAX_K2_PATTERN bytes gets an empty answer line and an
+    # error naming it; a k above the index's error level is one error for
+    # the whole command.
+    long = b"ab" * (MAX_K2_PATTERN // 2) + b"c"
+    words = tmp_path / "words.txt"
+    words.write_bytes(b"naive\ncafe\n" + long + b"\n")
+    ix = str(tmp_path / "ix.bin")
+    assert run_cli(["build", "--input", str(words), "--output", ix, "--errors", "2"]) == EXIT_OK
+    capsys.readouterr()
+    lines = b"naive\n" + long + b"\ncafe\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(lines)))
+    rc = run_cli(["query", "--index", ix, "--k", "2", "--stdin"])
+    assert rc == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out.split("\n") == ["naive", "", "cafe", ""]
+    assert captured.err.startswith("editdict: line 2: ")
+    assert f"at most {MAX_K2_PATTERN} bytes" in captured.err
+    assert captured.err.count("\n") == 1
+
+    assert run_cli(["build", "--input", str(words), "--output", ix, "--errors", "1"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(lines)))
+    rc = run_cli(["query", "--index", ix, "--k", "2", "--stdin"])
+    assert rc == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot answer k=2" in captured.err
     assert captured.err.count("\n") == 1
 
 

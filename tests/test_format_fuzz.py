@@ -3,7 +3,10 @@
 Each case sets one structural field of a valid saved index to another
 value, re-computes the checksum, and loads the result.  The load must
 raise IndexFormatError (or a subclass), or the loaded index must answer
-a fixed sample of queries exactly as the unmutated one does.
+a fixed sample of queries exactly as the unmutated one does.  Files of
+error levels 0, 1 and 2 are fuzzed in all four layouts, so the zero
+section lengths of absent stores and the error byte that declares them
+are mutated too.
 
 The structural fields are the header bytes, the three section lengths,
 the word-table count, each word table's width, capacity and count, each
@@ -41,22 +44,22 @@ def _words() -> list[bytes]:
     return sorted(short) + long
 
 
-def _queries(words) -> list[tuple[bytes, int]]:
+def _queries(words, errors: int) -> list[tuple[bytes, int]]:
     """(pattern, k) pairs: edited short words at k = 0, 1, 2 and edited long
-    words at k = 1."""
+    words at k = 1, each k up to errors."""
     rng = random.Random(7)
     out = []
     for w in rng.sample(words[:-5], 6) + words[-5:]:
         p = bytearray(w)
         p[rng.randrange(len(p))] = rng.choice(b"abcdefgh")
         for k in (0, 1, 2) if len(w) < 16 else (1,):
-            if k < len(p):
+            if k < len(p) and k <= errors:
                 out.append((bytes(p), k))
     return out
 
 
-def _blob(compact: bool, sig: bool) -> bytes:
-    ix = build_index(_words(), BuildConfig(errors=2, use_signatures=sig, compact=compact,
+def _blob(errors: int, compact: bool, sig: bool) -> bytes:
+    ix = build_index(_words(), BuildConfig(errors=errors, use_signatures=sig, compact=compact,
                                            rng_seed=3))
     sink = io.BytesIO()
     save(ix, sink)
@@ -131,11 +134,12 @@ def _mutations(blob: bytes):
         yield what, bytes(body) + struct.pack("<I", zlib.crc32(body))
 
 
-@pytest.mark.parametrize("compact, sig", [(False, False), (False, True),
-                                          (True, False), (True, True)])
-def test_structural_mutations_raise_or_answer_unchanged(compact, sig):
-    blob = _blob(compact, sig)
-    queries = _queries(_words())
+LAYOUTS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+def _check_mutations(errors: int, compact: bool, sig: bool) -> None:
+    blob = _blob(errors, compact, sig)
+    queries = _queries(_words(), errors)
     base = load(blob)
     want = [base.query(p, k).matches for p, k in queries]
     assert any(want)
@@ -155,3 +159,17 @@ def test_structural_mutations_raise_or_answer_unchanged(compact, sig):
             wrong.append(what)
     assert not wrong, wrong
     assert refused > loaded > 0
+
+
+@pytest.mark.parametrize("compact, sig", LAYOUTS)
+def test_structural_mutations_raise_or_answer_unchanged(compact, sig):
+    _check_mutations(2, compact, sig)
+
+
+@pytest.mark.parametrize("compact, sig", LAYOUTS)
+@pytest.mark.parametrize("errors", [0, 1])
+def test_structural_mutations_at_lower_error_levels_raise_or_answer_unchanged(errors, compact,
+                                                                              sig):
+    # Their headers declare absent stores: zero section lengths, and an
+    # error byte that the mutations set against them.
+    _check_mutations(errors, compact, sig)

@@ -407,6 +407,19 @@ def test_load_and_read_wordlist_reject_a_text_file(tmp_path):
             load(f)
 
 
+def test_save_rejects_a_text_sink_before_writing(tmp_path):
+    ix = build_index([b"abc", b"abd"], BuildConfig(errors=1, rng_seed=1))
+    with io.StringIO() as f:
+        with pytest.raises(ValidationError, match="binary mode"):
+            save(ix, f)
+        assert f.getvalue() == ""
+    path = tmp_path / "ix.bin"
+    with open(path, "w") as f:
+        with pytest.raises(ValidationError, match="binary mode"):
+            save(ix, f)
+    assert path.read_bytes() == b""
+
+
 def test_table_report_includes_stores():
     ix = build_index([b"ab", b"cde"], BuildConfig(errors=2, rng_seed=1))
     names = [name for name, _, _ in ix.table_report()]

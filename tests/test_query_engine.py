@@ -343,6 +343,24 @@ def test_long_k2_pattern_without_a_near_length_builds_one_hash_context(rng, monk
     assert result.matches == oracle_query_bounded(words, pattern, 2)
 
 
+def test_k2_pattern_longer_than_the_limit_raises(rng):
+    # k=2 work grows with the square of the pattern length once a stored
+    # word's length is near it, so k=2 answers up to MAX_K2_PATTERN bytes
+    # and refuses longer patterns; k=1 takes them.
+    limit = query_engine.MAX_K2_PATTERN
+    word = random_words(rng, 1, limit, limit)[0]
+    words = random_words(rng, 100, 4, 12) + [word]
+    ix = build_index(words, BuildConfig(errors=2, rng_seed=5))
+    at_limit = bytearray(word)
+    at_limit[limit // 2] ^= 1  # one substitution away
+    at_limit = bytes(at_limit)
+    assert ix.query(at_limit, 2).matches == oracle_query_bounded(words, at_limit, 2) == {word}
+    over = word + b"a"
+    with pytest.raises(UnsupportedQueryError, match=f"at most {limit} bytes"):
+        ix.query(over, 2)
+    assert ix.query(over, 1).matches == {word}
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_pattern_with_no_stored_length_within_k_answers_at_once(rng, monkeypatch, k):
     # Such a query probes and scans nothing, yet a 1,000,000-byte pattern
