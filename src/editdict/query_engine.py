@@ -59,9 +59,10 @@ patterns can share a hash.
 A key whose scan returns characters gets a fresh candidate buffer, w
 with a zero at each blank, from one slice join.  `_fill` writes each
 character a scan returned into the key's one blank and checks the
-candidate against the exact dictionary.  `_fill2` resolves a
-two-wildcard key leftmost first: each character for the left blank
-makes a one-wildcard key, whose level-1 scan goes to `_fill`.  As every
+candidate against the exact dictionary.  A two-wildcard key is resolved
+leftmost first in the level-2 loop of `query`: each character its scan
+returned for the left blank, other than x's own there, makes a
+one-wildcard key, whose level-1 scan goes to `_fill`.  As every
 candidate is checked, signature collisions and capped scans cost time,
 never correctness.
 """
@@ -133,32 +134,6 @@ def _fill(matches, probe, buf, q, pq, kb, chars, own) -> int:
             if probe(buf, (base + c * pq) % _P):
                 matches.add(bytes(buf))
     return probed
-
-
-def _fill2(matches, probe, q1, buf, qa, pqa, qb, pqb, kb, chars, own, own_b):
-    """_fill for a two-wildcard key: chars came from its level-2 scan.
-
-    Each character c for the left blank (position qa, weight pqa) makes
-    the level-1 key kb - W*pqa + c*pqa, whose scan fills the right blank
-    (position qb, weight pqb, x's own character there own_b).  c == own,
-    x's own character at qa (0 for an inserted blank), is skipped: that
-    key is x's sub or ins key.  Returns (level-1 scans, capped scans,
-    candidates probed).
-    """
-    if type(chars) is not range and len(chars) > 1:
-        chars = set(chars)
-    scans = caps = candidates = 0
-    qa -= 1
-    for c in chars:
-        if c != own:
-            kb1 = (kb + (c - _W) * pqa) % _P
-            chars1, capped = q1(kb1)
-            scans += 1
-            caps += capped
-            if chars1:
-                buf[qa] = c
-                candidates += _fill(matches, probe, buf, qb, pqb, kb1, chars1, own_b)
-    return scans, caps, candidates
 
 
 def _one_edit(matches, q1, word, ctx, probes, first, skip):
@@ -289,8 +264,8 @@ def query(index, pattern, k: int) -> QueryResult:
     for q in range(m - 1, 0, -1):
         if pattern[q - 1] == pattern[q]:
             last[q] = last[q + 1]
-    for r, ia, probe in ((0, 0, probe_same), (1, 0, probe_longer), (1, 1, probe_longer),
-                         (2, 1, probes[4])):
+    for r, ia in ((0, 0), (1, 0), (1, 1), (2, 1)):
+        probe = probes[2 + r]
         if probe is None:
             continue
         ib = r - ia
@@ -298,7 +273,8 @@ def query(index, pattern, k: int) -> QueryResult:
         right = [0, 0] + [(pre[qb - ia - 1] * si + _W * pw[qb] + (total - pre[qb - r]) * sr) % _P
                           for qb in range(2, m + r + 1)]
         for qa in range(1, m + r):
-            ka = (pre[qa - 1] + _W * pw[qa] - pre[qa - ia] * si) % _P
+            pqa = pw[qa]
+            ka = (pre[qa - 1] + _W * pqa - pre[qa - ia] * si) % _P
             own_a = 0 if ia else pattern[qa - 1]
             # An inserted left blank before a substituted right one needs a
             # break in the run from x_qa: the module docstring's run rule.
@@ -307,14 +283,24 @@ def query(index, pattern, k: int) -> QueryResult:
                 chars, capped = q2(kb)
                 lists += 1
                 caps += capped
-                if chars:
-                    buf = bytearray(b"\0".join((pattern[: qa - 1],
-                                                pattern[qa - ia : qb - 1 - ia],
-                                                pattern[qb - r :])))
-                    n1, c1, n = _fill2(matches, probe, q1, buf, qa, pw[qa], qb, pw[qb], kb,
-                                       chars, own_a, 0 if ib else pattern[qb - r - 1])
-                    lists += n1
-                    caps += c1
-                    candidates += n
+                if not chars:
+                    continue
+                if type(chars) is not range and len(chars) > 1:
+                    chars = set(chars)  # a run may hold one character more than once
+                buf = bytearray(b"\0".join((pattern[: qa - 1], pattern[qa - ia : qb - 1 - ia],
+                                            pattern[qb - r :])))
+                own_b = 0 if ib else pattern[qb - r - 1]
+                # Each character for the left blank but x's own (that key is
+                # x's sub or ins key) makes a level-1 key for the right one.
+                for c in chars:
+                    if c != own_a:
+                        kb1 = (kb + (c - _W) * pqa) % _P
+                        chars1, capped = q1(kb1)
+                        lists += 1
+                        caps += capped
+                        if chars1:
+                            buf[qa - 1] = c
+                            candidates += _fill(matches, probe, buf, qb, pw[qb], kb1, chars1,
+                                                own_b)
 
     return QueryResult(matches, QueryStats(lists, candidates, candidates + identity, caps))
