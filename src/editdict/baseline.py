@@ -19,7 +19,11 @@ from .util import as_bytes
 
 
 def levenshtein(a, b) -> int:
-    """Unit-cost edit distance via the full (|a|+1) x (|b|+1) table."""
+    """Unit-cost edit distance via the full (|a|+1) x (|b|+1) table.
+
+    a and b must be sequences of one kind, such as two bytes or two str:
+    a byte never equals a one-character str, so a mixed pair reads as
+    all substitutions."""
     la, lb = len(a), len(b)
     table = [list(range(lb + 1))]
     for i in range(1, la + 1):
@@ -38,9 +42,12 @@ def levenshtein(a, b) -> int:
 
 
 def oracle_query(words, pattern, k: int) -> set[bytes]:
-    """All words at edit distance <= k from the pattern, by linear scan."""
+    """All words at edit distance <= k from the pattern, by linear scan.
+
+    The pattern and each word are taken as Index.query takes them: bytes-like,
+    or a str as its latin-1 bytes; anything else raises ValidationError."""
     pattern = as_bytes(pattern, "pattern")
-    return {bytes(w) for w in words if levenshtein(w, pattern) <= k}
+    return {w for w in map(as_bytes, words) if levenshtein(w, pattern) <= k}
 
 
 def oracle_query_bounded(words, pattern, k: int) -> set[bytes]:
@@ -52,11 +59,13 @@ def oracle_query_bounded(words, pattern, k: int) -> set[bytes]:
     """
     pattern = as_bytes(pattern, "pattern")
     m = len(pattern)
-    return {
-        bytes(w)
-        for w in words
-        if abs(len(w) - m) <= k and levenshtein(w, pattern) <= k
-    }
+    out = set()
+    for w in words:
+        if type(w) is not bytes:
+            w = as_bytes(w)
+        if abs(len(w) - m) <= k and levenshtein(w, pattern) <= k:
+            out.add(w)
+    return out
 
 
 class PartitionIndex:
@@ -79,7 +88,7 @@ def split_pieces(word) -> tuple[bytes, bytes]:
 def build_partition_index(words) -> PartitionIndex:
     index = PartitionIndex()
     for word in words:
-        w = bytes(word)
+        w = as_bytes(word)
         prefix, suffix = split_pieces(w)
         if prefix:
             index.prefixes.setdefault(prefix, []).append(w)

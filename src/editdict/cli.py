@@ -298,7 +298,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_stats(args) -> int:
     words = read_wordlist(args.input)
-    hist = list_histogram(words, args.level, validated=True)
+    hist = list_histogram(words, args.level)
     payload = {
         "level": args.level,
         "total_entries": hist.total_entries,

@@ -17,6 +17,7 @@ construction.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from operator import mul
 
@@ -24,7 +25,6 @@ MODULUS = 2**32 - 5
 WILDCARD = 257
 
 _POWER_CACHE: dict[int, list[int]] = {}
-_INVERSE_CACHE: dict[int, int] = {}
 
 
 def random_seed(rng) -> int:
@@ -50,13 +50,10 @@ def powers_of(seed: int, count: int) -> list[int]:
     return powers
 
 
+@cache
 def inverse_of(seed: int) -> int:
     """Modular inverse of the seed (MODULUS is prime, so it always exists)."""
-    inv = _INVERSE_CACHE.get(seed)
-    if inv is None:
-        inv = pow(seed, MODULUS - 2, MODULUS)
-        _INVERSE_CACHE[seed] = inv
-    return inv
+    return pow(seed, MODULUS - 2, MODULUS)
 
 
 def poly_hash(word, seed: int) -> int:

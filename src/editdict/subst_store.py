@@ -511,7 +511,7 @@ class ListSizeHistogram:
         return out
 
 
-def list_histogram(words, level: int, validated: bool = False) -> ListSizeHistogram:
+def list_histogram(words, level: int) -> ListSizeHistogram:
     """Distribution of entries over exact per-key list sizes.
 
     Keys are grouped by a combined 64-bit fingerprint (one 32-bit hash per
@@ -520,8 +520,7 @@ def list_histogram(words, level: int, validated: bool = False) -> ListSizeHistog
     diagnostic in practice.
     """
     _check_level(level)
-    if not validated:
-        words = validate_words(words)
+    words = validate_words(words)
     key_counts: Counter = Counter()
     for w in words:
         key_counts.update([(a << 32) | b for a, b in zip(blank_keys(w, _HIST_SEED_A, level),

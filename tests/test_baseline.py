@@ -147,3 +147,32 @@ def test_baseline_queries_check_their_pattern():
     # A str is its latin-1 bytes, as for Index.query.
     assert oracle_query(words, "abz", 1) == {b"abc", b"abd"}
     assert partition_query(pidx, "abz") == [b"abc", b"abd"]
+
+
+def test_baseline_takes_str_words_as_their_latin1_bytes():
+    # Words are taken as Index.query takes them: a str is its latin-1 bytes.
+    texts = ["abc", "abd", "café", "cafés", "zz"]
+    raw = [t.encode("latin-1") for t in texts]
+    for k in (0, 1, 2, 3):
+        for pattern in ("abd", "cafe", b"caf\xe9"):
+            want = oracle_query(raw, pattern, k)
+            assert oracle_query(texts, pattern, k) == want
+            assert oracle_query_bounded(texts, pattern, k) == want
+    assert oracle_query(["abc"], "abd", 1) == {b"abc"}
+    assert oracle_query_bounded(["abc"], b"abd", 1) == {b"abc"}
+    from_text, from_raw = build_partition_index(texts), build_partition_index(raw)
+    assert from_text.prefixes == from_raw.prefixes
+    assert from_text.suffixes == from_raw.suffixes
+    assert partition_query(build_partition_index(["abcd"]), b"abxd") == [b"abcd"]
+
+
+def test_baseline_rejects_a_word_that_is_not_text():
+    # An int is not a word: bytes(5) would be five zero bytes.
+    for words in ([5], [b"abc", 5], [b"abc", None]):
+        for k in (1, 3):
+            with pytest.raises(ValidationError, match="word"):
+                oracle_query(words, b"abd", k)
+            with pytest.raises(ValidationError, match="word"):
+                oracle_query_bounded(words, b"abd", k)
+        with pytest.raises(ValidationError, match="word"):
+            build_partition_index(words)
