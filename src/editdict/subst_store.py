@@ -395,9 +395,10 @@ class SubstStore:
         e + dhalf.  Then the slot signatures are freed and succinct.squeeze
         deletes the empty slots' zero bytes from `chars`.  Beyond the plain
         store the peak is the occupancy bits and ranks (3/16 byte per
-        slot), half a byte per entry of signatures, and one byte per entry
-        of characters less the freed slot signatures (half a byte per
-        slot): about 0.74 byte per slot at load 7/10.
+        slot) and half a byte per entry of signatures: about 0.54 byte per
+        slot at load 7/10.  The squeeze adds at most half the table's
+        characters (0.35 byte per slot) after the slot signatures (half a
+        byte per slot) are freed, so it stays below that.
         """
         if self.occupancy is not None:
             return

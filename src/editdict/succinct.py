@@ -70,21 +70,26 @@ def chunk_size(n_bits: int) -> int:
 
 
 def squeeze(buf: bytearray) -> bytes:
-    """The bytes of buf with every zero byte deleted.
+    """The bytes of buf with every zero byte deleted; buf is left empty.
 
-    Works chunk_size(len(buf)) bytes at a time inside buf itself: each
-    chunk's nonzero bytes move to the front of buf, whose write offset
-    never passes the read offset, so beside buf only a chunk and the
-    result are allocated.  buf's prefix is overwritten.
+    Keeps the nonzero bytes of buf's back half, chunk_size(len(buf))
+    bytes at a time, then deletes that half and repeats on the rest.
+    CPython reallocates a bytearray cut below half its allocation to its
+    new size, in place, so each half's memory is freed before the next
+    is read: beside buf only one half's kept bytes and a chunk are
+    allocated, and the result only once buf is gone.  Copying the kept
+    bytes out while all of buf is held needs a free block the size of
+    the result, which the allocator has or has not depending on what
+    came before, and so moves the peak from one process to the next.
     """
-    step = chunk_size(len(buf))
-    d = 0
-    for a in range(0, len(buf), step):
-        run = buf[a : a + step].translate(None, b"\0")
-        buf[d : d + len(run)] = run
-        d += len(run)
-    with memoryview(buf) as view:
-        return view[:d].tobytes()
+    halves = []
+    while buf:
+        n = len(buf)
+        a = (n - 1) >> 1  # under half of buf's allocation, which is at least n + 1
+        step = chunk_size(n)
+        halves.append([bytes(buf[i : i + step]).translate(None, b"\0") for i in range(a, n, step)])
+        del buf[a:]
+    return b"".join([run for half in reversed(halves) for run in half])
 
 
 def _le_bytes(words: array) -> bytes:
