@@ -396,9 +396,10 @@ class SubstStore:
         deletes the empty slots' zero bytes from `chars`.  Beyond the plain
         store the peak is the occupancy bits and ranks (3/16 byte per
         slot) and half a byte per entry of signatures: about 0.54 byte per
-        slot at load 7/10.  The squeeze adds at most half the table's
-        characters (0.35 byte per slot) after the slot signatures (half a
-        byte per slot) are freed, so it stays below that.
+        slot at load 7/10.  The squeeze peaks at its final join, which
+        holds the kept characters twice: 0.4 byte per slot above `chars`,
+        after the slot signatures (half a byte per slot) are freed, so it
+        stays below that.
         """
         if self.occupancy is not None:
             return

@@ -77,10 +77,11 @@ def squeeze(buf: bytearray) -> bytes:
     CPython reallocates a bytearray cut below half its allocation to its
     new size, in place, so each half's memory is freed before the next
     is read: beside buf only one half's kept bytes and a chunk are
-    allocated, and the result only once buf is gone.  Copying the kept
-    bytes out while all of buf is held needs a free block the size of
-    the result, which the allocator has or has not depending on what
-    came before, and so moves the peak from one process to the next.
+    allocated.  The result is joined once buf is gone, holding the kept
+    bytes twice.  Copying the kept bytes out while all of buf is held
+    needs a free block the size of the result beside buf, which the
+    allocator has or has not depending on what came before, and so moves
+    the peak from one process to the next.
     """
     halves = []
     while buf:
