@@ -251,13 +251,22 @@ def build_index(words, config: BuildConfig | None = None, **overrides) -> Index:
     words = validate_words(words)
     bucket_seed, sig_seed = derive_seeds(config.rng_seed)
     sigma = max((max(w) for w in words), default=0)
-    exact = build_exact(words, config.alpha, config.beta, bucket_seed, validated=True)
-    stores = [build_store(words, level, config.alpha, config.use_signatures,
-                          bucket_seed, sig_seed, sigma, validated=True)
-              for level in range(1, config.errors + 1)]
-    if config.compact:
-        for table in (exact, *stores):
+    # Largest first: the stores from the top level down, then the exact
+    # dictionary (level 0), each compacted before the next is built.  A
+    # compacted build then peaks while only the top store is plain, and
+    # the smaller tables are built in the memory its slot arrays freed, so
+    # the peak does not hang on where the allocator puts their arrays.
+    tables = []
+    for level in range(config.errors, -1, -1):
+        if level:
+            table = build_store(words, level, config.alpha, config.use_signatures,
+                                bucket_seed, sig_seed, sigma, validated=True)
+        else:
+            table = build_exact(words, config.alpha, config.beta, bucket_seed, validated=True)
+        if config.compact:
             table.compact(config.delta)
+        tables.append(table)
+    exact, *stores = reversed(tables)
     return Index(config, exact, *_padded(stores), bucket_seed, sig_seed, sigma)
 
 
