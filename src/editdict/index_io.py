@@ -77,7 +77,7 @@ from .errors import (
 from .exact_dict import ExactDictionary, build_exact
 from .hashing import poly_hash, random_seed
 from .subst_store import SubstStore, build_store, entries_for
-from .util import as_bytes, validate_word, validate_words
+from .util import as_bytes, first_copies, validate_word, validate_words
 
 MAGIC = b"ASDI"
 VERSION = 7
@@ -393,14 +393,10 @@ def read_wordlist(source) -> list[bytes]:
     """
     data = _read_all(source, "word list source")
     words = []
-    seen = set()
     for lineno, line in enumerate(data.split(b"\n"), start=1):
         if line.endswith(b"\r"):
             line = line[:-1]
         if not line:
             continue
-        validate_word(line, f"line {lineno}")
-        if line not in seen:
-            seen.add(line)
-            words.append(line)
-    return words
+        words.append(validate_word(line, f"line {lineno}"))
+    return first_copies(words)

@@ -61,6 +61,11 @@ _BIG_ENDIAN = sys.byteorder == "big"
 # multiple of 64, so each chunk fills whole words.
 _CHUNK = 1 << 16
 
+# Most whole words run_of_ones reads in one C call: the longest run a
+# scan reads at sigma = 255 fits, and a long run in a large exact table
+# does not copy the rest of the table's bits.
+_RUN_WORDS = 64
+
 
 def chunk_size(n_bits: int) -> int:
     """Flags per chunk for a table of n_bits slots: about an eighth of
@@ -138,14 +143,21 @@ def run_of_ones(words, n_bits: int, i: int, limit: int) -> int:
     bit to bit 0.
 
     Counts one 64-bit word at a time with the trailing-ones trick and
-    stops as soon as the run reaches `limit`, so the result is exact below
-    `limit` and some value >= `limit` otherwise.  Bits past n_bits in the
-    last word must be clear.
+    stops at the end of the word where the run reaches `limit`, so the
+    result is exact below `limit` and some value >= `limit` otherwise.
+    Past a whole word of ones, the whole words of ones that follow it are
+    counted in C, as the 0xFF bytes that lstrip removes from their bytes,
+    taken up to the word where the limit falls and at most _RUN_WORDS at
+    a time; the same count in either byte order.  Bits past n_bits in the last word must be clear.
     """
     run = 0
     while True:
-        x = words[i >> 6] >> (i & 63)
+        w = i >> 6
+        x = words[w] >> (i & 63)
         ones = (x ^ (x + 1)).bit_length() - 1  # trailing ones of x
+        if ones == 64:
+            part = words[w + 1 : w + 1 + min((limit - run - 1) >> 6, _RUN_WORDS)].tobytes()
+            ones += (len(part) - len(part.lstrip(b"\xff"))) >> 3 << 6
         run += ones
         if run >= limit or not ones:
             return run

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
+from operator import eq
 
 from .errors import IndexFormatError, TableFullError, TruncatedError, ValidationError
 
@@ -84,17 +86,25 @@ def validate_word(word, where: str = "word") -> bytes:
     return word
 
 
+def first_copies(words: list[bytes]) -> list[bytes]:
+    """words without the later copies of any word, in first-seen order.
+
+    Sorts a copy of the list, which holds 8 bytes a word, and looks for
+    two equal neighbours; only a list that has them pays for a set of its
+    words.  words itself is returned when it holds no copies.
+    """
+    ordered = sorted(words)
+    if not any(map(eq, ordered, islice(ordered, 1, None))):
+        return words
+    del ordered
+    seen = set()
+    return [w for w in words if not (w in seen or seen.add(w))]
+
+
 def validate_words(words) -> list[bytes]:
     """Validate and deduplicate a word list, preserving first-seen order."""
     try:
         words = iter(words)
     except TypeError:
         raise ValidationError(f"word list must be iterable, not {type(words).__name__}") from None
-    out = []
-    seen = set()
-    for i, word in enumerate(words):
-        w = validate_word(word, f"word #{i}")
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
+    return first_copies([validate_word(word, f"word #{i}") for i, word in enumerate(words)])

@@ -278,6 +278,61 @@ def test_matches_32_bit_reference(bits, delta):
     assert back.to_bytes() == blob
 
 
+def _word_by_word_run(words, n_bits: int, i: int, limit: int) -> int:
+    """run_of_ones as one Python step per 64-bit word: the reference its
+    count of whole words in C must equal, past the limit too."""
+    run = 0
+    while True:
+        x = words[i >> 6] >> (i & 63)
+        ones = (x ^ (x + 1)).bit_length() - 1
+        run += ones
+        if run >= limit or not ones:
+            return run
+        i += ones
+        if i == n_bits:
+            i = 0
+        elif i & 63:
+            return run
+
+
+# Vectors of long runs: alternating runs of ones and zeros, each up to
+# about five words, so runs cross several whole words, end at and beside
+# word boundaries, and wrap; or every bit set.
+_RUN_LENGTHS = st.lists(st.integers(1, 330), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lengths=_RUN_LENGTHS, all_ones=st.booleans(), data=st.data())
+def test_run_of_ones_equals_the_word_by_word_loop(lengths, all_ones, data):
+    bits = [1 if all_ones or not j & 1 else 0 for j, n in enumerate(lengths) for _ in range(n)]
+    n = len(bits)
+    words = RankBitVector.from_flags(bytes(bits)).words
+    naive = _naive_runs(bits)
+    starts = {0, n - 1, data.draw(st.integers(0, n - 1))}
+    starts.update(j for j in range(0, n, 64))  # word starts
+    starts.update(j for j in range(n) if bits[j] and not bits[j - 1])  # run starts, wrapped ones too
+    for start in starts:
+        expected = naive[start]
+        finite = int(min(expected, 2 * n))
+        limits = {1, 64, 65, n, n + 1, 4080, max(finite, 1), finite + 1,
+                  data.draw(st.integers(1, 2 * n + 70))}
+        for limit in limits:
+            run = run_of_ones(words, n, start, limit)
+            assert run == _word_by_word_run(words, n, start, limit)
+            assert run == expected if expected < limit else run >= limit
+
+
+def test_run_of_ones_counts_a_long_run_to_the_limit_in_whole_words():
+    # A 4,200-slot run from slot 100 of 6,000: at the limit 4,080 of a scan
+    # at sigma = 255 it stops at the end of the word where the limit falls,
+    # and a higher limit reads its exact length.
+    bits = bytes(100) + b"\1" * 4200 + bytes(1700)
+    words = RankBitVector.from_flags(bits).words
+    assert run_of_ones(words, 6000, 100, 4080) == 4224 - 100
+    assert run_of_ones(words, 6000, 100, 4201) == 4200
+    assert run_of_ones(words, 6000, 164, 10**6) == 4136
+
+
 def test_from_bytes_rejects_wrong_counts():
     # 200 bits take four 64-bit words (32 bytes); count i follows them at
     # byte 32 + 4 * i and holds the ones before word i * delta.
