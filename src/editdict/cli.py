@@ -10,8 +10,9 @@ Subcommands:
     heuristic-bench  candidate-list sizes of the split-in-half baseline
     verify           compare sampled query results against the reference scan
 
-Exit codes: 0 success, 1 runtime failure (including verify mismatches),
-2 usage error, 3 missing input file, 4 malformed index file.
+Exit codes: 0 success, 1 runtime failure (including verify mismatches
+and a path that cannot be read or written, such as a directory), 2 usage
+error, 3 missing input file, 4 malformed index file.
 
 Randomized commands take --seed; when omitted, the EDITDICT_SEED
 environment variable is used, then 1.  Words are treated as raw bytes.
@@ -296,6 +297,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _occupancy_row(table: str, entries: int, capacity: int, **extra) -> dict:
+    """One `stats` occupancy row; a store's row adds its sig_bits."""
+    return {"table": table, "entries": entries, "capacity": capacity,
+            "load": entries / capacity if capacity else 0.0, **extra}
+
+
 def _cmd_stats(args) -> int:
     words = read_wordlist(args.input)
     hist = list_histogram(words, args.level)
@@ -311,13 +318,9 @@ def _cmd_stats(args) -> int:
     if args.index:
         index = load(args.index)
         sig_bits = signature_bits(index.sigma) if index.config.use_signatures else 0
-        occupancy = []
-        for name, entries, capacity in index.table_report():
-            row = {"table": name, "entries": entries, "capacity": capacity,
-                   "load": entries / capacity if capacity else 0.0}
-            if name.startswith("store"):  # a substitution store's row
-                row["sig_bits"] = sig_bits
-            occupancy.append(row)
+        occupancy = [_occupancy_row(*row) for row in index.exact.table_report()] + [
+            _occupancy_row(f"store[level={s.level}]", s.entry_count, s.capacity,
+                           sig_bits=sig_bits) for s in index.stores]
         payload["occupancy"] = occupancy
     if args.json:
         print(json.dumps(payload))
@@ -479,6 +482,10 @@ def run_cli(argv=None) -> int:
         return EXIT_FAILURE
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # a path that cannot be read or written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"editdict: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 def main() -> None:

@@ -158,18 +158,18 @@ def derive_seeds(rng_seed: int) -> tuple[int, int]:
 class Index:
     """The composed dictionary: exact membership plus 0-2 substitution stores.
 
-    sig_seed is carried into the file header; no hash uses it.
+    `stores` holds the substitution stores of levels 1..errors, in level
+    order.  sig_seed is carried into the file header; no hash uses it.
     """
 
-    __slots__ = ("config", "exact", "store1", "store2", "bucket_seed", "sig_seed", "sigma")
+    __slots__ = ("config", "exact", "stores", "bucket_seed", "sig_seed", "sigma")
 
     def __init__(self, config: BuildConfig, exact: ExactDictionary,
                  store1: SubstStore | None, store2: SubstStore | None,
                  bucket_seed: int, sig_seed: int, sigma: int):
         self.config = config
         self.exact = exact
-        self.store1 = store1
-        self.store2 = store2
+        self.stores = (store1, store2)[: config.errors]
         self.bucket_seed = bucket_seed
         self.sig_seed = sig_seed
         self.sigma = sigma
@@ -181,11 +181,6 @@ class Index:
     @property
     def compacted(self) -> bool:
         return self.config.compact
-
-    @property
-    def stores(self) -> tuple[SubstStore, ...]:
-        """The substitution stores of levels 1..errors, in level order."""
-        return (self.store1, self.store2)[: self.config.errors]
 
     @property
     def word_count(self) -> int:
@@ -218,23 +213,17 @@ class Index:
         if exact.contains(word, h):
             return False
         m = len(word)
-        stores = self.stores
         exact.check_headroom(m)
-        for store in stores:
+        for store in self.stores:
             store.check_headroom(entries_for(m, store.level))
         exact.insert_word(word, h)
         # Each store raises its own sigma to the word's largest byte, if
         # that is above, before it places the word's entries.
         sigma = max(self.sigma, max(word))
-        for store in stores:
+        for store in self.stores:
             store.insert_word(word, sigma)
         self.sigma = sigma
         return True
-
-    def table_report(self) -> list[tuple[str, int, int]]:
-        """(table, entries, capacity) rows across all components."""
-        return self.exact.table_report() + [(f"store[level={s.level}]", s.entry_count, s.capacity)
-                                            for s in self.stores]
 
 
 def build_index(words, config: BuildConfig | None = None, **overrides) -> Index:

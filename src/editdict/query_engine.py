@@ -236,7 +236,7 @@ def query(index, pattern, k: int) -> QueryResult:
     if k == 0:
         return QueryResult(matches, QueryStats(0, 0, identity, 0))
 
-    q1 = index.store1.list_query
+    q1 = index.stores[0].list_query
     probe_shorter, probe_longer = probes[k - 1], probes[k + 1]
     # del, sub and ins of the pattern: every position and gap (skip -1).
     lists, caps, candidates = _one_edit(matches, q1, pattern, ctx,
@@ -258,7 +258,7 @@ def query(index, pattern, k: int) -> QueryResult:
                 candidates += n
 
     # -- subsub, subins, insins: blanks qa < qb, r inserted, ia of them at qa --
-    q2 = index.store2.list_query
+    q2 = index.stores[1].list_query
     pre, pw, total = ctx.prefix, ctx.powers, ctx.total
     last = list(range(m + 1))  # last[q]: the last position of the run through x_q
     for q in range(m - 1, 0, -1):

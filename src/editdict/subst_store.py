@@ -43,8 +43,10 @@ bounded:
   each an exact probe or a store scan of about 1 us, while reading a
   run costs about 4 ns a slot in C.  So the limit is 16 * sigma, where a
   run is rare at any ordinary load and still bounded: at sigma = 255 the
-  longest run a scan reads, 4,079 slots, takes about 20 us plain and
-  35 us compacted.
+  longest run a scan reads, 4,079 slots, takes about 38 us plain and
+  40 us compacted when an unsigned store returns every character, and
+  about 5 us plain and 9 us compacted when the signatures reject every
+  entry; a capped compacted scan takes about 2 us.
 
 Keys with one home slot differ in their quotients, so their signatures
 are as good as independent while h // capacity spans many multiples of

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -211,6 +212,30 @@ def test_missing_input_file(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build --output", "build --input", "query --index"])
+def test_unusable_path_is_one_error_line(tmp_path, built, wordfile, command, capsys):
+    # A directory where a file is read or written: exit 1 with one line
+    # naming the path and the reason, not a traceback.
+    argv = {"build --output": ["build", "--input", wordfile, "--output", str(tmp_path)],
+            "build --input": ["build", "--input", str(tmp_path), "--output", built],
+            "query --index": ["query", "--index", str(tmp_path), "--k", "1", "--pattern", "x"]}
+    assert run_cli(argv[command]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"editdict: {tmp_path}: ") and "directory" in err
+
+
+def test_broken_pipe_while_answering_exits_ok(built, monkeypatch):
+    class ClosedPipe:
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        writelines = write
+
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=ClosedPipe()))
+    assert run_cli(["query", "--index", built, "--k", "1", "--pattern", "banana"]) == EXIT_OK
+
+
 def test_malformed_index(tmp_path, wordfile, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"JUNKJUNKJUNK" * 20)
@@ -265,24 +290,31 @@ def test_stats_output(built, wordfile, capsys):
     assert "store[level=1]" in text
 
 
+@pytest.mark.parametrize("errors", [0, 1, 2])
 @pytest.mark.parametrize("signatures", [True, False])
-def test_stats_reports_signature_width(tmp_path, wordfile, signatures, capsys):
+def test_stats_reports_signature_width(tmp_path, wordfile, signatures, errors, capsys):
     # The words' largest byte is "n" (110, 7 bits): a signed store keeps a
     # nibble plus the one bit above each character, 5 bits.
     out = str(tmp_path / "ix.bin")
     flag = ["--signatures"] if signatures else ["--no-signatures"]
-    assert run_cli(["build", "--input", wordfile, "--output", out, "--errors", "2",
+    assert run_cli(["build", "--input", wordfile, "--output", out, "--errors", str(errors),
                     *flag, "--seed", "7"]) == EXIT_OK
     capsys.readouterr()
     assert run_cli(["stats", "--input", wordfile, "--index", out, "--json"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["occupancy"]
     want = 5 if signatures else 0
-    assert [row.get("sig_bits") for row in rows if row["table"].startswith("store")] == [want] * 2
-    assert all("sig_bits" not in row for row in rows if row["table"].startswith("words"))
+    # The word tables first, with no sig_bits, then one row per store level.
+    words = [row for row in rows if row["table"].startswith("words[len=")]
+    assert words and all("sig_bits" not in row for row in words)
+    assert [(row["table"], row["sig_bits"]) for row in rows[len(words):]] == [
+        (f"store[level={level}]", want) for level in range(1, errors + 1)]
     assert run_cli(["stats", "--input", wordfile, "--index", out]) == EXIT_OK
     text = capsys.readouterr().out
     assert "sig bits" in text
-    assert "store[level=2]" in text and text.rstrip().endswith(f" {want}")
+    if errors:
+        assert f"store[level={errors}]" in text and text.rstrip().endswith(f" {want}")
+    else:
+        assert "store[" not in text and text.rstrip().endswith(" -")
 
 
 def test_stats_json_percentages(built, wordfile, capsys):

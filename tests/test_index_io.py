@@ -101,14 +101,14 @@ def test_derive_seeds_deterministic_distinct():
 
 def test_zero_error_index_has_no_stores():
     ix = build_index([b"abc"], BuildConfig(errors=0, rng_seed=1))
-    assert ix.store1 is None and ix.store2 is None
+    assert ix.stores == ()
     assert ix.query(b"abc", 0).matches == {b"abc"}
 
 
 def test_store_entry_counts_for_known_word():
     ix = build_index([b"ALABAMA"], BuildConfig(errors=2, rng_seed=1))
-    assert ix.store1.entry_count == 7
-    assert ix.store2.entry_count == 21
+    assert ix.stores[0].entry_count == 7
+    assert ix.stores[1].entry_count == 21
     assert ix.word_count == 1
     assert ix.total_length == 7
 
@@ -257,8 +257,7 @@ def test_insert_word_updates_everything(rng):
 
 
 def _tables(ix) -> list:
-    return [ix.sigma, ix.exact.to_bytes()] + [
-        store.to_bytes() for store in (ix.store1, ix.store2) if store is not None]
+    return [ix.sigma, ix.exact.to_bytes()] + [store.to_bytes() for store in ix.stores]
 
 
 def test_insert_word_atomic_on_store_overflow():
@@ -289,7 +288,7 @@ def test_insert_raises_sigma():
     assert ix.sigma == ord("d")
     assert ix.insert_word(b"az") is True
     assert ix.sigma == ord("z")
-    assert ix.store1.sigma == ord("z")
+    assert ix.stores[0].sigma == ord("z")
 
 
 def _edited(rng, words, alphabet: bytes, count: int) -> list[bytes]:
@@ -326,7 +325,7 @@ def test_insert_that_widens_sigma_answers_as_the_oracle(rng, first, inserted, si
         if dictionary is not words:
             for w in inserted:
                 assert ix.insert_word(w) is True
-            assert ix.sigma == ix.store1.sigma == ix.store2.sigma == max(map(max, inserted))
+            assert ix.sigma == ix.stores[0].sigma == ix.stores[1].sigma == max(map(max, inserted))
         for p in patterns:
             for k in (1, 2):
                 if k < len(p):
@@ -347,7 +346,7 @@ def test_refused_insert_leaves_the_stores_unpacked(rng):
     with pytest.raises(TableFullError, match="level-2 store"):
         ix.insert_word(wide)
     assert _tables(ix) == before
-    assert ix.store1.sigma == ix.store2.sigma == ord("d")
+    assert ix.stores[0].sigma == ix.stores[1].sigma == ord("d")
 
 
 def test_insert_into_compacted_index():
@@ -420,10 +419,9 @@ def test_save_rejects_a_text_sink_before_writing(tmp_path):
     assert path.read_bytes() == b""
 
 
-def test_table_report_includes_stores():
+def test_stores_are_in_level_order():
     ix = build_index([b"ab", b"cde"], BuildConfig(errors=2, rng_seed=1))
-    names = [name for name, _, _ in ix.table_report()]
-    assert "store[level=1]" in names and "store[level=2]" in names
+    assert [s.level for s in ix.stores] == [1, 2]
 
 
 def test_build_index_kwargs_shortcut():
@@ -506,7 +504,7 @@ def test_loaded_tables_hold_the_built_arrays(compact, signatures, rng):
     ix = build_index(words, BuildConfig(errors=2, use_signatures=signatures, compact=compact,
                                         rng_seed=5))
     back = load(_resaved(ix))
-    for built, loaded in ((ix.store1, back.store1), (ix.store2, back.store2)):
+    for built, loaded in zip(ix.stores, back.stores, strict=True):
         assert (built.occupancy is None) == (loaded.occupancy is None) == (not compact)
         assert _vector(built.occupancy) == _vector(loaded.occupancy)
         assert (built.chars, built.sigs) == (loaded.chars, loaded.sigs)
@@ -764,7 +762,7 @@ def test_reserved_header_bytes_are_written_as_zero():
 
 def test_load_rejects_store_without_empty_slot():
     ix = build_index([b"abc", b"abd"], BuildConfig(rng_seed=1))
-    ix.store1.chars[:] = b"a" * ix.store1.capacity
+    ix.stores[0].chars[:] = b"a" * ix.stores[0].capacity
     with pytest.raises(IndexFormatError, match="no empty slot"):
         load(_resaved(ix))
 

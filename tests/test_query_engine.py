@@ -188,7 +188,7 @@ def _recorded_query(x, k, scan_result):
         probes.append((bytes(buf), h))
         return True
 
-    index = SimpleNamespace(errors=2, bucket_seed=SEED, store1=store(1), store2=store(2),
+    index = SimpleNamespace(errors=2, bucket_seed=SEED, stores=(store(1), store(2)),
                             exact=SimpleNamespace(probe_for_length=lambda length: probe))
     return query(index, x, k), scans, probes
 

@@ -189,10 +189,10 @@ def test_insert_into_compacted_refused():
     # The stores only write; Index.insert_word refuses a compacted index
     # before it reaches them.
     ix = build_index([b"abcd", b"bcda"], BuildConfig(errors=2, compact=True, rng_seed=1))
-    before = [ix.store1.to_bytes(), ix.store2.to_bytes()]
+    before = [store.to_bytes() for store in ix.stores]
     with pytest.raises(CompactedError):
         ix.insert_word(b"zz")
-    assert [ix.store1.to_bytes(), ix.store2.to_bytes()] == before
+    assert [store.to_bytes() for store in ix.stores] == before
 
 
 def test_compact_differential(rng):
