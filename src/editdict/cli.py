@@ -11,8 +11,9 @@ Subcommands:
     verify           compare sampled query results against the reference scan
 
 Exit codes: 0 success, 1 runtime failure (including verify mismatches
-and a path that cannot be read or written, such as a directory), 2 usage
-error, 3 missing input file, 4 malformed index file.
+and a path that cannot be read or written, such as a directory or an
+output in a missing directory), 2 usage error, 3 missing input file, 4
+malformed index file.
 
 Randomized commands take --seed; when omitted, the EDITDICT_SEED
 environment variable is used, then 1.  Words are treated as raw bytes.
@@ -48,10 +49,6 @@ EXIT_BAD_INDEX = 4
 
 def _decode(word: bytes) -> str:
     return word.decode("latin-1")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("EDITDICT_SEED", "1"))
 
 
 # -- randomized query generation ---------------------------------------------
@@ -198,7 +195,7 @@ def _cmd_build(args) -> int:
         use_signatures=args.signatures,
         compact=args.compact,
         delta=args.delta,
-        rng_seed=args.seed if args.seed is not None else _default_seed(),
+        rng_seed=args.seed,
     )
     start = time.perf_counter()
     index = build_index(words, config)
@@ -264,9 +261,8 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     index = load(args.index)
     words = _sample_words(args.input)
-    seed = args.seed if args.seed is not None else _default_seed()
     report = bench(index, words, queries=args.queries, rounds=args.rounds,
-                   seed=seed, k=args.k)
+                   seed=args.seed, k=args.k)
     cfg = index.config
     if args.json:
         payload = report.to_dict()
@@ -355,8 +351,7 @@ def _cmd_heuristic_bench(args) -> int:
 def _cmd_verify(args) -> int:
     index = load(args.index)
     words = _sample_words(args.input)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     alphabet = sorted({c for w in words for c in w})
     mismatches = 0
     for i in range(args.samples):
@@ -470,10 +465,13 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if "seed" in args and args.seed is None:
+            seed = os.environ.get("EDITDICT_SEED", "1")
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                raise ValidationError(f"EDITDICT_SEED must be an integer, not {seed!r}") from None
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"editdict: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_MISSING_FILE
     except IndexFormatError as exc:
         print(f"editdict: bad index file: {exc}", file=sys.stderr)
         return EXIT_BAD_INDEX
@@ -482,7 +480,12 @@ def run_cli(argv=None) -> int:
         return EXIT_FAILURE
     except BrokenPipeError:
         return EXIT_OK
-    except OSError as exc:  # a path that cannot be read or written
+    except OSError as exc:
+        # A missing input is exit 3; any other path that cannot be read or
+        # written, an output in a missing directory among them, is exit 1.
+        if isinstance(exc, FileNotFoundError) and exc.filename != getattr(args, "output", None):
+            print(f"editdict: file not found: {exc.filename}", file=sys.stderr)
+            return EXIT_MISSING_FILE
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"editdict: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -41,7 +41,7 @@ from fractions import Fraction
 from .errors import IndexFormatError
 from .hashing import poly_hash
 from .succinct import RankBitVector, read_occupancy, run_of_ones, squeeze
-from .util import capacity_for, check_headroom, check_loaded_table, take, validate_words
+from .util import capacity_for, check_headroom, check_loaded_table, take
 
 # Capacity of a per-length table created on demand by insert_word for a
 # length unseen at build time.  Tables are never grown.
@@ -287,16 +287,11 @@ class ExactDictionary:
 
 def build_exact(words, alpha: Fraction, beta: int = 16, seed: int = 1,
                 validated: bool = False) -> ExactDictionary:
-    """Build the membership structure for a word list.
+    """Build the membership structure for the words build_index validated.
 
-    Duplicates are dropped; words containing NUL bytes are rejected with a
-    diagnostic naming the offending input position.  validated=True skips
-    that step for words validate_words returned, so each is written with
-    no presence probe.  beta is accepted by position and ignored: every
-    word is stored inline.
+    They are distinct, so each is written with no presence probe.  beta
+    and validated are accepted and ignored: every word is stored inline.
     """
-    if not validated:
-        words = validate_words(words)
     d = ExactDictionary(seed)
     tables = d.tables
     for width, count in Counter(map(len, words)).items():

@@ -464,24 +464,15 @@ class SubstStore:
                    chars, sigs, occupancy), offset
 
 
-def _check_level(level) -> None:
-    if level not in (1, 2):
-        raise ValidationError(f"store level must be 1 or 2, not {level!r}")
-
-
 def build_store(words, level: int, alpha: Fraction, use_signatures: bool,
-                bucket_seed: int, sig_seed: int, sigma: int | None = None,
+                bucket_seed: int, sig_seed: int, sigma: int,
                 validated: bool = False) -> SubstStore:
-    """Build a level-1 or level-2 store over a word list.
+    """Build a level-1 or level-2 store over the words build_index
+    validated, whose largest byte is sigma.
 
     Entries are placed and signed by one hash under bucket_seed; sig_seed
-    is accepted and ignored.
+    and validated are accepted and ignored.
     """
-    _check_level(level)
-    if not validated:
-        words = validate_words(words)
-    if sigma is None:
-        sigma = max((max(w) for w in words), default=0)
     total = sum(entries_for(len(w), level) for w in words)
     store = SubstStore(level, capacity_for(total, alpha), use_signatures, bucket_seed, sigma)
     for w in words:
@@ -523,7 +514,8 @@ def list_histogram(words, level: int) -> ListSizeHistogram:
     negligible at any realistic dictionary size, so this is an exact
     diagnostic in practice.
     """
-    _check_level(level)
+    if level not in (1, 2):
+        raise ValidationError(f"store level must be 1 or 2, not {level!r}")
     words = validate_words(words)
     key_counts: Counter = Counter()
     for w in words:

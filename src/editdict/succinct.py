@@ -191,8 +191,6 @@ class RankBitVector:
         flags at a time, so the copies it makes besides the words and ranks
         it keeps are a few chunks long, not a few times len(flags).
         """
-        if delta < 1:
-            raise ValueError("delta must be >= 1")
         n_bits = len(flags)
         words = array("Q", [0]) * ((n_bits + 63) >> 6)
         chunk = chunk_size(n_bits)

@@ -21,8 +21,6 @@ def capacity_for(count: int, alpha: Fraction) -> int:
     ceil(count / alpha), but never smaller than count + 1 so that every
     table keeps at least one empty slot and probe scans always terminate.
     """
-    if count < 0:
-        raise ValidationError("entry count must be non-negative")
     num, den = alpha.numerator, alpha.denominator
     return max(-(-count * den // num), count + 1)
 

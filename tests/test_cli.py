@@ -212,17 +212,22 @@ def test_missing_input_file(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["build --output", "build --input", "query --index"])
+@pytest.mark.parametrize("command", ["build --output", "build --output nodir/x.bin",
+                                     "build --input", "query --index"])
 def test_unusable_path_is_one_error_line(tmp_path, built, wordfile, command, capsys):
-    # A directory where a file is read or written: exit 1 with one line
-    # naming the path and the reason, not a traceback.
+    # A directory where a file is read or written, or an output in a
+    # missing directory: exit 1 with one line naming the path and the
+    # reason, not a traceback or the missing-input exit 3.
+    missing = str(tmp_path / "nodir" / "x.bin")
     argv = {"build --output": ["build", "--input", wordfile, "--output", str(tmp_path)],
+            "build --output nodir/x.bin": ["build", "--input", wordfile, "--output", missing],
             "build --input": ["build", "--input", str(tmp_path), "--output", built],
             "query --index": ["query", "--index", str(tmp_path), "--k", "1", "--pattern", "x"]}
     assert run_cli(argv[command]) == EXIT_FAILURE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith(f"editdict: {tmp_path}: ") and "directory" in err
+    path = missing if "nodir" in command else tmp_path
+    assert err.startswith(f"editdict: {path}: ") and "directory" in err
 
 
 def test_broken_pipe_while_answering_exits_ok(built, monkeypatch):
@@ -271,7 +276,7 @@ def test_verify_detects_wrong_index(tmp_path, wordfile, capsys):
     assert "MISMATCH" in capsys.readouterr().err
 
 
-def test_env_seed_fallback(tmp_path, wordfile, monkeypatch):
+def test_env_seed_fallback(tmp_path, wordfile, monkeypatch, capsys):
     out1, out2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     monkeypatch.setenv("EDITDICT_SEED", "99")
     assert run_cli(["build", "--input", wordfile, "--output", out1]) == EXIT_OK
@@ -279,6 +284,10 @@ def test_env_seed_fallback(tmp_path, wordfile, monkeypatch):
                     "--seed", "99"]) == EXIT_OK
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
+    capsys.readouterr()
+    monkeypatch.setenv("EDITDICT_SEED", "abc")
+    assert run_cli(["build", "--input", wordfile, "--output", out1]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "editdict: EDITDICT_SEED must be an integer, not 'abc'\n"
 
 
 def test_stats_output(built, wordfile, capsys):

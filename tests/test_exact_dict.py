@@ -23,7 +23,8 @@ def test_empty_dictionary():
 
 
 def test_duplicates_removed():
-    d = build_exact([b"abc", b"abc"], ALPHA, seed=5)
+    # build_exact takes the words build_index validated, repeats dropped.
+    d = build_index([b"abc", b"abc"], BuildConfig(errors=0, rng_seed=5)).exact
     assert d.word_count == 1
     assert d.contains(b"abc")
 
@@ -38,12 +39,12 @@ def test_member_and_non_member():
 
 def test_zero_byte_rejected_with_index():
     with pytest.raises(ValidationError, match="word #1"):
-        build_exact([b"fine", b"ba\x00d"], ALPHA, seed=5)
+        build_index([b"fine", b"ba\x00d"], BuildConfig(errors=0, rng_seed=5))
 
 
 def test_empty_word_rejected():
     with pytest.raises(ValidationError, match="word #0"):
-        build_exact([b""], ALPHA, seed=5)
+        build_index([b""], BuildConfig(errors=0, rng_seed=5))
 
 
 def test_random_membership_oracle(rng):

@@ -28,6 +28,13 @@ ALPHA = Fraction(7, 10)
 SEEDS = dict(bucket_seed=0x1234567, sig_seed=0x89ABCDE)
 
 
+def make_store(words, level: int, sig_on: bool) -> SubstStore:
+    """build_store over distinct valid words, with the sigma build_index
+    gives it: their largest byte."""
+    return build_store(words, level, ALPHA, sig_on, sigma=max(map(max, words), default=0),
+                       **SEEDS)
+
+
 def key_of(word: bytes, positions) -> tuple[int, ...]:
     """The symbolic store key: the word with the given positions blanked."""
     return tuple(WILDCARD if (i + 1) in positions else c for i, c in enumerate(word))
@@ -58,7 +65,7 @@ def test_entries_for():
 
 
 def test_level1_word_walkthrough():
-    store = build_store([b"ALABAMA"], 1, ALPHA, True, **SEEDS)
+    store = make_store([b"ALABAMA"], 1, True)
     assert store.entry_count == 7
     chars, capped = ask(store, key_of(b"ALABAMA", (6,)))
     assert not capped
@@ -66,7 +73,7 @@ def test_level1_word_walkthrough():
 
 
 def test_level2_word_walkthrough():
-    store = build_store([b"ALABAMA"], 2, ALPHA, True, **SEEDS)
+    store = make_store([b"ALABAMA"], 2, True)
     assert store.entry_count == 21
     chars, capped = ask(store, key_of(b"ALABAMA", (2, 6)))
     assert not capped
@@ -74,7 +81,7 @@ def test_level2_word_walkthrough():
 
 
 def test_shared_list_collects_both_characters():
-    store = build_store([b"ab", b"cb"], 1, ALPHA, True, **SEEDS)
+    store = make_store([b"ab", b"cb"], 1, True)
     chars, capped = ask(store, key_of(b"ab", (1,)))
     assert not capped
     assert {ord("a"), ord("c")} <= set(chars)
@@ -85,7 +92,7 @@ def test_empty_store_returns_nothing():
     # any other store, plain or compacted, signed or not.
     for sig_on in (False, True):
         for compact in (False, True):
-            store = build_store([], 1, ALPHA, sig_on, **SEEDS)
+            store = make_store([], 1, sig_on)
             if compact:
                 store.compact()
             assert store.sigma == 0
@@ -101,7 +108,7 @@ def test_cap_path_returns_full_alphabet():
     sigma = 48
     words = [bytes([c, 40]) for c in range(1, sigma + 1)]
     for sig_on in (False, True):
-        store = build_store(words, 1, ALPHA, sig_on, **SEEDS)
+        store = make_store(words, 1, sig_on)
         assert store.sigma == sigma
         chars, capped = ask(store, key_of(words[0], (1,)))
         assert capped
@@ -112,7 +119,7 @@ def test_list_query_is_superset_of_true_list(rng):
     for level in (1, 2):
         for sig_on in (False, True):
             words = random_words(rng, 80, 2, 8, alphabet_size=5)
-            store = build_store(words, level, ALPHA, sig_on, **SEEDS)
+            store = make_store(words, level, sig_on)
             for key, want in true_lists(words, level).items():
                 chars, capped = ask(store, key)
                 if capped:
@@ -131,8 +138,8 @@ def test_signatures_only_shrink_lists(rng):
     base = random_words(rng, 300, 2, 10, alphabet_size=6)
     for first in (97, 1):
         words = [bytes(c - 97 + first for c in w) for w in base]
-        plain = build_store(words, 1, ALPHA, False, **SEEDS)
-        signed = build_store(words, 1, ALPHA, True, **SEEDS)
+        plain = make_store(words, 1, False)
+        signed = make_store(words, 1, True)
         assert plain.capacity == signed.capacity
         total_plain = total_signed = caps_only_plain = 0
         for key in true_lists(words, 1):
@@ -166,7 +173,7 @@ def test_insert_completeness_replay(rng):
         cut = math.ceil(0.7 * len(ws))
         build += ws[:cut]
         extra += ws[cut : cut + math.floor(0.25 * len(ws))]
-    store = build_store(build, 1, ALPHA, True, **SEEDS)
+    store = make_store(build, 1, True)
     for w in extra:
         store.check_headroom(len(w))
         store.insert_word(w, max(store.sigma, max(w)))
@@ -178,7 +185,7 @@ def test_insert_completeness_replay(rng):
 
 
 def test_insert_past_ceiling_refused():
-    store = build_store([b"abcd"], 1, ALPHA, True, **SEEDS)  # capacity 6
+    store = make_store([b"abcd"], 1, True)  # capacity 6
     with pytest.raises(TableFullError):
         store.check_headroom(3)
     store.check_headroom(1)
@@ -199,7 +206,7 @@ def test_compact_differential(rng):
     for level in (1, 2):
         for sig_on in (False, True):
             words = random_words(rng, 200, 2, 10, alphabet_size=6)
-            store = build_store(words, level, ALPHA, sig_on, **SEEDS)
+            store = make_store(words, level, sig_on)
             keys = list(true_lists(words, level))
             rng.shuffle(keys)
             keys = keys[:500]
@@ -213,7 +220,7 @@ def test_compact_differential(rng):
 
 
 def test_compact_empty_store():
-    store = build_store([], 1, ALPHA, True, **SEEDS)
+    store = make_store([], 1, True)
     store.compact()
     assert store.chars == b""
 
@@ -221,7 +228,7 @@ def test_compact_empty_store():
 def test_compacted_dense_is_packed():
     for nwords in (1, 2, 5):
         words = [bytes([97 + i] * 5) for i in range(nwords)]
-        store = build_store(words, 1, ALPHA, True, **SEEDS)
+        store = make_store(words, 1, True)
         store.compact()
         entries = store.entry_count
         assert len(store.chars) + len(store.sigs) == entries + math.ceil(entries / 2)
@@ -312,7 +319,7 @@ def test_compact_transient_is_bounded(rng):
                 set_chunk(mp, chunk)
             tracemalloc.start()
             try:
-                store = build_store(words, 2, ALPHA, True, **SEEDS)
+                store = make_store(words, 2, True)
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 store.compact()
@@ -351,13 +358,10 @@ def test_histogram_level2():
 
 
 @pytest.mark.parametrize("level", [0, 3, None, "1"])
-def test_histogram_and_build_store_reject_a_level_other_than_1_or_2(level):
-    # list_histogram(words, 3) used to return a level-2 histogram labelled
-    # 3; build_store raised a bare ValueError.
+def test_histogram_rejects_a_level_other_than_1_or_2(level):
+    # Level 3 would otherwise return a level-2 histogram labelled 3.
     with pytest.raises(ValidationError, match="level must be 1 or 2"):
         list_histogram([b"abc"], level)
-    with pytest.raises(ValidationError, match="level must be 1 or 2"):
-        build_store([b"abc"], level, ALPHA, True, **SEEDS)
 
 
 def test_histogram_matches_direct_enumeration(rng):
@@ -375,7 +379,7 @@ def test_serialization_roundtrip(rng):
     for level in (1, 2):
         for sig_on in (False, True):
             for compacted in (False, True):
-                store = build_store(words, level, ALPHA, sig_on, **SEEDS)
+                store = make_store(words, level, sig_on)
                 if compacted:
                     store.compact()
                 blob = store.to_bytes()
